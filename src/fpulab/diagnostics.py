@@ -35,7 +35,8 @@ def _log_weight(spec, n):
         return 2.0 * spec.a * s
     if spec.kind is WeightKind.TWO_SIDED:
         return -2.0 * spec.a * np.abs(s)
-    return np.log1p(np.tanh(spec.a * s))
+    # log(1 + tanh(a s)) in a form that stays finite far left of the center
+    return np.log(2.0) - np.logaddexp(0.0, -2.0 * spec.a * s)
 
 
 def weighted_norm(u, weight):

@@ -217,7 +217,7 @@ def hessian_apply(field, model, w):
     """H''(u) w = (V''(r) w_r, w_p) for a direction field w."""
     if w.offset != field.offset or len(w) != len(field):
         raise ValueError("direction field must share the window")
-    return LatticeField(field.offset, model._d2v(field.r) * w.r, w.p.copy())
+    return LatticeField(field.offset, model(field.r, order=2) * w.r, w.p.copy())
 
 
 def _shift_forward_diff(x):

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,13 +37,12 @@ from .lattice import (
     weighted_pairing,
 )
 from .waves import (
-    DerivativeKind,
-    WaveProfile,
     _profile_grid,
     kappa_of_speed,
-    profile_derivative,
+    profile_spline,
     solve_profile,
-    toda_soliton,
+    toda_forms,
+    traveling_wave_residual,
 )
 
 # Scaled separation kappa_1 * min(x_{i+1} - x_i) below which neighbouring
@@ -55,90 +55,78 @@ MIN_SCALED_SEPARATION = 7.0
 COLLISION_GAP = 2.0
 
 _TABLE_NODES_PER_DECADE = 64
-_MODE_CACHE_LIMIT = 256
+_STEPS_PER_SITE = 16
 
 
 @dataclass
 class WaveModes:
-    """One wave of a train: profile and its two parameter directions.
+    """One wave of a train: speed, crest position, and a sampler of the
+    wave and its two parameter directions.
 
-    `position` is the crest location on the lattice; the profile objects
-    are crest-centered, so sampling uses sites - position.
+    `sample(rel)` takes crest-relative points rel = sites - position and
+    returns the wave, its x-direction and its c-direction there, each as
+    an (r, p) pair of arrays.  `span` is the half-width in sites of the
+    wave's profile window.
     """
 
     c: float
-    profile: WaveProfile
-    ddx: WaveProfile
-    ddc: WaveProfile
-    position: float = 0.0
+    position: float
+    span: int
+    sample: Callable
 
     @property
     def kappa(self):
         return kappa_of_speed(self.c)
 
-    def placed(self, position):
-        """The same mode data at another crest position (profiles shared)."""
-        return replace(self, position=float(position))
-
     def sampled(self, offset, length):
         """(wave, x-direction, c-direction) fields on a site window."""
-        args = (offset, length, self.position)
-        return (
-            self.profile.lattice_field(*args),
-            self.ddx.lattice_field(*args),
-            self.ddc.lattice_field(*args),
-        )
+        rel = offset + np.arange(length) - self.position
+        return tuple(LatticeField(offset, r, p) for r, p in self.sample(rel))
+
+
+def _span(kappa):
+    # the window solve_profile and toda_soliton pick, so nodes are reusable
+    return _profile_grid(kappa, _STEPS_PER_SITE, None)[3]
 
 
 class ProfileTable:
-    """Solitary-wave profiles indexed by speed.
+    """Solitary waves and their parameter directions, indexed by speed.
 
     Non-integrable models are solved on a geometric grid in c - 1 with 64
-    nodes per decade; queries between nodes use cubic Lagrange
-    interpolation across the four surrounding nodes (solved on demand, on
-    the query's own grid so the arrays are commensurable), and the
-    c-direction is the exact derivative of that interpolant.  The Toda
-    model bypasses the table entirely through its closed form.
+    nodes per decade.  Each node is solved once per profile window and
+    keeps one cubic spline through its columns (r, p, dx r, dx p).  A
+    query at speed c samples the four nodes around it (solved on the
+    query's own window, so the arrays are commensurable) and combines the
+    samples with the cubic Lagrange weights w in c: w gives the wave and
+    the x-direction, and dw = dw/dc gives the c-direction, the exact
+    derivative of the interpolant.  The interpolant is linear in the node
+    data, so this is the interpolated profile sampled.  The Toda model
+    samples its closed form instead.
     """
 
-    def __init__(self, model, steps_per_site=16, per_decade=_TABLE_NODES_PER_DECADE):
+    def __init__(self, model):
         self.model = model
-        self.steps = int(steps_per_site)
-        self.per_decade = int(per_decade)
-        if self.per_decade < 4:
-            raise ValueError("need at least 4 table nodes per decade")
-        self._nodes = {}  # (node index, span) -> WaveProfile
-        self._modes = {}  # float speed -> WaveModes at position 0
+        self._exact = model.name == "toda"
+        self._nodes = {}  # (node speed, span) -> (grid columns, sampler)
 
-    @property
-    def _exact(self):
-        return self.model.name == "toda"
+    def _node(self, speed, span):
+        node = self._nodes.get((speed, span))
+        if node is None:
+            prof = solve_profile(self.model, speed,
+                                 steps_per_site=_STEPS_PER_SITE, span=span)
+            node = self._nodes[(speed, span)] = profile_spline(prof, self.model)
+        return node
 
-    def _node_speed(self, j):
-        return 1.0 + 10.0 ** (j / self.per_decade)
-
-    def _span_for(self, c):
-        # same span solve_profile would pick, so cached nodes are reusable
-        _, _, _, span = _profile_grid(kappa_of_speed(c), self.steps, None)
-        return span
-
-    def _node(self, j, span):
-        key = (j, span)
-        prof = self._nodes.get(key)
-        if prof is None:
-            prof = solve_profile(
-                self.model, self._node_speed(j), steps_per_site=self.steps, span=span
-            )
-            self._nodes[key] = prof
-        return prof
-
-    def _bracket(self, c):
-        """Four table nodes surrounding c, on a common grid."""
+    def _bracket(self, c, span):
+        """Four table nodes surrounding c on a common grid, and the
+        Lagrange weights w and dw/dc that combine them."""
         s = c - 1.0
-        j = int(np.floor(np.log10(s) * self.per_decade))
-        span = self._span_for(c)
-        nodes = [self._node(k, span) for k in range(j - 1, j + 3)]
-        return nodes, np.array([p.c - 1.0 for p in nodes])
+        j = int(np.floor(np.log10(s) * _TABLE_NODES_PER_DECADE))
+        speeds = [1.0 + 10.0 ** (k / _TABLE_NODES_PER_DECADE)
+                  for k in range(j - 1, j + 3)]
+        nodes = [self._node(ck, span) for ck in speeds]
+        w, dw = self._lagrange_weights(s, np.array(speeds) - 1.0)
+        return nodes, w, dw
 
     @staticmethod
     def _lagrange_weights(s, nodes_s):
@@ -153,61 +141,55 @@ class ProfileTable:
             ) / denom
         return w, dw
 
-    def profile(self, c):
-        """The wave at speed c (interpolated, or exact for Toda)."""
+    def wave(self, c, offset=None, length=None, position=0.0):
+        """The wave at speed c, crest at position, on a site window (by
+        default the profile window around the crest).  Samples the wave
+        column only; no directions and no identity check."""
         c = float(c)
-        if c <= 1.0:
-            raise ValueError("wave speed must exceed the sound speed 1")
+        kappa = kappa_of_speed(c)
+        span = _span(kappa)
+        if offset is None:
+            offset, length = -span, 2 * span
+        rel = offset + np.arange(length) - position
         if self._exact:
-            return toda_soliton(kappa_of_speed(c), steps_per_site=self.steps)
-        nodes, nodes_s = self._bracket(c)
-        w, _ = self._lagrange_weights(c - 1.0, nodes_s)
-        base = nodes[0]
-        r = sum(wk * p.r for wk, p in zip(w, nodes))
-        p_ = sum(wk * p.p for wk, p in zip(w, nodes))
-        return WaveProfile(
-            model_name=self.model.name,
-            c=c,
-            x=base.x,
-            r=r,
-            p=p_,
-            steps=base.steps,
-            residual=max(p.residual for p in nodes),
-            method="table",
-        )
+            r, p, _, _ = toda_forms(kappa)
+            return LatticeField(offset, r(rel), p(rel))
+        nodes, w, _ = self._bracket(c, span)
+        wave = sum(wk * at(rel)[:, :2] for wk, (_, at) in zip(w, nodes))
+        return LatticeField(offset, wave[:, 0], wave[:, 1])
 
     def modes(self, c, position=0.0):
-        """Profile plus x- and c-directions at speed c, crest at position."""
+        """The wave at speed c with its x- and c-directions, crest at
+        position.  Interpolated speeds pass the traveling-wave identity
+        check on the node grid columns combined by w."""
         c = float(c)
-        core = self._modes.get(c)
-        if core is None:
-            prof = self.profile(c)
-            ddx = profile_derivative(prof, DerivativeKind.DDX, self.model)
-            if self._exact:
-                ddc = profile_derivative(prof, DerivativeKind.DDC, self.model)
-            else:
-                nodes, nodes_s = self._bracket(c)
-                _, dw = self._lagrange_weights(c - 1.0, nodes_s)
-                ddc = WaveProfile(
-                    model_name=self.model.name,
-                    c=c,
-                    x=prof.x,
-                    r=sum(wk * p.r for wk, p in zip(dw, nodes)),
-                    p=sum(wk * p.p for wk, p in zip(dw, nodes)),
-                    steps=prof.steps,
-                    method="ddc",
-                )
-            core = WaveModes(c=c, profile=prof, ddx=ddx, ddc=ddc)
-            if len(self._modes) >= _MODE_CACHE_LIMIT:
-                self._modes.pop(next(iter(self._modes)))
-            self._modes[c] = core
-        return core.placed(position)
+        kappa = kappa_of_speed(c)
+        span = _span(kappa)
+        if self._exact:
+            h_c = 1e-4 * (c - 1.0)
+            r, p, dr, dp = toda_forms(kappa)
+            hi, lo = (toda_forms(kappa_of_speed(ci))[:2]
+                      for ci in (c + h_c, c - h_c))
+
+            def sample(rel):
+                ddc = [(f(rel) - g(rel)) / (2.0 * h_c) for f, g in zip(hi, lo)]
+                return (r(rel), p(rel)), (dr(rel), dp(rel)), ddc
+        else:
+            nodes, w, dw = self._bracket(c, span)
+            grid = sum(wk * cols for wk, (cols, _) in zip(w, nodes))
+            traveling_wave_residual(c, *grid.T, _STEPS_PER_SITE, self.model)
+
+            def sample(rel):
+                vals = [at(rel) for _, at in nodes]
+                wave = sum(wk * v for wk, v in zip(w, vals))
+                ddc = sum(wk * v[:, :2] for wk, v in zip(dw, vals))
+                return wave[:, :2].T, wave[:, 2:].T, ddc.T
+        return WaveModes(c=c, position=float(position), span=span, sample=sample)
 
 
 def _common_window(modes):
-    spans = [m.profile.span for m in modes]
-    lo = int(np.floor(min(m.position - s for m, s in zip(modes, spans))))
-    hi = int(np.ceil(max(m.position + s for m, s in zip(modes, spans))))
+    lo = int(np.floor(min(m.position - m.span for m in modes)))
+    hi = int(np.ceil(max(m.position + m.span for m in modes)))
     return lo, hi - lo + 1
 
 
@@ -380,7 +362,7 @@ def train_field(table, c, x, offset, length):
     total_r = np.zeros(length)
     total_p = np.zeros(length)
     for ci, xi in zip(c, x):
-        wave = table.profile(ci).lattice_field(offset, length, position=xi)
+        wave = table.wave(ci, offset, length, position=xi)
         total_r += wave.r
         total_p += wave.p
     return LatticeField(offset, total_r, total_p)
@@ -509,9 +491,7 @@ def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
             for k, xi in zip(kappas, state.x)
         )
         h_total[i] = hamiltonian(frame, model)
-        h_waves[i] = sum(
-            table.profile(float(ci)).energy(model) for ci in state.c
-        )
+        h_waves[i] = sum(hamiltonian(table.wave(ci), model) for ci in state.c)
     series = {"v_l2": v_l2, "v_w": v_w, "h_total": h_total,
               "h_waves": h_waves}
     return ModulationTrack(times, states, c_plus, xdot, series)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -130,7 +131,8 @@ class WaveProfile:
     `x` spans [-span, span) with `steps` points per lattice site, so the
     integer sites are exact grid points.  `kappa` solves c = sinh(k)/k and
     2*kappa is the exponential decay rate of r.  Interpolation off the grid
-    is cubic; exact closed forms are used instead when available.
+    is cubic; the closed forms `exact` (r, p, dx r, dx p), when known, are
+    used instead.
     """
 
     model_name: str
@@ -143,14 +145,10 @@ class WaveProfile:
     iterations: int = 0
     method: str = "exact"
     residual_history: list = field(default_factory=list)
-    exact_r: callable = None
-    exact_p: callable = None
-    exact_dr: callable = None
-    exact_dp: callable = None
+    exact: tuple = None
 
     def __post_init__(self):
-        self._spline_r = None
-        self._spline_p = None
+        self._spline = None
 
     @property
     def eps(self):
@@ -168,29 +166,19 @@ class WaveProfile:
     def span(self):
         return int(round(-self.x[0]))
 
-    def _eval(self, which, pts):
+    def _eval(self, col, pts):
         pts = np.asarray(pts, dtype=float)
-        exact = self.exact_r if which == "r" else self.exact_p
-        if exact is not None:
-            return exact(pts)
-        spline = self._spline_r if which == "r" else self._spline_p
-        if spline is None:
-            data = self.r if which == "r" else self.p
-            spline = CubicSpline(self.x, data)
-            if which == "r":
-                self._spline_r = spline
-            else:
-                self._spline_p = spline
-        inside = (pts >= self.x[0]) & (pts <= self.x[-1])
-        out = np.zeros_like(pts)
-        out[inside] = spline(pts[inside])
-        return out
+        if self.exact is not None:
+            return self.exact[col](pts)
+        if self._spline is None:
+            self._spline = CubicSpline(self.x, np.column_stack([self.r, self.p]))
+        return _spline_at(self._spline, pts)[..., col]
 
     def r_at(self, pts):
-        return self._eval("r", pts)
+        return self._eval(0, pts)
 
     def p_at(self, pts):
-        return self._eval("p", pts)
+        return self._eval(1, pts)
 
     def lattice_field(self, offset=None, length=None, position=0.0):
         """Sample (r_c, p_c)(n - position) on a window of integer sites."""
@@ -206,60 +194,76 @@ class WaveProfile:
         """Lattice Hamiltonian of the sampled profile."""
         return hamiltonian(self.lattice_field(), model)
 
-    def derivative_x(self, model):
-        return profile_derivative(self, DerivativeKind.DDX, model)
 
-    def derivative_c(self, model, h_c=None):
-        return profile_derivative(self, DerivativeKind.DDC, model, h_c=h_c)
+def _spline_at(spline, pts):
+    """Values of a (multi-column) spline at pts, zero off its grid."""
+    inside = (pts >= spline.x[0]) & (pts <= spline.x[-1])
+    out = np.zeros(pts.shape + spline.c.shape[2:])
+    out[inside] = spline(pts[inside])
+    return out
+
+
+def _dx_columns(profile):
+    """(dx r, dx p) on the profile grid: closed form if known, else spectral."""
+    if profile.exact is not None:
+        return profile.exact[2](profile.x), profile.exact[3](profile.x)
+    return _spectral_dx(profile.r, profile.h), _spectral_dx(profile.p, profile.h)
+
+
+def _sech2(z):
+    """sech(z)^2 as 4 e / (1 + e)^2 with e = exp(-2|z|): finite for every z."""
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
+def toda_forms(kappa):
+    """Closed forms (r, p, dx r, dx p) of the Toda soliton with parameter
+    kappa, as functions of the crest-relative position y:
+    r(y) = log(1 + sinh(kappa)^2 sech(kappa y)^2) and
+    p(y) = -sinh(kappa) (tanh kappa y - tanh kappa(y-1)).  sech^2 is taken
+    from e^{-2 |kappa y|}, so no intermediate overflows.
+    """
+    s2 = np.sinh(kappa) ** 2
+
+    def r_exact(y):
+        return np.log1p(s2 * _sech2(kappa * y))
+
+    def p_exact(y):
+        return -np.sinh(kappa) * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
+
+    def dr_exact(y):
+        sech2 = _sech2(kappa * y)
+        return -2.0 * kappa * s2 * sech2 * np.tanh(kappa * y) / (1.0 + s2 * sech2)
+
+    def dp_exact(y):
+        return -kappa * np.sinh(kappa) * (
+            _sech2(kappa * y) - _sech2(kappa * (y - 1.0))
+        )
+
+    return r_exact, p_exact, dr_exact, dp_exact
 
 
 def toda_soliton(kappa, steps_per_site=16, span=None):
-    """Closed-form Toda lattice soliton with parameter kappa > 0.
-
-    Built from the displacement profile whose difference is
-
-        r_c(x) = log(1 + 2 sinh(kappa)^2 / (cosh(2 kappa x) + 1)),
-
-    a single positive hump with tail rate 2 kappa, traveling at
-    c = sinh(kappa)/kappa; p_c(x) = -sinh(kappa) (tanh kappa x - tanh kappa(x-1)).
+    """Closed-form Toda lattice soliton with parameter kappa > 0 (see
+    toda_forms): a single positive hump with tail rate 2 kappa, traveling
+    at c = sinh(kappa)/kappa.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     kappa = float(kappa)
     c = speed_of_kappa(kappa)
     x, h, steps, span = _profile_grid(kappa, steps_per_site, span)
-    s2 = np.sinh(kappa) ** 2
-
-    def r_exact(y):
-        return np.log1p(2.0 * s2 / (np.cosh(2.0 * kappa * y) + 1.0))
-
-    def p_exact(y):
-        return -np.sinh(kappa) * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
-
-    def dr_exact(y):
-        ch = np.cosh(2.0 * kappa * y)
-        return -4.0 * kappa * s2 * np.sinh(2.0 * kappa * y) / (
-            (ch + 1.0) * (ch + np.cosh(2.0 * kappa))
-        )
-
-    def dp_exact(y):
-        return -kappa * np.sinh(kappa) * (
-            np.cosh(kappa * y) ** -2 - np.cosh(kappa * (y - 1.0)) ** -2
-        )
-
+    forms = toda_forms(kappa)
     return WaveProfile(
         model_name="toda",
         c=c,
         x=x,
-        r=r_exact(x),
-        p=p_exact(x),
+        r=forms[0](x),
+        p=forms[1](x),
         steps=steps,
         residual=0.0,
         method="exact",
-        exact_r=r_exact,
-        exact_p=p_exact,
-        exact_dr=dr_exact,
-        exact_dp=dp_exact,
+        exact=forms,
     )
 
 
@@ -396,43 +400,49 @@ def solve_profile(
     )
 
 
+def traveling_wave_residual(c, r, p, dr, dp, steps, model):
+    """sup |c dx^2 u + J H''(u) dx u| for grid columns u = (r, p) and
+    dx u = (dr, dp) with `steps` points per site, where integer shifts are
+    exact grid shifts and dx^2 u is spectral.  Raises RuntimeError above
+    1e-6: dx u is then not the x-direction of a traveling wave of speed c.
+    """
+    h = 1.0 / steps
+    d2r = _spectral_dx(r, h, order=2)
+    d2p = _spectral_dx(p, h, order=2)
+    v2 = model(r, order=2)
+    shift = lambda a, k: np.roll(a, -k * steps)
+    res_r = c * d2r + (shift(dp, 1) - dp)
+    res_p = c * d2p + (v2 * dr - shift(v2 * dr, -1))
+    res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
+    if res > 1e-6:
+        raise RuntimeError(
+            f"x-derivative violates the traveling-wave identity: {res:.3e}"
+        )
+    return res
+
+
 def profile_derivative(profile, which, model, h_c=None):
     """x- or c-derivative of the wave profile, as a new profile object.
 
-    DDX differentiates spectrally and verifies the traveling-wave identity
-    c dx^2 u + J H''(u) dx u = 0 on the grid (shifts are exact there).
+    DDX differentiates spectrally (or uses the closed form) and verifies
+    the traveling-wave identity with traveling_wave_residual.
     DDC re-solves at c +- h_c and takes a central difference; the family is
     smooth in c near the sonic limit so the default step 1e-4 (c-1) keeps
     truncation and cancellation balanced.
     """
     which = DerivativeKind(which)
-    h = profile.h
     if which is DerivativeKind.DDX:
-        if profile.exact_dr is not None:
-            dr = profile.exact_dr(profile.x)
-            dp = profile.exact_dp(profile.x)
-        else:
-            dr = _spectral_dx(profile.r, h)
-            dp = _spectral_dx(profile.p, h)
-        steps = profile.steps
-        d2r = _spectral_dx(profile.r, h, order=2)
-        d2p = _spectral_dx(profile.p, h, order=2)
-        v2 = model._d2v(profile.r)
-        shift = lambda a, k: np.roll(a, -k * steps)
-        res_r = profile.c * d2r + (shift(dp, 1) - dp)
-        res_p = profile.c * d2p + (v2 * dr - shift(v2 * dr, -1))
-        res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
-        if res > 1e-6:
-            raise RuntimeError(
-                f"x-derivative violates the traveling-wave identity: {res:.3e}"
-            )
+        dr, dp = _dx_columns(profile)
+        res = traveling_wave_residual(
+            profile.c, profile.r, profile.p, dr, dp, profile.steps, model
+        )
         out_r, out_p, label, resid = dr, dp, "ddx", res
     else:
         if h_c is None:
             h_c = 1e-4 * (profile.c - 1.0)
         lo, hi = profile.c - h_c, profile.c + h_c
         kwargs = dict(steps_per_site=profile.steps, span=profile.span)
-        if profile.model_name == "toda" and profile.exact_r is not None:
+        if profile.exact is not None:
             plus = toda_soliton(kappa_of_speed(hi), **kwargs)
             minus = toda_soliton(kappa_of_speed(lo), **kwargs)
         else:
@@ -452,6 +462,18 @@ def profile_derivative(profile, which, model, h_c=None):
         residual=resid,
         method=label,
     )
+
+
+def profile_spline(profile, model):
+    """Grid columns (r, p, dx r, dx p) of a profile, shape (grid, 4), and a
+    function sampling one cubic spline through them, zero off the grid.
+
+    The x-direction is profile_derivative's, so it has passed the
+    traveling-wave identity check.
+    """
+    ddx = profile_derivative(profile, DerivativeKind.DDX, model)
+    cols = np.column_stack([profile.r, profile.p, ddx.r, ddx.p])
+    return cols, partial(_spline_at, CubicSpline(profile.x, cols))
 
 
 def rho_symbol(c, z):
@@ -508,13 +530,7 @@ def j_inverse_dx_profile(profile):
     shifts), which decays in both directions because dx r_c and dx p_c have
     zero mean.  Returns the two components as a profile-shaped object.
     """
-    h = profile.h
-    if profile.exact_dr is not None:
-        dr = profile.exact_dr(profile.x)
-        dp = profile.exact_dp(profile.x)
-    else:
-        dr = _spectral_dx(profile.r, h)
-        dp = _spectral_dx(profile.p, h)
+    dr, dp = _dx_columns(profile)
     steps = profile.steps
     blocks_p = dp.reshape(-1, steps)
     blocks_r = dr.reshape(-1, steps)

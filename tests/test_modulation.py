@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from fpulab import modulation
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
 from fpulab.lattice import (
     LatticeField,
@@ -49,6 +50,7 @@ from fpulab.waves import (
     profile_derivative,
     solve_profile,
     speed_of_kappa,
+    toda_soliton,
 )
 
 MODEL = PotentialModel.toda()
@@ -98,7 +100,7 @@ def perturbed_track():
 @functools.lru_cache(maxsize=None)
 def single_wave_track():
     c0 = speed_of_kappa(0.35)
-    u0 = TABLE.profile(c0).lattice_field(-70, 191, position=0.0)
+    u0 = TABLE.wave(c0, -70, 191, position=0.0)
     cfg = EvolveConfig(dt=0.05, t_end=30.0, stride=20)
     traj = evolve_nonlinear(u0, MODEL, cfg)
     return c0, track(traj, MODEL, (np.array([c0]), np.array([0.0])), table=TABLE)
@@ -107,45 +109,74 @@ def single_wave_track():
 class TestProfileTable:
     def test_rejects_subsonic_speed(self):
         with pytest.raises(ValueError):
-            TABLE.profile(1.0)
+            TABLE.wave(1.0)
         with pytest.raises(ValueError):
-            TABLE.profile(0.9)
+            TABLE.modes(0.9)
+        with pytest.raises(ValueError):
+            ProfileTable(PotentialModel.alpha_fpu()).wave(1.0)
 
     def test_toda_bypasses_interpolation(self):
-        assert TABLE.profile(1.05).method == "exact"
+        exact = toda_soliton(kappa_of_speed(1.05)).lattice_field()
+        wave = TABLE.wave(1.05)
+        assert wave.offset == exact.offset
+        assert np.array_equal(wave.r, exact.r)
+        assert np.array_equal(wave.p, exact.p)
+        assert not TABLE._nodes  # no node was solved
 
     def test_interpolation_matches_direct_solve(self):
         # speed chosen strictly between geometric nodes
         model = PotentialModel.alpha_fpu()
         table = ProfileTable(model)
         c = 1.0 + 0.017 * 1.13
-        prof = table.profile(c)
-        assert prof.method == "table"
-        direct = solve_profile(model, c)
         xs = np.linspace(-12.0, 12.0, 97)
-        err = np.max(np.abs(prof.r_at(xs) - direct.r_at(xs)))
+        (r, _), _, _ = table.modes(c).sample(xs)
+        assert len(table._nodes) == 4  # interpolated, not solved at c
+        direct = solve_profile(model, c)
+        err = np.max(np.abs(r - direct.r_at(xs)))
         assert err / np.max(np.abs(direct.r_at(xs))) < 1e-6
+        sites = np.arange(-12, 13)
+        wave = table.wave(c, -12, 25)
+        err = np.max(np.abs(wave.r - direct.r_at(sites)))
+        assert err / np.max(np.abs(direct.r_at(sites))) < 1e-6
 
     def test_speed_derivative_matches_fresh_solves(self):
         model = PotentialModel.alpha_fpu()
         table = ProfileTable(model)
         c = 1.0 + 0.017 * 1.13
-        modes = table.modes(c)
+        xs = np.linspace(-12.0, 12.0, 97)
+        _, _, (ddc_r, _) = table.modes(c).sample(xs)
         direct = profile_derivative(solve_profile(model, c),
                                     DerivativeKind.DDC, model)
-        xs = np.linspace(-12.0, 12.0, 97)
-        err = np.max(np.abs(modes.ddc.r_at(xs) - direct.r_at(xs)))
+        err = np.max(np.abs(ddc_r - direct.r_at(xs)))
         assert err / np.max(np.abs(direct.r_at(xs))) < 1e-4
 
-    def test_mode_cache_shares_profiles(self):
-        a = TABLE.modes(C_PAIR[0], 0.0)
-        b = TABLE.modes(C_PAIR[0], 4.0)
-        assert b.profile is a.profile
-        assert b.position == 4.0
-        moved = a.placed(-3.0)
-        assert moved.profile is a.profile
-        assert moved.position == -3.0
-        assert a.position == 0.0
+    def test_node_speed_samples_the_node(self):
+        model = PotentialModel.alpha_fpu()
+        c = 1.0 + 10.0 ** (-100 / 64)
+        xs = np.linspace(-12.0, 12.0, 97) + 0.3
+        wave, ddx, _ = ProfileTable(model).modes(c).sample(xs)
+        prof = solve_profile(model, c)
+        dprof = profile_derivative(prof, DerivativeKind.DDX, model)
+        for got, want in ((wave[0], prof.r_at(xs)), (wave[1], prof.p_at(xs)),
+                          (ddx[0], dprof.r_at(xs)), (ddx[1], dprof.p_at(xs))):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_speed_direction_is_the_derivative_of_the_wave(self):
+        table = ProfileTable(PotentialModel.alpha_fpu())
+        c = 1.0 + 0.017 * 1.13
+        h = 1e-5 * (c - 1.0)
+        ddc = table.modes(c, 0.4).sampled(-30, 61)[2]
+        plus = table.wave(c + h, -30, 61, position=0.4)
+        minus = table.wave(c - h, -30, 61, position=0.4)
+        for got, hi, lo in ((ddc.r, plus.r, minus.r), (ddc.p, plus.p, minus.p)):
+            fd = (hi - lo) / (2.0 * h)
+            assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
+
+    def test_identity_alarm_fires_on_a_coarse_table(self, monkeypatch):
+        monkeypatch.setattr(modulation, "_TABLE_NODES_PER_DECADE", 4)
+        table = ProfileTable(PotentialModel.alpha_fpu())
+        with pytest.raises(RuntimeError, match="traveling-wave identity"):
+            table.modes(1.05)
 
     def test_sampled_window_and_kappa(self):
         m = TABLE.modes(C_PAIR[0], 2.0)

@@ -11,6 +11,7 @@ from fpulab.lattice import (
     WeightSpec,
     apply_j,
     hamiltonian,
+    hessian_apply,
     weighted_norm,
     weighted_pairing,
 )
@@ -27,6 +28,7 @@ from fpulab.waves import (
     rho_symbol,
     solve_profile,
     speed_of_kappa,
+    toda_forms,
     toda_soliton,
 )
 
@@ -45,11 +47,10 @@ def test_speed_kappa_inversion():
 def test_toda_closed_form_is_a_traveling_wave():
     prof = toda_soliton(0.3)
     c = prof.c
+    r, p, dr, dp = prof.exact
     pts = np.linspace(-20, 20, 2001) + 0.123
-    res_r = -c * prof.exact_dr(pts) - (prof.exact_p(pts + 1) - prof.exact_p(pts))
-    res_p = -c * prof.exact_dp(pts) - (
-        TODA._dv(prof.exact_r(pts)) - TODA._dv(prof.exact_r(pts - 1))
-    )
+    res_r = -c * dr(pts) - (p(pts + 1) - p(pts))
+    res_p = -c * dp(pts) - (TODA._dv(r(pts)) - TODA._dv(r(pts - 1)))
     assert np.max(np.abs(res_r)) < 1e-14
     assert np.max(np.abs(res_p)) < 1e-14
 
@@ -65,6 +66,43 @@ def test_toda_conserved_sums(kappa, offset):
     )
     assert np.sum(fld.r) == pytest.approx(2 * kappa, abs=1e-10)
     assert np.sum(fld.p) == pytest.approx(-2 * kappa * prof.c, abs=1e-10)
+
+
+def test_toda_closed_forms_stay_finite_and_match_the_cosh_forms():
+    kappa = 0.45
+    prof = toda_soliton(kappa)
+    s2 = np.sinh(kappa) ** 2
+    y = prof.x
+    ch = np.cosh(2.0 * kappa * y)
+    cosh_forms = (
+        np.log1p(2.0 * s2 / (ch + 1.0)),
+        -np.sinh(kappa) * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0))),
+        -4.0 * kappa * s2 * np.sinh(2.0 * kappa * y)
+        / ((ch + 1.0) * (ch + np.cosh(2.0 * kappa))),
+        -kappa * np.sinh(kappa)
+        * (np.cosh(kappa * y) ** -2 - np.cosh(kappa * (y - 1.0)) ** -2),
+    )
+    far = np.array([-1e4, 1e4])
+    for form, want in zip(toda_forms(kappa), cosh_forms):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.all(np.isfinite(form(far)))
+        assert np.max(np.abs(form(y) - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_custom_potential_without_second_derivative():
+    custom = PotentialModel.custom(
+        lambda r: 0.5 * r**2 + r**3 / 6.0, lambda r: r + 0.5 * r**2
+    )
+    c = 1 + 0.04 / 6
+    prof = solve_profile(custom, c)
+    got = profile_derivative(prof, DerivativeKind.DDX, custom)
+    want = profile_derivative(solve_profile(ALPHA, c), DerivativeKind.DDX, ALPHA)
+    assert np.max(np.abs(got.r - want.r)) < 1e-6
+    assert np.max(np.abs(got.p - want.p)) < 1e-6
+    u = prof.lattice_field()
+    w = got.lattice_field()
+    assert np.max(np.abs(hessian_apply(u, custom, w).r
+                         - hessian_apply(u, ALPHA, w).r)) < 1e-8
 
 
 def test_toda_unit_kappa_energy():
@@ -88,8 +126,8 @@ def test_solve_profile_matches_toda():
     c = speed_of_kappa(0.3)
     sol = solve_profile(TODA, c)
     exact = toda_soliton(0.3, span=sol.span)
-    assert np.max(np.abs(sol.r - exact.exact_r(sol.x))) < 1e-8
-    assert np.max(np.abs(sol.p - exact.exact_p(sol.x))) < 1e-8
+    assert np.max(np.abs(sol.r - exact.r_at(sol.x))) < 1e-8
+    assert np.max(np.abs(sol.p - exact.p_at(sol.x))) < 1e-8
     assert sol.residual < 1e-12
     assert sol.iterations <= 500
 
@@ -164,8 +202,8 @@ def test_derivative_x_identity():
 )
 def test_secular_pairings(make, model):
     prof = make()
-    ddx = prof.derivative_x(model).lattice_field()
-    ddc = prof.derivative_c(model).lattice_field()
+    ddx = profile_derivative(prof, DerivativeKind.DDX, model).lattice_field()
+    ddc = profile_derivative(prof, DerivativeKind.DDC, model).lattice_field()
     self_pair = weighted_pairing(ddx, ddx, PairingKind.J_INVERSE)
     assert abs(self_pair) < 1e-8 * ddx.norm() ** 2
     cross = prof.c * weighted_pairing(ddx, ddc, PairingKind.J_INVERSE)
@@ -223,7 +261,7 @@ def test_rho_symbol_bound():
 
 def test_j_inverse_dx_matches_lattice_cumsums():
     prof = toda_soliton(0.3)
-    ddx = prof.derivative_x(TODA)
+    ddx = profile_derivative(prof, DerivativeKind.DDX, TODA)
     ji = j_inverse_dx_profile(prof)
     idx = np.arange(0, prof.x.size, prof.steps)
     fld = LatticeField(-prof.span, ddx.r[idx], ddx.p[idx])
