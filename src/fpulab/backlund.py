@@ -2,7 +2,7 @@
 
 The m- and (m-1)-soliton tau potentials form a transform pair: a
 first-order relation couples their log-derivatives, the normalized tau
-quotient psi (psi_ratio in the soliton module) solves the associated
+quotient psi (log_psi in the soliton module) solves the associated
 linear problem, and linearizing the pair yields integral maps that carry
 perturbations of one level to perturbations of the next.  This module
 implements those maps in both directions, the secular projections that
@@ -16,7 +16,9 @@ all of them are assembled in the log domain and applied through one-step
 recurrences; nothing overflows even when the window spans hundreds of
 decay lengths.  The integral maps use trapezoid quadrature on the working
 grid plus the leading endpoint correction, which restores fourth-order
-accuracy without leaving the grid.
+accuracy without leaving the grid.  The ladder's conventions (level
+phases, tau quotient, parameter modes, pairing and weighted norm) come
+from the soliton module.
 """
 
 from __future__ import annotations
@@ -25,125 +27,47 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .kdv import GridField, SolitonFamily, TauLadder, secular_basis
+from .kdv import (
+    GridField,
+    LadderPhases,
+    SolitonFamily,
+    TauLadder,
+    exp_weighted_norm,
+    log_psi,
+    phase_ladder,
+    profile_gradient,
+    secular_basis,
+    simpson_pairing,
+)
 
 MISMATCH_TOL = 1e-5
 ORTHOGONALITY_TOL = 1e-6
 GRAM_COND_LIMIT = 1e12
 SECULAR_RESIDUAL_TOL = 1e-8
-PARAMETER_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class LadderPhases:
-    """Soliton family together with its per-level phase vectors.
-
-    levels[m] holds the m phases of the level-m potential; level N keeps
-    the family's own phases and each step down shifts the surviving
-    phases by the pairwise interaction term (see phase_ladder).
-    """
-
-    family: SolitonFamily
-    levels: tuple
-
-    def __post_init__(self):
-        lv = tuple(np.asarray(g, dtype=float) for g in self.levels)
-        object.__setattr__(self, "levels", lv)
-        if len(lv) != self.family.n + 1:
-            raise ValueError("need one phase vector per level 0..N")
-        for m, g in enumerate(lv):
-            if len(g) != m:
-                raise ValueError(f"level {m} must carry {m} phases")
-
-    def level_family(self, m):
-        """Standalone m-soliton family carrying the level-m phases."""
-        if not 1 <= m <= self.family.n:
-            raise ValueError("level must lie in 1..N")
-        return SolitonFamily(self.family.k[:m], self.levels[m])
-
-    def anchor(self, m):
-        """Phase of the soliton that level m adds on top of level m-1."""
-        return float(self.levels[m][m - 1])
-
-    def crest(self, m, t):
-        """Center of the level-m sech quotient at time t."""
-        km = float(self.family.k[m - 1])
-        return self.anchor(m) + 4.0 * km**2 * t
-
-
-def phase_ladder(family: SolitonFamily, top_phases=None) -> LadderPhases:
-    """Descend the phase recursion from the full family to level 0.
-
-    Removing the largest remaining soliton (index m) shifts every
-    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i); the shifts
-    are additive in the top phases, so doubling those translates every
-    level by the same amounts.
-    """
-    k = family.k
-    top = family.gamma if top_phases is None else np.asarray(top_phases, float)
-    if top.shape != family.gamma.shape:
-        raise ValueError("top phases must match the family size")
-    levels = [None] * (family.n + 1)
-    levels[family.n] = top.astype(float).copy()
-    for m in range(family.n, 0, -1):
-        prev = levels[m][: m - 1].copy()
-        for i in range(m - 1):
-            prev[i] += np.log((k[m - 1] - k[i]) / (k[m - 1] + k[i])) / (2.0 * k[i])
-        levels[m - 1] = prev
-    return LadderPhases(family, tuple(levels))
-
-
-@dataclass(frozen=True)
-class WeightedGridField:
-    """GridField paired with an exponential weight exponent.
-
-    norm() is the L2 norm of exp(exponent * x) times the values; decay
-    statements downstream require 0 < exponent < 2 k_1, which is checked
-    where a family is in scope, not here.
-    """
-
-    base: GridField
-    exponent: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.exponent):
-            raise ValueError("weight exponent must be finite")
-
-    def norm(self):
-        w = np.exp(2.0 * self.exponent * self.base.x)
-        return float(np.sqrt(simpson(w * np.abs(self.base.values) ** 2,
-                                     dx=self.base.dx)))
 
 
 # -- level fields ----------------------------------------------------------
-
-def _level_tau(ladder: LadderPhases, m):
-    return TauLadder(ladder.level_family(m), m)
-
 
 def _level_potential(ladder, m, t, x):
     """v^m with its tail constant, so differences across levels are exact."""
     tail = -float(ladder.family.k[m:].sum())
     if m == 0:
         return np.full_like(x, tail)
-    return _level_tau(ladder, m).v(t, x) + tail
+    return ladder.tau(m).v(t, x) + tail
 
 
 def _level_slope(ladder, m, t, x):
     """d/dx v^m (the level-m KdV profile)."""
     if m == 0:
         return np.zeros_like(x)
-    return _level_tau(ladder, m).second_derivative(t, x)
+    return ladder.tau(m).second_derivative(t, x)
 
 
-def _log_psi(ladder, m, t, x):
-    km = float(ladder.family.k[m - 1])
-    theta = km * (x - 4.0 * km**2 * t - ladder.anchor(m))
-    low = (np.zeros_like(x) if m == 1
-           else _level_tau(ladder, m - 1).log_delta(t, x))
-    return -theta + low - _level_tau(ladder, m).log_delta(t, x)
+def _level_modes(ladder, m, t, x):
+    """Shift and speed modes of level m: d/d(anchor) and d/dk_m of
+    d/dx v^m, the other level-m parameters held fixed."""
+    return profile_gradient(ladder.level_family(m), t, x, m - 1)
 
 
 def _crest_index(x, xc):
@@ -155,32 +79,6 @@ def _crest_index(x, xc):
             "shift the window so the level anchor lands on the grid"
         )
     return j
-
-
-def _shift_mode(ladder, m, t, x, step=PARAMETER_STEP):
-    """d/d(anchor) of d/dx v^m by central differences."""
-    fam = ladder.level_family(m)
-
-    def slope(gm):
-        g = fam.gamma.copy()
-        g[m - 1] = gm
-        return TauLadder(SolitonFamily(fam.k, g), m).second_derivative(t, x)
-
-    g0 = float(fam.gamma[m - 1])
-    return (slope(g0 + step) - slope(g0 - step)) / (2.0 * step)
-
-
-def _speed_mode(ladder, m, t, x, step=PARAMETER_STEP):
-    """d/dk_m of d/dx v^m by central differences, level phases held fixed."""
-    fam = ladder.level_family(m)
-
-    def slope(km):
-        k = fam.k.copy()
-        k[m - 1] = km
-        return TauLadder(SolitonFamily(k, fam.gamma), m).second_derivative(t, x)
-
-    k0 = float(fam.k[m - 1])
-    return (slope(k0 + step) - slope(k0 - step)) / (2.0 * step)
 
 
 # -- the transform pair and its linearization ------------------------------
@@ -206,10 +104,6 @@ def backlund_residual(ladder: LadderPhases, m, t, x) -> float:
     return float(np.max(np.abs(dsum - km**2 + diff**2)))
 
 
-def _pair(f, g, dx):
-    return float(simpson(f * g, dx=dx))
-
-
 def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridField:
     """Carry a level-(m-1) perturbation up to level m.
 
@@ -224,7 +118,7 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
     x = w_prev.x
     dx = w_prev.dx
     w0 = np.asarray(w_prev.values, dtype=float)
-    lp = _log_psi(ladder, m, t, x)
+    lp = log_psi(ladder, m, t, x)
     dv = (_level_potential(ladder, m, t, x)
           - _level_potential(ladder, m - 1, t, x))
     u = 4.0 * dv * w0
@@ -245,14 +139,15 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
 
     raw = -w0 + integral
     mode = np.exp(2.0 * (lp - lp.max()))
-    speed = _speed_mode(ladder, m, t, x)
-    alpha = -_pair(raw, speed, dx) / _pair(mode, speed, dx)
+    shift, speed = _level_modes(ladder, m, t, x)
+    alpha = (-simpson_pairing(raw, speed, dx)
+             / simpson_pairing(mode, speed, dx))
     out = raw + alpha * mode
 
-    scale = np.sqrt(_pair(out, out, dx)) or 1.0
-    shift = _shift_mode(ladder, m, t, x)
+    scale = np.sqrt(simpson_pairing(out, out, dx)) or 1.0
     for label, fld in (("shift", shift), ("speed", speed)):
-        rel = abs(_pair(out, fld, dx)) / (scale * np.sqrt(_pair(fld, fld, dx)))
+        rel = abs(simpson_pairing(out, fld, dx))
+        rel /= scale * np.sqrt(simpson_pairing(fld, fld, dx))
         if rel > ORTHOGONALITY_TOL:
             raise RuntimeError(
                 f"{label}-mode orthogonality residual {rel:.3e} after the "
@@ -275,7 +170,7 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
     x = w_field.x
     dx = w_field.dx
     wm = np.asarray(w_field.values, dtype=float)
-    lp = _log_psi(ladder, m, t, x)
+    lp = log_psi(ladder, m, t, x)
     dv = (_level_potential(ladder, m, t, x)
           - _level_potential(ladder, m - 1, t, x))
     u = 4.0 * dv * wm
@@ -316,9 +211,9 @@ def _secular_coeffs(values, basis, dx, n):
     etas = [fld.values for fld in basis.eta1] + [fld.values for fld in basis.eta2]
     xis = [fld.values for fld in basis.xi1] + [fld.values for fld in basis.xi2]
     for a, eta in enumerate(etas):
-        rhs[a] = _pair(values, eta, dx)
+        rhs[a] = simpson_pairing(values, eta, dx)
         for b, xi in enumerate(xis):
-            gram[a, b] = _pair(xi, eta, dx)
+            gram[a, b] = simpson_pairing(xi, eta, dx)
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise ValueError("secular Gram matrix is ill-conditioned; "
                          "the parameter modes are numerically degenerate")
@@ -344,10 +239,10 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
                                       v.dx, family.n)
     pv = GridField(v.x0, v.dx, ranged)
     qv = GridField(v.x0, v.dx, v.values - ranged)
-    scale = np.sqrt(_pair(v.values, v.values, v.dx)) or 1.0
+    scale = np.sqrt(simpson_pairing(v.values, v.values, v.dx)) or 1.0
     for eta in etas:
-        rel = abs(_pair(qv.values, eta, v.dx))
-        rel /= scale * np.sqrt(_pair(eta, eta, v.dx))
+        rel = abs(simpson_pairing(qv.values, eta, v.dx))
+        rel /= scale * np.sqrt(simpson_pairing(eta, eta, v.dx))
         if rel > SECULAR_RESIDUAL_TOL:
             raise RuntimeError(
                 f"secular condition residual {rel:.3e} after projection"
@@ -358,7 +253,8 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
 def _secular_residual(values, basis, dx, n, scale):
     worst = 0.0
     for eta in [f.values for f in basis.eta1] + [f.values for f in basis.eta2]:
-        rel = abs(_pair(values, eta, dx)) / (scale * np.sqrt(_pair(eta, eta, dx)))
+        rel = abs(simpson_pairing(values, eta, dx))
+        rel /= scale * np.sqrt(simpson_pairing(eta, eta, dx))
         worst = max(worst, rel)
     return worst
 
@@ -493,18 +389,12 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     else:
         lo, hi = measure_span
         sel = slice(*np.searchsorted(x, [lo, hi + dx / 2.0]))
-    wfac = np.exp(2.0 * a * x[sel])
-
-    def weighted(vals):
-        return float(np.sqrt(simpson(wfac * vals[sel] ** 2, dx=dx)))
-
-    def potential(tau):
-        shift = frame_speed * (tau - t0)
-        return TauLadder(family, family.n).second_derivative(tau, x + shift)
+    profile = None if family is None else TauLadder(family, family.n)
 
     def term(tau, vhat):
+        phi = profile.second_derivative(tau, x + frame_speed * (tau - t0))
         vals = np.fft.irfft(vhat * flow.mask, n=flow.n)
-        prod = np.fft.rfft(potential(tau) * vals)
+        prod = np.fft.rfft(phi * vals)
         return -12j * flow.xi * prod * flow.mask
 
     vhat = np.fft.rfft(np.asarray(v0.values, dtype=float))
@@ -524,11 +414,11 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
                 "dealiasing cutoff; refine dx or shrink dt"
             )
         times.append(tau)
-        norms.append(weighted(vals))
+        norms.append(exp_weighted_norm(vals[sel], x[sel], dx, a))
         if family is None:
             resid.append(np.nan)
         else:
-            scale = np.sqrt(_pair(vals, vals, dx)) or 1.0
+            scale = np.sqrt(simpson_pairing(vals, vals, dx)) or 1.0
             resid.append(_secular_residual(vals, basis_at(tau), dx,
                                            family.n, scale))
         return vals
@@ -567,10 +457,12 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
     dx = w0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
     flow = _SpectralFlow(len(x), dx, frame_speed)
+    level = ladder.tau(m) if m else None
 
     def term(tau, vhat):
-        shift = frame_speed * (tau - t0)
-        slope = _level_slope(ladder, m, tau, x + shift)
+        y = x + frame_speed * (tau - t0)
+        slope = (np.zeros_like(y) if level is None
+                 else level.second_derivative(tau, y))
         dxw = np.fft.irfft(1j * flow.xi * vhat * flow.mask, n=flow.n)
         return -12.0 * np.fft.rfft(slope * dxw) * flow.mask
 
@@ -608,10 +500,6 @@ class ConjugationResult:
         return max(lo / hi, hi / lo)
 
 
-def _down_weighted_norm(values, x, dx, a):
-    return float(np.sqrt(simpson(np.exp(-2.0 * a * x) * values**2, dx=dx)))
-
-
 def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
                      direction="down", orthogonality_tol=1e-4) -> ConjugationResult:
     """Walk a perturbation down the ladder to the free flow, or back up.
@@ -635,24 +523,24 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
     norms = {}
     cur = field
     if direction == "down":
-        norms[family.n] = _down_weighted_norm(cur.values, x, dx, a)
+        norms[family.n] = exp_weighted_norm(cur.values, x, dx, -a)
         for m in range(family.n, 0, -1):
-            scale = np.sqrt(_pair(cur.values, cur.values, dx))
+            scale = np.sqrt(simpson_pairing(cur.values, cur.values, dx))
             if scale > 0.0:
-                for label, mode in (("shift", _shift_mode(ladder, m, t, x)),
-                                    ("speed", _speed_mode(ladder, m, t, x))):
-                    rel = abs(_pair(cur.values, mode, dx))
-                    rel /= scale * np.sqrt(_pair(mode, mode, dx))
+                modes = _level_modes(ladder, m, t, x)
+                for label, mode in zip(("shift", "speed"), modes):
+                    rel = abs(simpson_pairing(cur.values, mode, dx))
+                    rel /= scale * np.sqrt(simpson_pairing(mode, mode, dx))
                     if rel > orthogonality_tol:
                         raise ValueError(
                             f"level-{m} {label}-mode orthogonality violated "
                             f"({rel:.3e}); the field left the admissible class"
                         )
             cur = linearized_inverse(cur, ladder, m, t)
-            norms[m - 1] = _down_weighted_norm(cur.values, x, dx, a)
+            norms[m - 1] = exp_weighted_norm(cur.values, x, dx, -a)
     else:
-        norms[0] = _down_weighted_norm(cur.values, x, dx, a)
+        norms[0] = exp_weighted_norm(cur.values, x, dx, -a)
         for m in range(1, family.n + 1):
             cur = linearized_forward(cur, ladder, m, t)
-            norms[m] = _down_weighted_norm(cur.values, x, dx, a)
+            norms[m] = exp_weighted_norm(cur.values, x, dx, -a)
     return ConjugationResult(cur, norms, a)

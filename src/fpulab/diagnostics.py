@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .kdv import GridField, SolitonFamily, TauLadder
+from .kdv import SolitonFamily, TauLadder
 from .lattice import LatticeField, WeightKind, WeightSpec
 from .waves import kappa_of_speed
 
@@ -40,14 +40,12 @@ def _log_weight(spec, n):
 
 
 def weighted_norm(u, weight):
-    """Weighted l2 (lattice) or L2 (grid) norm, computed in the log
-    domain so extreme a * window products survive; the final
+    """Weighted l2 norm of a lattice field, the paper's ||e^{a(n-x)} u||
+    for the exponential kinds: sqrt(sum e^{2a(n-x)} (r^2 + p^2)) for
+    RIGHT_GROWING and sqrt(sum e^{-2a|n-x|} (r^2 + p^2)) for TWO_SIDED, so
+    the squares carry twice the exponent a (see _log_weight).  Computed in
+    the log domain so extreme a * window products survive; the final
     exponentiation may still return inf for genuinely huge norms."""
-    if isinstance(u, GridField):
-        logw = _log_weight(weight, u.x)
-        with np.errstate(divide="ignore"):
-            terms = 2.0 * np.log(np.abs(u.values)) + logw
-        return float(np.exp(0.5 * (logsumexp(terms) + np.log(u.dx))))
     logw = _log_weight(weight, u.sites)
     with np.errstate(divide="ignore"):
         terms = np.concatenate([

@@ -9,10 +9,16 @@ differencing error; parameter derivatives use central differences.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
-sits at gamma + log(2k)/(2k), not at gamma.  Inside a level-m tau the
+sits at gamma - log(2k)/(2k), not at gamma.  Inside a level-m tau the
 active solitons i <= m carry the descended phases gamma_i^m (see
-ladder_phase); this is what makes consecutive levels a transform pair,
+phase_ladder); this is what makes consecutive levels a transform pair,
 and the plain minors of the level-n matrix do not have that property.
+
+The ladder conventions live here and nowhere else: the phase recursion
+(phase_ladder), the normalized tau quotient (log_psi), the parameter
+gradients of a profile (profile_gradient), the spectral derivative, the
+Simpson pairing of grid samples (simpson_pairing) and the exponentially
+weighted grid norm (exp_weighted_norm).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.special import logsumexp
 
 MAX_SOLITONS = 8
+PARAMETER_STEP = 1e-5  # central-difference step of the parameter gradients
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,17 @@ def uniform_grid(x0, x1, dx):
     return x0 + dx * np.arange(n)
 
 
-def grid_pairing(a: GridField, b: GridField):
-    """L2 inner product of two fields on the same grid (Simpson)."""
-    if a.x0 != b.x0 or a.dx != b.dx or len(a) != len(b):
-        raise ValueError("fields live on different grids")
-    return float(simpson(a.values * b.values, dx=a.dx))
+def simpson_pairing(f, g, dx):
+    """L2 inner product of two sample arrays on one grid of spacing dx
+    (Simpson)."""
+    return float(simpson(f * g, dx=dx))
+
+
+def exp_weighted_norm(values, x, dx, b):
+    """sqrt(int e^{2 b x} v(x)^2 dx) of samples v on the abscissas x
+    (Simpson): the L2 norm of e^{b x} v.  b > 0 weights growth to the
+    right, b < 0 to the left."""
+    return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
 def _subset_tables(k, m):
@@ -131,8 +144,7 @@ class TauLadder:
         self.m = m
         self._B, self._log_a, self._slope = _subset_tables(family.k, m)
         gam = family.gamma.astype(float).copy()
-        for i in range(m):
-            gam[i] = ladder_phase(family, i, m)
+        gam[:m] = phase_ladder(family).levels[m]
         self._gamma_m = gam
 
     def _theta(self, t, x):
@@ -181,11 +193,6 @@ class TauLadder:
         return np.outer(e, e) / (k[:, None] + k[None, :])
 
 
-def tau_logdet(family: SolitonFamily, t, x, m):
-    """log Delta_m at a single point, overflow-free for any phase."""
-    return float(TauLadder(family, m).log_delta(t, np.atleast_1d(float(x)))[0])
-
-
 def _check_grid(family, x):
     dx = x[1] - x[0]
     if dx > 0.1 / family.k[-1] * (1.0 + 1e-9):
@@ -223,35 +230,40 @@ class SecularBasis:
     eta1: list
     eta2: list
 
-    def pairing(self, kind_a, i, kind_b, j):
-        xi = (self.xi1, self.xi2)[kind_a - 1][i]
-        eta = (self.eta1, self.eta2)[kind_b - 1][j]
-        return grid_pairing(xi, eta)
 
+def profile_gradient(family: SolitonFamily, t, x, i):
+    """(d phi_N / d gamma_i, d phi_N / d k_i) on the abscissas x.
 
-def secular_basis(family: SolitonFamily, t, x, step=1e-5):
-    """Build the 4N secular fields at time t on the grid x.
-
-    Parameter derivatives by central differences with the given step on
-    the exact-in-x profile; antiderivatives by cumulative trapezoid.  The
-    left grid edge must sit in the flat tail of every gradient.
+    Central differences with step PARAMETER_STEP on the exact-in-x
+    profile phi_N = d^2/dx^2 log Delta_N; the other parameters are held
+    fixed.
     """
-    x = np.asarray(x, dtype=float)
-    _check_grid(family, x)
-    dx = x[1] - x[0]
-
     def phi_for(k, gamma):
         fam = SolitonFamily(k, gamma)
         return TauLadder(fam, fam.n).second_derivative(t, x)
 
+    dg = np.zeros(family.n)
+    dg[i] = PARAMETER_STEP
+    d_gamma = (phi_for(family.k, family.gamma + dg)
+               - phi_for(family.k, family.gamma - dg)) / (2 * PARAMETER_STEP)
+    d_k = (phi_for(family.k + dg, family.gamma)
+           - phi_for(family.k - dg, family.gamma)) / (2 * PARAMETER_STEP)
+    return d_gamma, d_k
+
+
+def secular_basis(family: SolitonFamily, t, x):
+    """Build the 4N secular fields at time t on the grid x.
+
+    Parameter derivatives from profile_gradient; antiderivatives by
+    cumulative trapezoid.  The left grid edge must sit in the flat tail
+    of every gradient.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_grid(family, x)
+    dx = x[1] - x[0]
     xi1, xi2, eta1, eta2 = [], [], [], []
     for i in range(family.n):
-        dg = np.zeros(family.n)
-        dg[i] = step
-        d_gamma = (phi_for(family.k, family.gamma + dg)
-                   - phi_for(family.k, family.gamma - dg)) / (2 * step)
-        d_k = (phi_for(family.k + dg, family.gamma)
-               - phi_for(family.k - dg, family.gamma)) / (2 * step)
+        d_gamma, d_k = profile_gradient(family, t, x, i)
         for vals in (d_gamma, d_k):
             if abs(vals[0]) > 1e-12:
                 raise ValueError(
@@ -266,9 +278,10 @@ def secular_basis(family: SolitonFamily, t, x, step=1e-5):
     return SecularBasis(xi1, xi2, eta1, eta2)
 
 
-def _spectral_ddx(values, dx):
-    xi = 2.0 * np.pi * np.fft.rfftfreq(len(values), d=dx)
-    return np.fft.irfft(1j * xi * np.fft.rfft(values), n=len(values))
+def _spectral_dx(values, h, order=1):
+    """d^order/dx^order of periodic samples with spacing h (FFT)."""
+    xi = 2.0 * np.pi * np.fft.rfftfreq(values.size, d=h)
+    return np.fft.irfft((1j * xi) ** order * np.fft.rfft(values), n=values.size)
 
 
 def kdv_residual(fields, dt):
@@ -291,42 +304,89 @@ def kdv_residual(fields, dt):
         u_t = (vals[j - 2] - 8 * vals[j - 1] + 8 * vals[j + 1] - vals[j + 2]) / (
             12.0 * dt
         )
-        w = _spectral_ddx(_spectral_ddx(u, g0.dx), g0.dx) + 6.0 * u**2
+        w = _spectral_dx(_spectral_dx(u, g0.dx), g0.dx) + 6.0 * u**2
         # the flux of a constant vanishes, so constants pass exactly
-        worst = max(worst, float(np.max(np.abs(u_t + _spectral_ddx(w, g0.dx)))))
+        worst = max(worst, float(np.max(np.abs(u_t + _spectral_dx(w, g0.dx)))))
     return worst
 
 
-def ladder_phase(family: SolitonFamily, i, m):
-    """Phase gamma_i at ladder level m (gamma_i at level n is gamma_i).
+@dataclass(frozen=True)
+class LadderPhases:
+    """Soliton family together with its per-level phase vectors.
 
-    Descending one level through the transformation that removes soliton
-    l shifts gamma_i by log((k_l - k_i)/(k_l + k_i)) / (2 k_i), i < l.
+    levels[m] holds the m phases of the level-m potential; level N keeps
+    the family's own phases and each step down shifts the surviving
+    phases by the pairwise interaction term (see phase_ladder).
     """
-    if not 0 <= i < m <= family.n:
-        raise ValueError("need 0 <= i < m <= n")
+
+    family: SolitonFamily
+    levels: tuple
+
+    def __post_init__(self):
+        lv = tuple(np.asarray(g, dtype=float) for g in self.levels)
+        object.__setattr__(self, "levels", lv)
+        if len(lv) != self.family.n + 1:
+            raise ValueError("need one phase vector per level 0..N")
+        for m, g in enumerate(lv):
+            if len(g) != m:
+                raise ValueError(f"level {m} must carry {m} phases")
+
+    def level_family(self, m):
+        """Standalone m-soliton family carrying the level-m phases."""
+        if not 1 <= m <= self.family.n:
+            raise ValueError("level must lie in 1..N")
+        return SolitonFamily(self.family.k[:m], self.levels[m])
+
+    def tau(self, m):
+        """The level-m tau function of level_family(m)."""
+        return TauLadder(self.level_family(m), m)
+
+    def anchor(self, m):
+        """Phase of the soliton that level m adds on top of level m-1."""
+        return float(self.levels[m][m - 1])
+
+    def crest(self, m, t):
+        """Center of the level-m sech quotient at time t."""
+        km = float(self.family.k[m - 1])
+        return self.anchor(m) + 4.0 * km**2 * t
+
+
+def phase_ladder(family: SolitonFamily, top_phases=None) -> LadderPhases:
+    """Descend the phase recursion from the full family to level 0.
+
+    Removing the largest remaining soliton (index m) shifts every
+    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i); the shifts
+    are additive in the top phases, so doubling those translates every
+    level by the same amounts.
+    """
     k = family.k
-    g = float(family.gamma[i])
-    for l in range(family.n - 1, m - 1, -1):
-        g += np.log((k[l] - k[i]) / (k[l] + k[i])) / (2.0 * k[i])
-    return g
+    top = family.gamma if top_phases is None else np.asarray(top_phases, float)
+    if top.shape != family.gamma.shape:
+        raise ValueError("top phases must match the family size")
+    levels = [None] * (family.n + 1)
+    levels[family.n] = top.astype(float).copy()
+    for m in range(family.n, 0, -1):
+        prev = levels[m][: m - 1].copy()
+        for i in range(m - 1):
+            prev[i] += np.log((k[m - 1] - k[i]) / (k[m - 1] + k[i])) / (2.0 * k[i])
+        levels[m - 1] = prev
+    return LadderPhases(family, tuple(levels))
 
 
-def psi_ratio(family: SolitonFamily, t, x, m):
-    """Normalized tau quotient e^{k_m (g_m^m - g_m^n)} Delta_{m-1}/Delta_m.
+def log_psi(ladder: LadderPhases, m, t, x):
+    """log of the normalized tau quotient e^{-theta_m} Delta_{m-1}/Delta_m.
 
-    Decays like sech of the level-m phase in both tails; evaluated in the
-    log domain so it underflows gracefully instead of overflowing.
+    theta_m = k_m (x - 4 k_m^2 t - anchor(m)) is the level-m phase.  psi
+    decays like sech of it in both tails; the log domain keeps it finite
+    where psi itself underflows.
     """
-    if not 1 <= m <= family.n:
+    if not 1 <= m <= ladder.family.n:
         raise ValueError("m must lie in 1..n")
-    shift = family.k[m - 1] * (ladder_phase(family, m - 1, m)
-                               - float(family.gamma[m - 1]))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = TauLadder(family, m - 1).log_delta(t, x)
-    hi = TauLadder(family, m).log_delta(t, x)
-    out = np.exp(shift + lo - hi)
-    return float(out[0]) if out.size == 1 else out
+    km = float(ladder.family.k[m - 1])
+    theta = km * (x - 4.0 * km**2 * t - ladder.anchor(m))
+    low = (np.zeros_like(x) if m == 1
+           else ladder.tau(m - 1).log_delta(t, x))
+    return -theta + low - ladder.tau(m).log_delta(t, x)
 
 
 def resolution_phases(family: SolitonFamily):

@@ -281,12 +281,6 @@ def weighted_pairing(u, v, kind=PairingKind.PLAIN, weight=None):
     return float(np.sum(wts * u.r * left + v.r * right))
 
 
-def weighted_norm(field, weight):
-    """Weighted l2 norm sqrt(sum w(n) (r^2 + p^2))."""
-    w = weight.values(field.sites)
-    return float(np.sqrt(np.sum(w * (field.r**2 + field.p**2))))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .diagnostics import weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
 from .lattice import (
     LatticeField,
@@ -33,7 +34,6 @@ from .lattice import (
     WeightKind,
     WeightSpec,
     hamiltonian,
-    weighted_norm,
     weighted_pairing,
 )
 from .waves import (
@@ -125,20 +125,21 @@ class ProfileTable:
         speeds = [1.0 + 10.0 ** (k / _TABLE_NODES_PER_DECADE)
                   for k in range(j - 1, j + 3)]
         nodes = [self._node(ck, span) for ck in speeds]
-        w, dw = self._lagrange_weights(s, np.array(speeds) - 1.0)
+        w, dw = self._lagrange_weights(s, [ck - 1.0 for ck in speeds])
         return nodes, w, dw
 
     @staticmethod
     def _lagrange_weights(s, nodes_s):
-        w = np.empty(4)
-        dw = np.empty(4)
-        for k in range(4):
-            others = np.delete(nodes_s, k)
-            denom = np.prod(nodes_s[k] - others)
-            w[k] = np.prod(s - others) / denom
-            dw[k] = sum(
-                np.prod(np.delete(s - others, m)) for m in range(3)
-            ) / denom
+        """Cubic Lagrange weights w_k(s) of four nodes and dw_k/ds, in
+        scalar arithmetic: on four nodes numpy's per-call overhead would
+        dominate."""
+        w, dw = [], []
+        for k, sk in enumerate(nodes_s):
+            others = [sj for j, sj in enumerate(nodes_s) if j != k]
+            a, b, c = (s - sj for sj in others)
+            denom = (sk - others[0]) * (sk - others[1]) * (sk - others[2])
+            w.append(a * b * c / denom)
+            dw.append((b * c + a * c + a * b) / denom)
         return w, dw
 
     def wave(self, c, offset=None, length=None, position=0.0):
@@ -187,37 +188,29 @@ class ProfileTable:
         return WaveModes(c=c, position=float(position), span=span, sample=sample)
 
 
-def _common_window(modes):
-    lo = int(np.floor(min(m.position - m.span for m in modes)))
-    hi = int(np.ceil(max(m.position + m.span for m in modes)))
-    return lo, hi - lo + 1
-
-
 def _pair(a, b):
     return weighted_pairing(a, b, kind=PairingKind.J_INVERSE)
 
 
-def secular_gram(modes, eps, offset=None, length=None):
+def secular_gram(sampled, eps):
     """Scaled pairing matrix of the wave directions of a train.
 
-    Rows alternate between the two orthogonality conditions of each wave
-    (x-type, then c-type); columns alternate between the parameter
-    directions of each wave (c-direction, then x-direction).  Entries are
+    sampled holds one (wave, x-direction, c-direction) triple of fields
+    per wave, all on one site window (WaveModes.sampled).  Rows alternate
+    between the two orthogonality conditions of each wave (x-type, then
+    c-type); columns alternate between the parameter directions of each
+    wave (c-direction, then x-direction).  Entries are
     <direction_j, J^{-1} condition_i> with the scalings 1/eps (x,c and
     c,x corners), 1/eps^4 (x,x) and eps^2 (c,c), which keep every block
     of order one as the waves approach the sonic limit.
 
     Raises ValueError when the matrix is singular to working precision.
     """
-    modes = list(modes)
-    if not modes:
+    if not sampled:
         raise ValueError("need at least one wave")
     if eps <= 0.0:
         raise ValueError("scaling parameter must be positive")
-    if offset is None or length is None:
-        offset, length = _common_window(modes)
-    sampled = [m.sampled(offset, length) for m in modes]
-    n = len(modes)
+    n = len(sampled)
     gram = np.empty((2 * n, 2 * n))
     for i in range(n):
         _, dx_i, dc_i = sampled[i]
@@ -344,7 +337,7 @@ def decompose(u, model, guess, table=None, eps=None, tol=1e-10, max_iter=30):
                 "orthogonality residual %.3e not below %.3e after %d "
                 "iterations" % (worst, tol, max_iter)
             )
-        gram = secular_gram(modes, eps, offset=offset, length=length)
+        gram = secular_gram(sampled, eps)
         delta = np.linalg.solve(gram, -misfit)
         c = c - eps**3 * delta[0::2]
         x = x + delta[1::2]
@@ -380,7 +373,7 @@ def mode_projection(w, modes, eps=None):
         eps = _default_eps(np.array([m.c for m in modes]))
     offset, length = w.offset, len(w)
     sampled = [m.sampled(offset, length) for m in modes]
-    gram = secular_gram(modes, eps, offset=offset, length=length)
+    gram = secular_gram(sampled, eps)
     delta = np.linalg.solve(gram, _scaled_misfit(w, sampled, eps))
     alpha = eps**3 * delta[0::2]
     beta = delta[1::2]
@@ -399,7 +392,9 @@ class ModulationTrack:
     `c_plus` are the per-wave means of c over the trailing fifth of the
     samples; `xdot` is the centered difference of the crest positions.
     The series dict carries per-sample scalars (residual norms and the
-    energy ledger) keyed by column name.
+    energy ledger) keyed by column name.  "v_w" is the sum over waves of
+    ||e^{-kappa_i |n - x_i| / 2} v||, the l2 norm of the residual v with
+    its squares (r^2 + p^2) weighted by e^{-kappa_i |n - x_i|}.
     """
 
     times: np.ndarray
@@ -486,7 +481,7 @@ def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
         v_w[i] = sum(
             weighted_norm(
                 state.residual,
-                WeightSpec(k, center=xi, kind=WeightKind.TWO_SIDED),
+                WeightSpec(k / 2.0, center=xi, kind=WeightKind.TWO_SIDED),
             )
             for k, xi in zip(kappas, state.x)
         )
@@ -504,9 +499,11 @@ class PerturbationSplit:
     `free` is the nonlinear evolution of the perturbation alone;
     `bound` is what remains after subtracting it and the modulated train,
     zero at t=0 whenever the unperturbed state is an exact table train.
-    `bound_leading` and `total_leading` are norms under the rightward-
-    growing weight anchored at the slowest crest, where boundedness of
-    the localized part is the meaningful comparison.
+    `bound_leading` and `total_leading` are the norms
+    ||e^{kappa_1 (n - x_1) / 2} v|| under the rightward-growing weight
+    anchored at the slowest crest x_1 (squares weighted by
+    e^{kappa_1 (n - x_1)}), where boundedness of the localized part is
+    the meaningful comparison.
     """
 
     times: np.ndarray
@@ -563,7 +560,7 @@ def perturbation_split(u0, v0, model, cfg, guess, table=None, eps=None,
         bound.append(v2)
         free_l2[i] = v1.norm()
         bound_l2[i] = v2.norm()
-        weight = WeightSpec(kappa1, center=float(state.x[0]),
+        weight = WeightSpec(kappa1 / 2.0, center=float(state.x[0]),
                             kind=WeightKind.RIGHT_GROWING)
         bound_leading[i] = weighted_norm(v2, weight)
         total = LatticeField(v2.offset, v2.r + v1.r, v2.p + v1.p)

@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .kdv import _spectral_dx
 from .lattice import LatticeField, PotentialModel, hamiltonian
 
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
@@ -87,11 +88,6 @@ def _profile_grid(kappa, steps_per_site, span):
 def _even_part(values):
     """Symmetrize about x=0 on a grid with x_j = (j - n/2) h."""
     return 0.5 * (values + np.roll(values[::-1], 1))
-
-
-def _spectral_dx(values, h, order=1):
-    xi = 2.0 * np.pi * np.fft.rfftfreq(values.size, d=h)
-    return np.fft.irfft((1j * xi) ** order * np.fft.rfft(values), n=values.size)
 
 
 def _momentum_from_r(r, h, c):

@@ -18,26 +18,26 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from fpulab.kdv import (
     GridField,
+    LadderPhases,
     SolitonFamily,
     TauLadder,
+    exp_weighted_norm,
+    phase_ladder,
+    simpson_pairing,
     uniform_grid,
-    _spectral_ddx,
+    _spectral_dx,
 )
 from fpulab.backlund import (
-    LadderPhases,
     Trajectory,
-    WeightedGridField,
     backlund_residual,
     ladder_conjugate,
     ladder_level_evolve,
     linearized_forward,
     linearized_inverse,
     linearized_kdv_evolve,
-    phase_ladder,
     secular_projection,
+    _level_modes,
     _secular_coeffs,
-    _shift_mode,
-    _speed_mode,
 )
 
 TRAIN = SolitonFamily([0.5, 1.0], [np.log(3.0), 0.0])
@@ -151,14 +151,14 @@ class TestForward:
         x = 0.4 + dx * np.arange(round(-18 / dx), round(18 / dx))
         w0 = np.exp(-0.5 * x**2) * np.cos(x)
         phi = TauLadder(fam, 1).second_derivative(0.0, x)
-        g = 2.0 * _spectral_ddx(phi, dx) / phi**2 * w0
+        g = 2.0 * _spectral_dx(phi, dx) / phi**2 * w0
         trap = cumulative_trapezoid(g, dx=dx, initial=0.0)
         j0 = round((0.4 - x[0]) / dx)
         trap -= trap[j0]
-        gp = _spectral_ddx(g, dx)
+        gp = _spectral_dx(g, dx)
         trap -= dx**2 / 12.0 * (gp - gp[j0])
         raw = -w0 - phi * trap
-        speed = _speed_mode(lad, 1, 0.0, x)
+        _, speed = _level_modes(lad, 1, 0.0, x)
         mode = phi / phi.max()
         alpha = -simpson(raw * speed, dx=dx) / simpson(mode * speed, dx=dx)
         explicit = raw + alpha * mode
@@ -176,7 +176,7 @@ class TestForward:
         out = linearized_forward(
             field(x, np.exp(-0.5 * (x - xc - 1.0)**2)), lad, m, t)
         norm = np.sqrt(simpson(out.values**2, dx=dx))
-        for mode in (_shift_mode(lad, m, t, x), _speed_mode(lad, m, t, x)):
+        for mode in _level_modes(lad, m, t, x):
             pairing = abs(simpson(out.values * mode, dx=dx))
             pairing /= norm * np.sqrt(simpson(mode**2, dx=dx))
             assert pairing < 1e-8
@@ -216,7 +216,7 @@ class TestInverse:
         dx = 0.02
         xc = lad.crest(m, 0.0)
         x = xc + dx * np.arange(round(-22 / dx), round(22 / dx))
-        bad = field(x, _shift_mode(lad, m, 0.0, x))
+        bad = field(x, _level_modes(lad, m, 0.0, x)[0])
         with pytest.raises(ValueError, match="tail representations"):
             linearized_inverse(bad, lad, m, 0.0)
 
@@ -244,11 +244,12 @@ class TestSecularProjection:
         x = uniform_grid(-45.0, 32.0, 0.0025)
         basis = secular_basis(TRAIN, 0.5, x)
         worst = 0.0
-        for kind_a in (1, 2):
-            for kind_b in (1, 2):
-                if (kind_a, kind_b) == (2, 2):
+        for eta in (basis.eta1[0], basis.eta2[0]):
+            for xi in (basis.xi1[1], basis.xi2[1]):
+                if eta is basis.eta2[0] and xi is basis.xi2[1]:
                     continue
-                worst = max(worst, abs(basis.pairing(kind_b, 1, kind_a, 0)))
+                worst = max(worst,
+                            abs(simpson_pairing(xi.values, eta.values, xi.dx)))
         assert worst < 1e-6
 
     def test_gram_diagonal_pairings(self):
@@ -256,7 +257,9 @@ class TestSecularProjection:
         x = uniform_grid(-45.0, 32.0, 0.01)
         basis = secular_basis(TRAIN, 0.5, x)
         for i, k in enumerate(TRAIN.k):
-            assert basis.pairing(1, i, 2, i) == pytest.approx(2 * k**2, rel=1e-3)
+            d = simpson_pairing(basis.xi1[i].values, basis.eta2[i].values,
+                                basis.xi1[i].dx)
+            assert d == pytest.approx(2 * k**2, rel=1e-3)
 
     def test_weight_range_validated(self):
         x = uniform_grid(-45.0, 32.0, 0.05)
@@ -316,6 +319,26 @@ class TestEvolution:
         fh = linearized_kdv_evolve(h, TRAIN, 0.0, 0.2, 0.4, 1e-3, **run).final
         fc = linearized_kdv_evolve(comb, TRAIN, 0.0, 0.2, 0.4, 1e-3, **run).final
         assert np.max(np.abs(fc.values - 0.7 * fg.values + 1.3 * fh.values)) < 1e-12
+
+    def test_flows_build_their_ladder_once(self, monkeypatch):
+        builds = []
+        init = TauLadder.__init__
+
+        def counting(self, family, m):
+            builds.append(m)
+            init(self, family, m)
+
+        monkeypatch.setattr(TauLadder, "__init__", counting)
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        g = field(x, np.exp(-x**2 / 8.0))
+        linearized_kdv_evolve(g, TRAIN, 0.0, 0.05, 0.4, 1e-3,
+                              reproject_every=0, record_every=10**9)
+        # one profile ladder for all 50 steps, plus the 4N of the secular
+        # basis at each of the two records (t0 and t1)
+        assert len(builds) == 1 + 2 * 4 * TRAIN.n
+        builds.clear()
+        ladder_level_evolve(g, phase_ladder(TRAIN), 2, 0.0, 0.05, 1e-3)
+        assert builds == [2]
 
     def test_aliasing_alarm_fires_on_marginal_steps(self):
         x = uniform_grid(-45.0, 35.0, 0.01)
@@ -478,10 +501,12 @@ class TestLadderConjugation:
 
 def test_weighted_field_norm_closed_form():
     x = uniform_grid(-12.0, 12.0, 0.01)
-    wf = WeightedGridField(field(x, np.exp(-x**2)), 0.3)
     # integral of e^{0.6 x} e^{-2 x^2} is sqrt(pi/2) e^{0.045}
     expect = np.sqrt(np.sqrt(np.pi / 2.0) * np.exp(0.045))
-    assert wf.norm() == pytest.approx(expect, rel=1e-12)
+    got = exp_weighted_norm(np.exp(-x**2), x, 0.01, 0.3)
+    assert got == pytest.approx(expect, rel=1e-12)
+    # b < 0 weights the mirror image the same way
+    assert exp_weighted_norm(np.exp(-x**2), -x, 0.01, -0.3) == got
 
 
 @settings(max_examples=8, deadline=None)

@@ -18,17 +18,35 @@ from fpulab.kdv import (
     TauLadder,
     grid_field_from_csv,
     grid_field_to_csv,
-    grid_pairing,
     kdv_residual,
-    ladder_phase,
+    log_psi,
     n_soliton_profile,
-    psi_ratio,
+    phase_ladder,
+    profile_gradient,
     secular_basis,
+    simpson_pairing,
     soliton_resolution,
-    tau_logdet,
     uniform_grid,
-    _spectral_ddx,
+    _spectral_dx,
 )
+
+
+def tau_logdet(family, t, x, m):
+    """log Delta_m at the single point x."""
+    return float(TauLadder(family, m).log_delta(t, np.array([float(x)]))[0])
+
+
+def psi_ratio(family, t, x, m):
+    """The normalized tau quotient psi itself."""
+    return np.exp(log_psi(phase_ladder(family), m, t,
+                          np.atleast_1d(np.asarray(x, dtype=float))))
+
+
+def basis_pairing(basis, kind_a, i, kind_b, j):
+    """<xi_a[i], eta_b[j]> of a secular basis; kinds 1 (gamma) and 2 (k)."""
+    xi = (basis.xi1, basis.xi2)[kind_a - 1][i]
+    eta = (basis.eta1, basis.eta2)[kind_b - 1][j]
+    return simpson_pairing(xi.values, eta.values, xi.dx)
 
 
 def test_family_validation():
@@ -134,6 +152,26 @@ def test_grid_too_coarse():
         n_soliton_profile(fam, 0.0, uniform_grid(-10, 10, 0.2))
 
 
+def test_profile_gradient_matches_the_closed_form_soliton():
+    # one soliton: phi = k^2 sech^2(k (x - 4 k^2 t - gamma) + log(2k)/2),
+    # differentiated here by a 4th-order difference of the closed form
+    k, g, t = 0.8, 0.3, 0.2
+    x = uniform_grid(-20.0, 20.0, 0.05)
+
+    def phi(k, g):
+        return k**2 / np.cosh(k * (x - 4.0 * k**2 * t - g)
+                              + np.log(2.0 * k) / 2.0) ** 2
+
+    def fd4(f, h=1e-3):
+        return (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+
+    d_gamma, d_k = profile_gradient(SolitonFamily([k], [g]), t, x, 0)
+    for got, want in ((d_gamma, fd4(lambda s: phi(k, g + s))),
+                      (d_k, fd4(lambda s: phi(k + s, g)))):
+        # measured 1.6e-10 and 3.4e-10
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
 def test_phase_covariance():
     # shifting every gamma by delta translates the profile exactly
     delta = 0.37
@@ -150,18 +188,19 @@ class TestSecularBasis:
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
         basis = secular_basis(fam, 0.0, uniform_grid(-60, 60, 0.01))
         for i in range(2):
-            assert basis.pairing(1, i, 1, i) == pytest.approx(0.0, abs=1e-9)
-            d = basis.pairing(1, i, 2, i)
+            assert abs(basis_pairing(basis, 1, i, 1, i)) <= 1e-9
+            d = basis_pairing(basis, 1, i, 2, i)
             assert d == pytest.approx(2.0 * fam.k[i] ** 2, abs=1e-4)
-            assert basis.pairing(2, i, 1, i) == pytest.approx(-d, abs=1e-8)
+            assert basis_pairing(basis, 2, i, 1, i) == pytest.approx(
+                -d, abs=1e-8)
 
     def test_cross_pairings_vanish(self):
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
         basis = secular_basis(fam, 5.0, uniform_grid(-60, 60, 0.01))
         # i < j, all kinds except the (k-gradient, k-antiderivative) pair
-        assert abs(basis.pairing(1, 0, 1, 1)) <= 1e-6
-        assert abs(basis.pairing(1, 0, 2, 1)) <= 1e-6
-        assert abs(basis.pairing(2, 0, 1, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 1, 0, 1, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 1, 0, 2, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 2, 0, 1, 1)) <= 1e-6
 
     def test_pairings_time_independent(self):
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
@@ -169,7 +208,7 @@ class TestSecularBasis:
         for t in (0.0, 1.0, 5.0):
             basis = secular_basis(fam, t, uniform_grid(-60, 60, 0.002))
             grams.append(np.array(
-                [[basis.pairing(ka + 1, i, kb + 1, j)
+                [[basis_pairing(basis, ka + 1, i, kb + 1, j)
                   for j in range(2) for kb in range(2)]
                  for i in range(2) for ka in range(2)]))
         for g in grams[1:]:
@@ -264,7 +303,8 @@ class TestResolution:
 class TestPsiRatio:
     def test_one_soliton_value(self):
         fam = SolitonFamily([1.0], [0.0])
-        assert psi_ratio(fam, 0.0, 0.0, 1) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert psi_ratio(fam, 0.0, 0.0, 1)[0] == pytest.approx(2.0 / 3.0,
+                                                               abs=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_log_derivative_identity(self, m):
@@ -273,7 +313,7 @@ class TestPsiRatio:
         psi = psi_ratio(fam, 0.4, x, m)
         _, pots = n_soliton_profile(fam, 0.4, x, levels=(m - 1, m))
         rhs = pots[m - 1].values - pots[m].values
-        lhs = _spectral_ddx(psi, 0.02) / psi
+        lhs = _spectral_dx(psi, 0.02) / psi
         core = psi > 1e-3 * psi.max()
         assert np.max(np.abs(lhs[core] - rhs[core])) <= 1e-8  # measured 1.5e-9
 
@@ -282,7 +322,7 @@ class TestPsiRatio:
         fam = SolitonFamily([1.0, 2.0], [0.0, 0.0])
         x = uniform_grid(-25.0, 25.0, 0.02)
         km = fam.k[m - 1]
-        center = ladder_phase(fam, m - 1, m)
+        center = phase_ladder(fam).anchor(m)
         th = km * (x - 4.0 * km**2 * 0.4 - center)
         ratio = psi_ratio(fam, 0.4, x, m) * np.cosh(th)
         assert ratio.min() == pytest.approx(c1, rel=1e-3)
@@ -296,11 +336,10 @@ class TestPsiRatio:
 
 def test_ladder_phase_value():
     fam = SolitonFamily([1.0, 2.0], [0.0, 0.0])
-    assert ladder_phase(fam, 0, 1) == pytest.approx(0.5 * np.log(1.0 / 3.0),
-                                                    abs=1e-14)
-    assert ladder_phase(fam, 1, 2) == 0.0
-    with pytest.raises(ValueError):
-        ladder_phase(fam, 1, 1)
+    levels = phase_ladder(fam).levels
+    assert levels[1][0] == pytest.approx(0.5 * np.log(1.0 / 3.0), abs=1e-14)
+    assert levels[2][1] == 0.0
+    assert len(levels[1]) == 1  # level 1 carries no phase for soliton 2
 
 
 def test_grid_field_csv_roundtrip(tmp_path):
@@ -327,10 +366,3 @@ def test_grid_field_validation():
         GridField(0.0, -0.1, np.zeros(4))
     with pytest.raises(ValueError):
         GridField(0.0, 0.1, np.array([1.0, np.nan]))
-
-
-def test_grid_pairing_checks_grids():
-    a = GridField(0.0, 0.1, np.ones(8))
-    b = GridField(0.5, 0.1, np.ones(8))
-    with pytest.raises(ValueError):
-        grid_pairing(a, b)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
     JDirection,
     LatticeField,
@@ -20,7 +21,6 @@ from fpulab.lattice import (
     hamiltonian_density,
     hessian_apply,
     potential_eval,
-    weighted_norm,
     weighted_pairing,
     zeros_field,
 )
@@ -203,9 +203,11 @@ def test_j_inverse_pairing_matches_direct():
 
 
 def test_weighted_norm():
+    # the one weighted norm is ||e^{a n} u||: e^{a n} is 1 at n=0 and 2 at
+    # n=1, so the squares are weighted by 1 and 4
     u = LatticeField(0, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    w = WeightSpec(np.log(2.0))  # weight 1 at n=0, 2 at n=1
-    assert weighted_norm(u, w) == pytest.approx(np.sqrt(1.0 + 8.0))
+    w = WeightSpec(np.log(2.0))
+    assert weighted_norm(u, w) == pytest.approx(np.sqrt(1.0 + 16.0))
 
 
 @pytest.mark.parametrize("seed", range(8))

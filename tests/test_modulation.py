@@ -72,6 +72,21 @@ def pair_modes(c=None, x=None):
     return [TABLE.modes(ci, xi) for ci, xi in zip(c, x)]
 
 
+def common_window(modes):
+    """Smallest site window holding every wave's profile window."""
+    lo = int(np.floor(min(m.position - m.span for m in modes)))
+    hi = int(np.ceil(max(m.position + m.span for m in modes)))
+    return lo, hi - lo + 1
+
+
+def gram_of(modes, eps, offset=None, length=None):
+    """secular_gram of the modes sampled on the window (by default the
+    common window of their profiles)."""
+    if offset is None:
+        offset, length = common_window(modes)
+    return secular_gram([m.sampled(offset, length) for m in modes], eps)
+
+
 def fd4(fun, h):
     return (8.0 * (fun(h) - fun(-h)) - (fun(2 * h) - fun(-2 * h))) / (12.0 * h)
 
@@ -172,6 +187,20 @@ class TestProfileTable:
             fd = (hi - lo) / (2.0 * h)
             assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
 
+    @pytest.mark.parametrize("s", [1e-4, 0.0173, 0.3])
+    def test_lagrange_weights_reproduce_cubics(self, s):
+        # geometric nodes around s, as _bracket picks them
+        j = int(np.floor(np.log10(s) * 64))
+        nodes = [10.0 ** (k / 64) for k in range(j - 1, j + 3)]
+        w, dw = ProfileTable._lagrange_weights(s, nodes)
+        for p in range(4):
+            # tolerances relative to the round-off scale of each sum
+            terms = [wk * sk**p for wk, sk in zip(w, nodes)]
+            assert abs(sum(terms) - s**p) <= 1e-12 * sum(map(abs, terms))
+            terms = [dk * sk**p for dk, sk in zip(dw, nodes)]
+            want = p * s ** (p - 1) if p else 0.0
+            assert abs(sum(terms) - want) <= 1e-12 * sum(map(abs, terms))
+
     def test_identity_alarm_fires_on_a_coarse_table(self, monkeypatch):
         monkeypatch.setattr(modulation, "_TABLE_NODES_PER_DECADE", 4)
         table = ProfileTable(PotentialModel.alpha_fpu())
@@ -201,7 +230,7 @@ class TestSecularGram:
             v = LatticeField(OFFSET, u.r - tr.r, u.p - tr.p)
             return _scaled_misfit(v, sampled, eps)
 
-        gram = secular_gram(pair_modes(), eps, offset=OFFSET, length=LENGTH)
+        gram = gram_of(pair_modes(), eps, OFFSET, LENGTH)
         num = np.zeros_like(gram)
         for j in range(2):
             def along_c(h, j=j):
@@ -221,7 +250,7 @@ class TestSecularGram:
 
     def test_same_wave_block_structure(self):
         eps = _default_eps(C_PAIR)
-        gram = secular_gram(pair_modes(), eps, offset=OFFSET, length=LENGTH)
+        gram = gram_of(pair_modes(), eps, OFFSET, LENGTH)
         scale = np.max(np.abs(gram))
         for i in range(2):
             block = gram[2 * i:2 * i + 2, 2 * i:2 * i + 2]
@@ -237,7 +266,7 @@ class TestSecularGram:
         eps = 0.05
         c = 1.0 + eps**2 / 6.0
         modes = [TABLE.modes(c, 0.0)]
-        gram = secular_gram(modes, eps)
+        gram = gram_of(modes, eps)
         assert gram[1, 1] == pytest.approx(12.0, rel=0.05)
         assert gram[1, 0] == pytest.approx(-36.0, rel=0.05)
 
@@ -248,7 +277,7 @@ class TestSecularGram:
         for gap in (25.0, 50.0):
             modes = [TABLE.modes(C_PAIR[0], -gap / 2),
                      TABLE.modes(C_PAIR[1], gap / 2)]
-            g = secular_gram(modes, eps)
+            g = gram_of(modes, eps)
             lower[gap] = np.abs(g[2:4, 0:2]).max()
             upper[gap] = abs(g[1, 2])
         ratio = lower[50.0] / lower[25.0]
@@ -264,13 +293,13 @@ class TestSecularGram:
             sep = 10.0 / eps
             modes = [TABLE.modes(ci, xi)
                      for ci, xi in zip(c, [-sep / 2, sep / 2])]
-            gram = secular_gram(modes, eps)
+            gram = gram_of(modes, eps)
             assert np.linalg.cond(gram) < 100.0  # measured 17.0, 17.5
 
     def test_degenerate_directions_rejected(self):
         m = TABLE.modes(C_PAIR[0], 0.0)
         with pytest.raises(ValueError, match="singular"):
-            secular_gram([m, m], 0.3)
+            gram_of([m, m], 0.3)
 
 
 class TestDecompose:

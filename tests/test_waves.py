@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
     JDirection,
     LatticeField,
@@ -12,7 +13,6 @@ from fpulab.lattice import (
     apply_j,
     hamiltonian,
     hessian_apply,
-    weighted_norm,
     weighted_pairing,
 )
 from fpulab.waves import (
@@ -281,7 +281,7 @@ def test_adjoint_direction_comparison():
         sites = -prof.span + np.arange(idx.size)
         phi = eps**2 / np.cosh(eps * sites) ** 2
         dev = LatticeField(-prof.span, ji.r[idx] + phi, ji.p[idx] - phi)
-        ratios.append(weighted_norm(dev, WeightSpec(-eps)) / eps**2.5)
+        ratios.append(weighted_norm(dev, WeightSpec(-eps / 2.0)) / eps**2.5)
     ratios = np.array(ratios)
     assert np.all(ratios < 0.8)
     assert np.max(ratios) / np.min(ratios) < 1.35
