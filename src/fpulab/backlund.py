@@ -307,23 +307,35 @@ class _SpectralFlow:
     """Integrating-factor RK4 stepper for d/dt v = -d^3x v + c dx v + N(t, v).
 
     The cubic-dispersion factor is applied exactly per mode; only the
-    potential term goes through the RK4 stages, with 2/3-rule dealiasing
-    on every product.  Instances are single-use per call site.
+    potential term N(t, v) = term(potential(t), v) goes through the RK4
+    stages, with 2/3-rule dealiasing on every product.  The potential
+    depends on t alone, so it is evaluated once per distinct stage time:
+    k2 and k3 share t + dt/2, and the last value is kept, so a step's
+    t + dt serves the next step's k1 whenever the two times are equal.
+    Instances are single-use per call site.
     """
 
-    def __init__(self, n, dx, frame_speed):
+    def __init__(self, n, dx, frame_speed, potential):
         self.xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
         self.sym = 1j * (self.xi**3 + frame_speed * self.xi)
         self.mask = _dealias_mask(self.xi)
         self.n = n
+        self._potential = potential
+        self._last = (None, None)
+
+    def potential(self, t):
+        if t != self._last[0]:
+            self._last = (t, self._potential(t))
+        return self._last[1]
 
     def step(self, vhat, t, dt, term):
         half = np.exp(self.sym * (dt / 2.0))
         full = half * half
-        k1 = term(t, vhat)
-        k2 = term(t + dt / 2.0, half * (vhat + dt / 2.0 * k1))
-        k3 = term(t + dt / 2.0, half * vhat + dt / 2.0 * k2)
-        k4 = term(t + dt, full * vhat + dt * half * k3)
+        k1 = term(self.potential(t), vhat)
+        mid = self.potential(t + dt / 2.0)
+        k2 = term(mid, half * (vhat + dt / 2.0 * k1))
+        k3 = term(mid, half * vhat + dt / 2.0 * k2)
+        k4 = term(self.potential(t + dt), full * vhat + dt * half * k3)
         return (full * vhat
                 + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4))
 
@@ -381,7 +393,6 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     nsteps, dt = _plan_steps(t0, t1, dt)
     if record_every is None:
         record_every = max(1, nsteps // 400)
-    flow = _SpectralFlow(len(x), dx, frame_speed)
     damp = None if sponge is None else np.exp(-dt * _sponge_profile(x, sponge))
 
     if measure_span is None:
@@ -390,9 +401,11 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         lo, hi = measure_span
         sel = slice(*np.searchsorted(x, [lo, hi + dx / 2.0]))
     profile = None if family is None else TauLadder(family, family.n)
+    flow = _SpectralFlow(
+        len(x), dx, frame_speed,
+        lambda tau: profile.second_derivative(tau, x + frame_speed * (tau - t0)))
 
-    def term(tau, vhat):
-        phi = profile.second_derivative(tau, x + frame_speed * (tau - t0))
+    def term(phi, vhat):
         vals = np.fft.irfft(vhat * flow.mask, n=flow.n)
         prod = np.fft.rfft(phi * vals)
         return -12j * flow.xi * prod * flow.mask
@@ -456,13 +469,16 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
     x = w0.x
     dx = w0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
-    flow = _SpectralFlow(len(x), dx, frame_speed)
     level = ladder.tau(m) if m else None
 
-    def term(tau, vhat):
+    def slope_at(tau):
         y = x + frame_speed * (tau - t0)
-        slope = (np.zeros_like(y) if level is None
-                 else level.second_derivative(tau, y))
+        return (np.zeros_like(y) if level is None
+                else level.second_derivative(tau, y))
+
+    flow = _SpectralFlow(len(x), dx, frame_speed, slope_at)
+
+    def term(slope, vhat):
         dxw = np.fft.irfft(1j * flow.xi * vhat * flow.mask, n=flow.n)
         return -12.0 * np.fft.rfft(slope * dxw) * flow.mask
 

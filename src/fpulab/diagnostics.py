@@ -363,8 +363,13 @@ def band_split(w, eps, k1=1.0, c1eps=None, K=2.0, delta=1.0, t=0.0):
 
 
 def lambda_branches(xi, c1eps):
-    """The two branch symbols c1eps * xi -/+ 2 sin(xi / 2); accepts
-    complex xi."""
+    """The branch symbols (lambda_+, lambda_-) = (c1eps xi - 2 sin(xi/2),
+    c1eps xi + 2 sin(xi/2)); accepts complex xi.
+
+    lambda_+ is the KdV-like branch, (c1eps - 1) xi + xi^3/24 + O(xi^5)
+    near xi = 0 (dispersion_check calls it lam_p); lambda_- is the
+    transport branch, (c1eps + 1) xi near 0.
+    """
     xi = np.asarray(xi)
     s = 2.0 * np.sin(xi / 2.0)
     return c1eps * xi - s, c1eps * xi + s

@@ -2,9 +2,12 @@
 
 The nonlinear flow du/dt = J H'(u) is integrated by Stormer-Verlet on the
 second-order form (kick-drift-kick on p and r), which is symplectic and
-time-reversible; RK4 is available for comparisons.  Linear nonautonomous
-equations dw/dt = J H''(U(t)) w + F1(t) + J F2(t) use RK4 with the
-background supplied either as a closed form or as a sampled trajectory.
+time-reversible; RK4 is available for comparisons.  Verlet makes one force
+evaluation per step: the force at the end of a step is the force of the
+next step's first half kick, so it is carried over, not evaluated again.
+Linear nonautonomous equations dw/dt = J H''(U(t)) w + F1(t) + J F2(t)
+use RK4 with the background supplied either as a closed form or as a
+sampled trajectory.
 
 Windows use zero extension; a boundary alarm aborts a run when mass
 reaches the window edges.
@@ -106,7 +109,8 @@ def _check_state(t, r, p, cfg, window_len):
 def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
     """Shared stepping/observation loop.
 
-    verlet_force set: kick-drift-kick using that force; otherwise
+    verlet_force set: kick-drift-kick using that force, the end-of-step
+    force carried into the next step's first kick; otherwise
     deriv_or_step(t, r, p) -> (dr, dp) is integrated with RK4.
     """
     observers = observers or {}
@@ -127,20 +131,24 @@ def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
             obs_records[name].append(fn(t, snap))
 
     observe(0.0)
-    for k in range(cfg.n_steps):
-        t = k * dt
+    n_steps = cfg.n_steps
+    if verlet_force is not None:
+        force = verlet_force(r)
+    for k in range(n_steps):
         if verlet_force is not None:
-            p += 0.5 * dt * verlet_force(r)
+            p += 0.5 * dt * force
             r += dt * _shift_forward_diff(p)
-            p += 0.5 * dt * verlet_force(r)
+            force = verlet_force(r)
+            p += 0.5 * dt * force
         else:
+            t = k * dt
             k1r, k1p = deriv_or_step(t, r, p)
             k2r, k2p = deriv_or_step(t + dt / 2, r + dt / 2 * k1r, p + dt / 2 * k1p)
             k3r, k3p = deriv_or_step(t + dt / 2, r + dt / 2 * k2r, p + dt / 2 * k2p)
             k4r, k4p = deriv_or_step(t + dt, r + dt * k3r, p + dt * k3p)
             r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
             p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if (k + 1) % cfg.stride == 0 or k + 1 == cfg.n_steps:
+        if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
             observe((k + 1) * dt)
 
     observations = {name: np.asarray(vals) for name, vals in obs_records.items()}
@@ -154,6 +162,9 @@ def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
 
 def evolve_nonlinear(u0, model, cfg, observers=None):
     """Integrate du/dt = J H'(u) from u0.
+
+    SYMPLECTIC2 evaluates V' n_steps + 1 times: once at u0, then once per
+    step at the drifted r, whose force ends that step and starts the next.
 
     observers: dict name -> fn(t, field) evaluated every `stride` steps
     (and at the initial and final times).  Observers must not mutate the

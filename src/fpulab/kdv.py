@@ -330,6 +330,7 @@ class LadderPhases:
         for m, g in enumerate(lv):
             if len(g) != m:
                 raise ValueError(f"level {m} must carry {m} phases")
+        object.__setattr__(self, "_taus", {})
 
     def level_family(self, m):
         """Standalone m-soliton family carrying the level-m phases."""
@@ -338,8 +339,12 @@ class LadderPhases:
         return SolitonFamily(self.family.k[:m], self.levels[m])
 
     def tau(self, m):
-        """The level-m tau function of level_family(m)."""
-        return TauLadder(self.level_family(m), m)
+        """The level-m tau function of level_family(m), built on the first
+        call and kept: it depends on the phases alone, so every map and
+        flow on this ladder shares one per level."""
+        if m not in self._taus:
+            self._taus[m] = TauLadder(self.level_family(m), m)
+        return self._taus[m]
 
     def anchor(self, m):
         """Phase of the soliton that level m adds on top of level m-1."""

@@ -166,6 +166,29 @@ class TestForward:
         out = linearized_forward(field(x, w0), lad, 1, 0.0)
         assert rel_diff(explicit, out.values) < 1e-8
 
+    def test_maps_build_each_level_once(self, monkeypatch):
+        builds = []
+        init = TauLadder.__init__
+
+        def counting(self, family, m):
+            builds.append(m)
+            init(self, family, m)
+
+        lad = phase_ladder(SolitonFamily([1.0, 2.0], [0.0, 0.0]))
+        t, dx = 0.3, 0.01
+        xc = lad.crest(2, t)
+        x = xc + dx * np.arange(round(-22 / dx), round(22 / dx))
+        monkeypatch.setattr(TauLadder, "__init__", counting)
+        up = linearized_forward(field(x, np.exp(-0.5 * (x - xc - 1.0)**2)),
+                                lad, 2, t)
+        # levels 1 and 2 once each, then the four level-2 ladders of the
+        # shift and speed modes
+        assert builds == [1, 2] + [2] * 4
+        builds.clear()
+        # the ladder keeps its levels: the inverse map builds none again
+        linearized_inverse(up, lad, 2, t)
+        assert builds == []
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_output_orthogonality(self, m):
         lad = phase_ladder(SolitonFamily([1.0, 2.0], [0.0, 0.0]))
@@ -340,6 +363,36 @@ class TestEvolution:
         ladder_level_evolve(g, phase_ladder(TRAIN), 2, 0.0, 0.05, 1e-3)
         assert builds == [2]
 
+    def test_flows_evaluate_the_potential_once_per_stage_time(self, monkeypatch):
+        times = []
+        slope = TauLadder.second_derivative
+
+        def counting(self, t, x):
+            # the secular basis evaluates ladders of perturbed families;
+            # only the flow's potential reads the family it was given
+            if self.family is flow_family:
+                times.append(t)
+            return slope(self, t, x)
+
+        monkeypatch.setattr(TauLadder, "second_derivative", counting)
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        g = field(x, np.exp(-x**2 / 8.0))
+        # binary-fraction steps make each step's t + dt the next step's t
+        # bit for bit, so its potential is carried into the next k1
+        dt, n = 2.0**-10, 50
+        # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1)
+        # per step
+        want = [k * dt / 2.0 for k in range(2 * n + 1)]
+        flow_family = TRAIN
+        linearized_kdv_evolve(g, TRAIN, 0.0, n * dt, 0.4, dt,
+                              reproject_every=25, record_every=10**9)
+        assert times == want
+        times.clear()
+        lad = phase_ladder(TRAIN)
+        flow_family = lad.tau(2).family
+        ladder_level_evolve(g, lad, 2, 0.0, n * dt, dt)
+        assert times == want
+
     def test_aliasing_alarm_fires_on_marginal_steps(self):
         x = uniform_grid(-45.0, 35.0, 0.01)
         g = field(x, np.exp(-x**2 / 8.0))
@@ -479,6 +532,21 @@ class TestLadderConjugation:
         down = ladder_conjugate(y1, fam, 0.0, 0.5, direction="down")
         up = ladder_conjugate(down.field, fam, 0.0, 0.5, direction="up")
         assert rel_diff(up.field.values, y1.values) < 1e-6
+
+    def test_walk_builds_each_level_once(self, monkeypatch):
+        y2 = self.sample(0)
+        builds = []
+        init = TauLadder.__init__
+
+        def counting(self, family, m):
+            builds.append(m)
+            init(self, family, m)
+
+        monkeypatch.setattr(TauLadder, "__init__", counting)
+        ladder_conjugate(y2, TRAIN, self.T, 0.4, direction="down")
+        # level 2: four mode ladders, then levels 1 and 2 for the inverse
+        # map; level 1: four mode ladders, its level already built
+        assert builds == [2] * 4 + [1, 2] + [1] * 4
 
     def test_zero_field(self):
         x = uniform_grid(-45.0, 35.0, self.DX)

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
 from fpulab.diagnostics import (
     band_split,
     decay_fit,
+    dispersion_check,
+    lambda_branches,
     symbol_and_tail_check,
     weighted_norm,
 )
@@ -49,3 +52,17 @@ def test_fourier_tail_slope_is_the_sech_pole_rate():
     rep = symbol_and_tail_check((0.2, 0.1), 0.5, family=(1.0,),
                                 tail_eps_values=(0.6, 0.5, 0.4, 0.3))
     assert abs(rep.tail_slope + np.pi**2 / 2.0) < 1e-8  # measured 4.4e-10
+
+
+@pytest.mark.parametrize("eps, a, k1", [(0.1, 0.5, 1.0), (0.05, 1.2, 1.0),
+                                        (0.2, 0.3, 0.8)])
+def test_minus_margin_is_the_closed_form(eps, a, k1):
+    # Im lambda_-(eps (eta + i a)) - eps a
+    #   = (c1eps - 1) eps a + 2 cos(eps eta / 2) sinh(eps a / 2),
+    # c1eps - 1 = (k1 eps)^2 / 6; the cosine falls to 0 at eta = +-pi/eps
+    rep = dispersion_check(eps, a, k1=k1)
+    want = eps**3 * a * k1**2 / 6.0
+    assert abs(rep.margins["minus"] - want) < 1e-10 * want
+    for eta in (-np.pi / eps, np.pi / eps):
+        _, lam_m = lambda_branches(eps * (eta + 1j * a), rep.c1eps)
+        assert abs(lam_m.imag - eps * a - want) < 1e-10 * want

@@ -129,6 +129,65 @@ def test_energy_error_is_quartic_on_exact_traveling_wave(toda, soliton):
     assert 10.0 <= drifts[0.1] / drifts[0.05] <= 25.0  # measured 16.0
 
 
+def two_evaluation_verlet(u0, model, cfg):
+    """Kick-drift-kick evaluating the force at the start and at the end of
+    every step, observed like evolve_nonlinear: the reference for the
+    carried end-of-step force."""
+    force = lambda r: _shift_backward_diff(model(r, order=1))
+    r, p, dt = u0.r.copy(), u0.p.copy(), cfg.dt
+    times, fields = [0.0], [(r.copy(), p.copy())]
+    for k in range(cfg.n_steps):
+        p += 0.5 * dt * force(r)
+        r += dt * _shift_forward_diff(p)
+        p += 0.5 * dt * force(r)
+        if (k + 1) % cfg.stride == 0 or k + 1 == cfg.n_steps:
+            times.append((k + 1) * dt)
+            fields.append((r.copy(), p.copy()))
+    return times, fields
+
+
+# 203 steps observed every 10: the last observation is the final step's own
+CARRY_CFG = dict(dt=0.05, t_end=10.15, stride=10)
+
+
+def test_verlet_evaluates_the_force_once_per_step():
+    calls = []
+
+    def dv(r):
+        calls.append(1)
+        return r + 0.5 * r**2
+
+    model = PotentialModel.custom(lambda r: 0.5 * r**2 + r**3 / 6.0, dv)
+    calls.clear()  # the normalization check evaluates V' too
+    u0 = zeros_field(-50, 100)
+    u0.r[:] = 0.1 * np.exp(-0.1 * u0.sites**2)
+    cfg = EvolveConfig(**CARRY_CFG)
+    evolve_nonlinear(u0, model, cfg)
+    assert cfg.n_steps == 203
+    assert len(calls) == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("case", ["toda_soliton", "alpha_fpu_bump"])
+def test_carried_force_matches_two_evaluation_verlet(case, soliton):
+    if case == "toda_soliton":
+        model = PotentialModel.toda()
+        u0 = soliton.lattice_field(offset=-90, length=200, position=0.0)
+    else:
+        model = PotentialModel.alpha_fpu()
+        u0 = zeros_field(-100, 200)
+        u0.r[:] = 0.1 * np.exp(-u0.sites**2 / 18.0)
+        u0.p[:] = 0.05 * np.exp(-(u0.sites - 5.0) ** 2 / 8.0)
+    cfg = EvolveConfig(**CARRY_CFG)
+    traj = evolve_nonlinear(u0, model, cfg)
+    times, fields = two_evaluation_verlet(u0, model, cfg)
+    assert traj.times.tolist() == times
+    assert len(traj.fields) == len(fields) == 22
+    for got, (r, p) in zip(traj.fields, fields):
+        assert np.array_equal(got.r, r) and np.array_equal(got.p, p)
+    assert np.array_equal(traj.final.r, fields[-1][0])
+    assert np.array_equal(traj.final.p, fields[-1][1])
+
+
 def test_time_reversal(toda, soliton):
     u0 = soliton.lattice_field(offset=-60, length=160, position=0.0)
     cfg = EvolveConfig(dt=0.05, t_end=10.0, stride=100, keep_snapshots=False)
