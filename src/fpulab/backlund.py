@@ -23,7 +23,6 @@ from the soliton module.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,16 +272,6 @@ class Trajectory:
     weighted_norm: np.ndarray
     q_residual: np.ndarray
     final: GridField
-    exponent: float
-    frame_speed: float
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "weighted_norm", "q_residual"])
-            for row in zip(self.t, self.weighted_norm, self.q_residual):
-                writer.writerow([f"{row[0]:.17g}", f"{row[1]:.17g}",
-                                 f"{row[2]:.17g}"])
 
 
 def _dealias_mask(xi):
@@ -455,7 +444,7 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
             vals = record(t0 + step * dt, vhat)
     final = GridField(v0.x0, dx, vals)
     return Trajectory(np.array(times), np.array(norms), np.array(resid),
-                      final, a, frame_speed)
+                      final)
 
 
 def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,

@@ -3,11 +3,11 @@
 The spectral pieces live on the shifted contour: multiplying a field by
 e^{a n} before the transform evaluates its Fourier series at xi + ia,
 so every decay statement becomes a plain supremum or margin on a real
-xi-grid.  Reports are small dataclasses with as_dict() for JSON; series
-go to CSV and plots to standalone SVG (no plotting dependency).
+xi-grid.  Reports are small dataclasses whose as_dict() is what
+artifacts.write_json takes; this module writes no files (series go
+through artifacts.write_series, plots through artifacts.svg_series_plot).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -619,84 +619,3 @@ def stability_metrics(track, split, eps):
         m5 += float(np.max(xk)) / eps**1.5 + _time_l2(times, xk)
     out["M5"] = m5
     return out
-
-
-# ---------------------------------------------------------------------------
-# artifact output
-
-
-def series_to_csv(path, columns):
-    """Write named equal-length series as CSV with %.17g values."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k]) for k in names]
-    size = arrays[0].size
-    if any(a.size != size for a in arrays):
-        raise ValueError("all columns must have the same length")
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(size):
-            fh.write(",".join("%.17g" % a[i] for a in arrays) + "\n")
-
-
-def report_to_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def svg_series_plot(path, times, values, fit=None, title="", log_scale=False):
-    """Standalone SVG of a series against time, optionally overlaying a
-    DecayFit as a dashed line.  Values must be positive for log_scale."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size != values.size or times.size < 2:
-        raise ValueError("need two or more samples to plot")
-    width, height, margin = 640, 400, 50
-    y = np.log10(values) if log_scale else values
-    if log_scale and not np.all(values > 0.0):
-        raise ValueError("log-scale plots need positive values")
-    y_min, y_max = float(np.min(y)), float(np.max(y))
-    if y_max == y_min:
-        y_max = y_min + 1.0
-    t_min, t_max = float(times[0]), float(times[-1])
-
-    def sx(t):
-        return margin + (t - t_min) / (t_max - t_min) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y_min) / (y_max - y_min) * (
-            height - 2 * margin)
-
-    def polyline(ts, vs, style):
-        pts = " ".join("%.2f,%.2f" % (sx(t), sy(v)) for t, v in zip(ts, vs))
-        return '<polyline fill="none" %s points="%s"/>' % (style, pts)
-
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (width, height, width, height),
-        '<rect width="%d" height="%d" fill="white"/>' % (width, height),
-        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-        % (margin, height - margin, width - margin, height - margin),
-        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-        % (margin, margin, margin, height - margin),
-        polyline(times, y, 'stroke="steelblue" stroke-width="1.5"'),
-    ]
-    if fit is not None:
-        fv = fit.value_at(times)
-        fy = np.log10(fv) if log_scale else fv
-        parts.append(polyline(
-            times, fy,
-            'stroke="crimson" stroke-width="1.2" stroke-dasharray="6 4"'))
-        parts.append(
-            '<text x="%d" y="%d" font-size="12">rate %.4g, R^2 %.4f</text>'
-            % (margin + 6, margin + 14, fit.rate, fit.r_squared))
-    if title:
-        parts.append('<text x="%d" y="%d" font-size="13">%s</text>'
-                     % (margin, margin - 10, title))
-    parts.append(
-        '<text x="%d" y="%d" font-size="11">t in [%g, %g]%s</text>'
-        % (margin, height - margin + 28, t_min, t_max,
-           ", log10 scale" if log_scale else ""))
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

@@ -253,19 +253,6 @@ def mass_center_observer():
 # trajectory output
 
 
-def trajectory_to_csv(traj, path):
-    """One row per observed time; one column per (scalar) observer."""
-    names = sorted(traj.observations)
-    with open(path, "w") as fh:
-        fh.write("t" + "".join("," + n for n in names) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [f"{t:.17g}"]
-            for n in names:
-                val = traj.observations[n][i]
-                row.append(f"{float(val):.17g}")
-            fh.write(",".join(row) + "\n")
-
-
 def snapshots_to_binary(traj, path):
     """Binary stream of (t, offset, length, r, p) records, little-endian."""
     with open(path, "wb") as fh:

@@ -30,6 +30,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.special import logsumexp
 
+from .artifacts import read_series, write_series
+
 MAX_SOLITONS = 8
 PARAMETER_STEP = 1e-5  # central-difference step of the parameter gradients
 
@@ -493,20 +495,15 @@ def soliton_resolution(family: SolitonFamily):
 
 def grid_field_to_csv(fld: GridField, path):
     """Write (x, value) rows; complex fields get (x, re, im)."""
-    xs = fld.x
-    with open(path, "w") as fh:
-        if np.iscomplexobj(fld.values):
-            fh.write("x,re,im\n")
-            for xv, v in zip(xs, fld.values):
-                fh.write(f"{xv:.17g},{v.real:.17g},{v.imag:.17g}\n")
-        else:
-            fh.write("x,value\n")
-            for xv, v in zip(xs, fld.values):
-                fh.write(f"{xv:.17g},{v:.17g}\n")
+    vals = fld.values
+    if np.iscomplexobj(vals):
+        write_series(path, {"x": fld.x, "re": vals.real, "im": vals.imag})
+    else:
+        write_series(path, {"x": fld.x, "value": vals})
 
 
 def grid_field_from_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    x = data[:, 0]
-    vals = data[:, 1] if data.shape[1] == 2 else data[:, 1] + 1j * data[:, 2]
+    cols = read_series(path)
+    x = cols["x"]
+    vals = cols["value"] if "value" in cols else cols["re"] + 1j * cols["im"]
     return GridField(float(x[0]), float(x[1] - x[0]), vals)

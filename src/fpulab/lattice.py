@@ -14,13 +14,12 @@ consecutive sites and are extended by zero outside it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-_BINARY_MAGIC = b"FPL1"
+from .artifacts import read_series, write_series
 
 
 class JDirection(Enum):
@@ -286,37 +285,15 @@ def weighted_pairing(u, v, kind=PairingKind.PLAIN, weight=None):
 
 
 def field_to_csv(field, path):
-    with open(path, "w") as fh:
-        fh.write("n,r,p\n")
-        for n, r, p in zip(field.sites, field.r, field.p):
-            fh.write(f"{n:d},{r:.17g},{p:.17g}\n")
+    write_series(path, {"n": field.sites, "r": field.r, "p": field.p})
 
 
 def field_from_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    offset = int(round(data[0, 0]))
-    sites = data[:, 0].astype(int)
-    if not np.array_equal(sites, offset + np.arange(len(sites))):
+    cols = read_series(path)
+    if list(cols) != ["n", "r", "p"] or cols["n"].size == 0:
+        raise ValueError("not a lattice field csv")
+    sites = cols["n"]
+    offset = int(sites[0])
+    if not np.array_equal(sites, offset + np.arange(sites.size)):
         raise ValueError("csv sites are not consecutive")
-    return LatticeField(offset, data[:, 1], data[:, 2])
-
-
-def field_to_binary(field, path):
-    """Little-endian f64 dump with an (offset, length) int64 header."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<qq", int(field.offset), len(field)))
-        fh.write(field.r.astype("<f8").tobytes())
-        fh.write(field.p.astype("<f8").tobytes())
-
-
-def field_from_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a lattice field dump")
-        offset, length = struct.unpack("<qq", fh.read(16))
-        r = np.frombuffer(fh.read(8 * length), dtype="<f8")
-        p = np.frombuffer(fh.read(8 * length), dtype="<f8")
-    return LatticeField(offset, r.copy(), p.copy())
+    return LatticeField(offset, cols["r"], cols["p"])

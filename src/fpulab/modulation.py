@@ -19,7 +19,6 @@ cannot detach the parameters from the state they describe.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -578,21 +577,7 @@ def perturbation_split(u0, v0, model, cfg, guess, table=None, eps=None,
 
 
 # ---------------------------------------------------------------------------
-# export
-
-
-def track_to_csv(trk, path):
-    """One row per sample: t, speeds, positions, residual norms."""
-    n = trk.n_waves
-    cols = (["t"] + ["c%d" % (i + 1) for i in range(n)]
-            + ["x%d" % (i + 1) for i in range(n)] + ["v_l2", "v_w"])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(trk.times):
-            state = trk.states[i]
-            row = [t, *state.c, *state.x,
-                   trk.series["v_l2"][i], trk.series["v_w"][i]]
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+# summary
 
 
 def track_summary(trk):
@@ -612,9 +597,3 @@ def track_summary(trk):
         "max_energy_gap": float(np.max(gap)),
         "eps": float(trk.states[0].eps),
     }
-
-
-def track_to_json(trk, path):
-    with open(path, "w") as fh:
-        json.dump(track_summary(trk), fh, indent=1)
-        fh.write("\n")

@@ -14,7 +14,6 @@ lattice spacing, so integer shifts are exact grid shifts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -189,6 +188,19 @@ class WaveProfile:
     def energy(self, model):
         """Lattice Hamiltonian of the sampled profile."""
         return hamiltonian(self.lattice_field(), model)
+
+    def as_dict(self):
+        return {
+            "c": self.c,
+            "eps": self.eps,
+            "model": self.model_name,
+            "kappa": self.kappa,
+            "steps_per_site": self.steps,
+            "span": self.span,
+            "residual": self.residual,
+            "iterations": self.iterations,
+            "method": self.method,
+        }
 
 
 def _spline_at(spline, pts):
@@ -553,12 +565,6 @@ class EnergyCurve:
     energy: np.ndarray
     theta1: np.ndarray  # dH/dc by central differences on the c grid
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("c,energy,theta1\n")
-            for c, e, t in zip(self.c, self.energy, self.theta1):
-                fh.write(f"{c:.17g},{e:.17g},{t:.17g}\n")
-
 
 def energy_curve(model, speeds, steps_per_site=16):
     """Lattice energy H(u_c) and theta1 = dH/dc along a speed grid."""
@@ -571,31 +577,3 @@ def energy_curve(model, speeds, steps_per_site=16):
         energies[i] = prof.energy(model)
     theta1 = np.gradient(energies, speeds)
     return EnergyCurve(model.name, speeds, energies, theta1)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def profile_to_csv(profile, path):
-    with open(path, "w") as fh:
-        fh.write("x,r,p\n")
-        for x, r, p in zip(profile.x, profile.r, profile.p):
-            fh.write(f"{x:.17g},{r:.17g},{p:.17g}\n")
-
-
-def profile_to_json(profile, path):
-    meta = {
-        "c": profile.c,
-        "eps": profile.eps,
-        "model": profile.model_name,
-        "kappa": profile.kappa,
-        "steps_per_site": profile.steps,
-        "span": profile.span,
-        "residual": None if np.isnan(profile.residual) else profile.residual,
-        "iterations": profile.iterations,
-        "method": profile.method,
-    }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")

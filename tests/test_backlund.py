@@ -8,14 +8,13 @@ numbers are measured values of this implementation with margin; decay
 slopes additionally have to clear the analytic rate bounds.
 """
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from fpulab.artifacts import read_series, write_series
 from fpulab.kdv import (
     GridField,
     LadderPhases,
@@ -28,7 +27,6 @@ from fpulab.kdv import (
     _spectral_dx,
 )
 from fpulab.backlund import (
-    Trajectory,
     backlund_residual,
     ladder_conjugate,
     ladder_level_evolve,
@@ -426,13 +424,16 @@ class TestEvolution:
         traj = linearized_kdv_evolve(field(x, np.exp(-x**2)), None,
                                      0.0, 1.0, 0.5, 0.05, record_every=5)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "weighted_norm", "q_residual"]
-        got = np.array([[float(c) for c in row[:2]] for row in rows[1:]])
-        assert np.array_equal(got[:, 0], traj.t)
-        assert np.array_equal(got[:, 1], traj.weighted_norm)
+        write_series(path, {"t": traj.t, "weighted_norm": traj.weighted_norm,
+                            "q_residual": traj.q_residual})
+        text = path.read_text()
+        assert text.startswith("t,weighted_norm,q_residual\n")
+        assert "\r" not in text
+        back = read_series(path)
+        assert np.array_equal(back["t"], traj.t)
+        assert np.array_equal(back["weighted_norm"], traj.weighted_norm)
+        assert np.array_equal(back["q_residual"], traj.q_residual,
+                              equal_nan=True)
         assert np.all(np.diff(traj.t) > 0)
 
 

@@ -7,9 +7,11 @@ from fpulab.diagnostics import (
     dispersion_check,
     lambda_branches,
     symbol_and_tail_check,
+    virial_series,
     weighted_norm,
 )
-from fpulab.lattice import LatticeField, WeightKind, WeightSpec
+from fpulab.integrators import EvolveConfig, evolve_nonlinear
+from fpulab.lattice import LatticeField, PotentialModel, WeightKind, WeightSpec
 
 
 def test_sigmoid_weighted_norm_far_left_of_the_center():
@@ -66,3 +68,26 @@ def test_minus_margin_is_the_closed_form(eps, a, k1):
     for eta in (-np.pi / eps, np.pi / eps):
         _, lam_m = lambda_branches(eps * (eta + 1j * a), rep.c1eps)
         assert abs(lam_m.imag - eps * a - want) < 1e-10 * want
+
+
+def test_virial_ledger_is_monotone_under_its_hypotheses():
+    # a small free Toda bump; the sigmoid center outruns the sound speed by
+    # eps^2 / 12, above the k1^2 eps^2 / 24 floor, and a eps + |v0| stays
+    # below eps^2 / 2, so the weighted energy may only decrease
+    toda = PotentialModel.toda()
+    sites = -200 + np.arange(400)
+    bump = np.exp(-sites**2 / 72.0)
+    u0 = LatticeField(-200, 0.002 * bump, -0.001 * bump)
+    cfg = EvolveConfig(dt=0.05, t_end=40.0, stride=20, boundary_tol=1e-6)
+    traj = evolve_nonlinear(u0, toda, cfg)
+    eps, a = 0.2, 0.05
+    rep = virial_series(traj, a, lambda t: -20.0 + (1.0 + eps**2 / 12.0) * t,
+                        toda, eps=eps)
+    assert rep.flags == []
+    assert rep.max_step_increase() < 0.0  # measured -5.8e-9
+    assert np.isfinite(rep.fitted_constant()) and rep.fitted_constant() > 0.0
+    # control: a subsonic center breaks the hypothesis, the flag says so
+    # and the ledger grows
+    slow = virial_series(traj, a, lambda t: -20.0 + 0.9 * t, toda, eps=eps)
+    assert len(slow.flags) == 1 and "center speed" in slow.flags[0]
+    assert slow.max_step_increase() > 0.0  # measured +3.3e-8

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fpulab.artifacts import read_series, write_series
 from fpulab.integrators import (
     EvolveConfig,
     SampledBackground,
@@ -22,7 +23,6 @@ from fpulab.integrators import (
     mass_center_observer,
     snapshots_from_binary,
     snapshots_to_binary,
-    trajectory_to_csv,
 )
 from fpulab.lattice import (
     LatticeField,
@@ -431,13 +431,12 @@ def test_trajectory_csv(tmp_path, toda, soliton):
         u0, toda, cfg, observers={"H": energy_observer(toda), "crest": crest_observer()}
     )
     path = tmp_path / "obs.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,H,crest"
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (len(traj.times), 3)
-    np.testing.assert_allclose(rows[:, 0], traj.times)
-    np.testing.assert_allclose(rows[:, 1], traj.observations["H"])
+    write_series(path, {"t": traj.times, **traj.observations})
+    assert path.read_text().splitlines()[0] == "t,H,crest"
+    back = read_series(path)
+    assert np.array_equal(back["t"], traj.times)
+    for name in ("H", "crest"):
+        assert np.array_equal(back[name], traj.observations[name])
 
 
 def test_snapshot_stream_roundtrip(tmp_path, toda, soliton):

@@ -346,6 +346,7 @@ def test_grid_field_csv_roundtrip(tmp_path):
     fld = GridField(-2.0, 0.25, np.linspace(0.0, 1.0, 9) ** 2)
     path = tmp_path / "f.csv"
     grid_field_to_csv(fld, path)
+    assert path.read_text().startswith("x,value\n")
     back = grid_field_from_csv(path)
     assert back.x0 == fld.x0
     assert back.dx == pytest.approx(fld.dx)
@@ -357,6 +358,7 @@ def test_grid_field_csv_complex(tmp_path):
     fld = GridField(0.0, 0.5, vals)
     path = tmp_path / "c.csv"
     grid_field_to_csv(fld, path)
+    assert path.read_text().startswith("x,re,im\n")
     back = grid_field_from_csv(path)
     np.testing.assert_array_equal(back.values, vals)
 

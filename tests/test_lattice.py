@@ -12,9 +12,7 @@ from fpulab.lattice import (
     WeightKind,
     WeightSpec,
     apply_j,
-    field_from_binary,
     field_from_csv,
-    field_to_binary,
     field_to_csv,
     grad_hamiltonian,
     hamiltonian,
@@ -214,18 +212,20 @@ def test_weighted_norm():
 def test_serialization_roundtrip(seed, tmp_path):
     rng = np.random.default_rng(seed)
     u = random_field(rng, length=int(rng.integers(1, 40)), offset=int(rng.integers(-50, 50)))
-    pcsv = tmp_path / "f.csv"
-    pbin = tmp_path / "f.dat"
-    field_to_csv(u, pcsv)
-    field_to_binary(u, pbin)
-    for back in (field_from_csv(pcsv), field_from_binary(pbin)):
-        assert back.offset == u.offset
-        assert np.array_equal(back.r, u.r)
-        assert np.array_equal(back.p, u.p)
+    path = tmp_path / "f.csv"
+    field_to_csv(u, path)
+    assert path.read_text().startswith("n,r,p\n")
+    back = field_from_csv(path)
+    assert back.offset == u.offset
+    assert np.array_equal(back.r, u.r)
+    assert np.array_equal(back.p, u.p)
 
 
-def test_binary_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.dat"
+def test_csv_rejects_foreign_file(tmp_path):
+    path = tmp_path / "junk.csv"
     path.write_bytes(b"notafield")
     with pytest.raises(ValueError):
-        field_from_binary(path)
+        field_from_csv(path)
+    path.write_text("n,r,p\n3,0.5,0\n5,0.25,0\n")
+    with pytest.raises(ValueError, match="not consecutive"):
+        field_from_csv(path)

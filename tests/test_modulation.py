@@ -9,8 +9,8 @@ with margin; decay ratios additionally have to clear the analytic rate
 bound for the wave tails.
 """
 
-import csv
 import functools
+import json
 import warnings
 
 import numpy as np
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from fpulab import modulation
+from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
 from fpulab.lattice import (
     LatticeField,
@@ -39,7 +40,6 @@ from fpulab.modulation import (
     secular_gram,
     track,
     track_summary,
-    track_to_csv,
     train_field,
     _default_eps,
     _scaled_misfit,
@@ -508,16 +508,19 @@ class TestTrack:
         assert summary["c_plus"][0] == pytest.approx(trk.c_plus[0])
         assert summary["xdot_final_variation"][0] < 1e-4
         path = tmp_path / "track.csv"
-        track_to_csv(trk, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "c1", "x1", "v_l2", "v_w"]
-        assert len(rows) == trk.times.size + 1
-        got = np.array([float(v) for v in rows[-1]])
-        want = np.array([trk.times[-1], trk.states[-1].c[0],
-                         trk.states[-1].x[0], trk.series["v_l2"][-1],
-                         trk.series["v_w"][-1]])
-        assert np.array_equal(got, want)  # %.17g keeps doubles exactly
+        write_series(path, {"t": trk.times, "c": trk.speeds,
+                            "x": trk.positions, "v_l2": trk.series["v_l2"],
+                            "v_w": trk.series["v_w"]})
+        assert path.read_text().splitlines()[0] == "t,c1,x1,v_l2,v_w"
+        back = read_series(path)
+        assert np.array_equal(back["t"], trk.times)
+        assert np.array_equal(back["c1"], trk.speeds[:, 0])
+        assert np.array_equal(back["x1"], trk.positions[:, 0])
+        for name in ("v_l2", "v_w"):
+            assert np.array_equal(back[name], trk.series[name])
+        path = tmp_path / "track.json"
+        write_json(path, summary)
+        assert json.loads(path.read_text()) == summary
 
     def test_failure_names_the_sample_time(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
     JDirection,
@@ -22,8 +23,6 @@ from fpulab.waves import (
     j_inverse_dx_profile,
     kappa_of_speed,
     profile_derivative,
-    profile_to_csv,
-    profile_to_json,
     rho_profile,
     rho_symbol,
     solve_profile,
@@ -312,12 +311,25 @@ def test_profile_export(tmp_path):
     prof = toda_soliton(0.25)
     csv = tmp_path / "prof.csv"
     meta = tmp_path / "prof.json"
-    profile_to_csv(prof, csv)
-    profile_to_json(prof, meta)
-    data = np.genfromtxt(csv, delimiter=",", skip_header=1)
-    assert data.shape == (prof.x.size, 3)
-    assert np.allclose(data[:, 1], prof.r)
+    write_series(csv, {"x": prof.x, "r": prof.r, "p": prof.p})
+    write_json(meta, prof.as_dict())
+    assert csv.read_text().startswith("x,r,p\n")
+    back = read_series(csv)
+    for name in ("x", "r", "p"):
+        assert np.array_equal(back[name], getattr(prof, name))
     head = json.loads(meta.read_text())
     assert head["model"] == "toda"
     assert head["c"] == pytest.approx(prof.c)
     assert head["eps"] == pytest.approx(np.sqrt(6 * (prof.c - 1)))
+
+
+def test_energy_curve_export(tmp_path):
+    ks = np.linspace(0.15, 0.45, 5)
+    curve = energy_curve(TODA, np.sinh(ks) / ks)
+    path = tmp_path / "curve.csv"
+    write_series(path, {"c": curve.c, "energy": curve.energy,
+                        "theta1": curve.theta1})
+    assert path.read_text().startswith("c,energy,theta1\n")
+    back = read_series(path)
+    for name in ("c", "energy", "theta1"):
+        assert np.array_equal(back[name], getattr(curve, name))
