@@ -17,8 +17,9 @@ recurrences; nothing overflows even when the window spans hundreds of
 decay lengths.  The integral maps use trapezoid quadrature on the working
 grid plus the leading endpoint correction, which restores fourth-order
 accuracy without leaving the grid.  The ladder's conventions (level
-phases, tau quotient, parameter modes, pairing and weighted norm) come
-from the soliton module.
+phases, tau quotient, grid resolution, pairing, weighted norm and the
+parameter modes, exact softmax moments of one ladder) come from the
+soliton module.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ from .kdv import (
     LadderPhases,
     SolitonFamily,
     TauLadder,
+    _check_grid,
     exp_weighted_norm,
     log_psi,
     phase_ladder,
-    profile_gradient,
     secular_basis,
     simpson_pairing,
 )
 
 MISMATCH_TOL = 1e-5
 ORTHOGONALITY_TOL = 1e-6
+LADDER_ORTHOGONALITY_TOL = 1e-4  # level-mode overlap a descent accepts
 GRAM_COND_LIMIT = 1e12
 SECULAR_RESIDUAL_TOL = 1e-8
 
@@ -66,7 +68,14 @@ def _level_slope(ladder, m, t, x):
 def _level_modes(ladder, m, t, x):
     """Shift and speed modes of level m: d/d(anchor) and d/dk_m of
     d/dx v^m, the other level-m parameters held fixed."""
-    return profile_gradient(ladder.level_family(m), t, x, m - 1)
+    grads = ladder.tau(m).parameter_gradients(t, x)
+    return grads[m - 1], grads[2 * m - 1]
+
+
+def _overlap(values, mode, dx, scale):
+    """Relative pairing |<values, mode>| / (scale ||mode||)."""
+    return (abs(simpson_pairing(values, mode, dx))
+            / (scale * np.sqrt(simpson_pairing(mode, mode, dx))))
 
 
 def _crest_index(x, xc):
@@ -94,8 +103,7 @@ def backlund_residual(ladder: LadderPhases, m, t, x) -> float:
     if not 1 <= m <= ladder.family.n:
         raise ValueError("level must lie in 1..N")
     x = np.asarray(x, dtype=float)
-    if x[1] - x[0] > 0.1 / ladder.family.k[-1] * (1.0 + 1e-9):
-        raise ValueError("grid too coarse for the steepest soliton")
+    _check_grid(ladder.family, x)
     km = float(ladder.family.k[m - 1])
     dsum = _level_slope(ladder, m, t, x) + _level_slope(ladder, m - 1, t, x)
     diff = (_level_potential(ladder, m, t, x)
@@ -145,8 +153,7 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
 
     scale = np.sqrt(simpson_pairing(out, out, dx)) or 1.0
     for label, fld in (("shift", shift), ("speed", speed)):
-        rel = abs(simpson_pairing(out, fld, dx))
-        rel /= scale * np.sqrt(simpson_pairing(fld, fld, dx))
+        rel = _overlap(out, fld, dx, scale)
         if rel > ORTHOGONALITY_TOL:
             raise RuntimeError(
                 f"{label}-mode orthogonality residual {rel:.3e} after the "
@@ -204,21 +211,15 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
 
 # -- secular projections ----------------------------------------------------
 
-def _secular_coeffs(values, basis, dx, n):
-    gram = np.empty((2 * n, 2 * n))
-    rhs = np.empty(2 * n)
-    etas = [fld.values for fld in basis.eta1] + [fld.values for fld in basis.eta2]
-    xis = [fld.values for fld in basis.xi1] + [fld.values for fld in basis.xi2]
-    for a, eta in enumerate(etas):
-        rhs[a] = simpson_pairing(values, eta, dx)
-        for b, xi in enumerate(xis):
-            gram[a, b] = simpson_pairing(xi, eta, dx)
+def _secular_coeffs(values, xi, eta, dx):
+    """The combination of the rows of xi whose pairings with every row of
+    eta match those of values."""
+    gram = np.array([[simpson_pairing(g, e, dx) for g in xi] for e in eta])
+    rhs = np.array([simpson_pairing(values, e, dx) for e in eta])
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise ValueError("secular Gram matrix is ill-conditioned; "
                          "the parameter modes are numerically degenerate")
-    coeffs = np.linalg.solve(gram, rhs)
-    ranged = sum(c * xi for c, xi in zip(coeffs, xis))
-    return coeffs, ranged, etas
+    return np.linalg.solve(gram, rhs) @ xi
 
 
 def secular_projection(v: GridField, family: SolitonFamily, t, a):
@@ -232,30 +233,18 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
     """
     if not 0.0 < a < 2.0 * family.k[0]:
         raise ValueError("weight exponent must lie in (0, 2 k_1)")
-    x = v.x
-    basis = secular_basis(family, t, x)
-    _, ranged, etas = _secular_coeffs(np.asarray(v.values, float), basis,
-                                      v.dx, family.n)
+    xi, eta = secular_basis(family, t, v.x)
+    ranged = _secular_coeffs(np.asarray(v.values, float), xi, eta, v.dx)
     pv = GridField(v.x0, v.dx, ranged)
     qv = GridField(v.x0, v.dx, v.values - ranged)
     scale = np.sqrt(simpson_pairing(v.values, v.values, v.dx)) or 1.0
-    for eta in etas:
-        rel = abs(simpson_pairing(qv.values, eta, v.dx))
-        rel /= scale * np.sqrt(simpson_pairing(eta, eta, v.dx))
+    for row in eta:
+        rel = _overlap(qv.values, row, v.dx, scale)
         if rel > SECULAR_RESIDUAL_TOL:
             raise RuntimeError(
                 f"secular condition residual {rel:.3e} after projection"
             )
     return pv, qv
-
-
-def _secular_residual(values, basis, dx, n, scale):
-    worst = 0.0
-    for eta in [f.values for f in basis.eta1] + [f.values for f in basis.eta2]:
-        rel = abs(simpson_pairing(values, eta, dx))
-        rel /= scale * np.sqrt(simpson_pairing(eta, eta, dx))
-        worst = max(worst, rel)
-    return worst
 
 
 # -- linearized evolution ----------------------------------------------------
@@ -297,18 +286,21 @@ class _SpectralFlow:
 
     The cubic-dispersion factor is applied exactly per mode; only the
     potential term N(t, v) = term(potential(t), v) goes through the RK4
-    stages, with 2/3-rule dealiasing on every product.  The potential
-    depends on t alone, so it is evaluated once per distinct stage time:
-    k2 and k3 share t + dt/2, and the last value is kept, so a step's
-    t + dt serves the next step's k1 whenever the two times are equal.
-    Instances are single-use per call site.
+    stages, with 2/3-rule dealiasing on every product.  Step s runs from
+    t0 + s dt to t0 + (s + 1) dt, and every stage time comes from that one
+    sequence, so a step's k4 time is the next step's k1 time bit for bit.
+    The potential depends on t alone, so it is evaluated once per distinct
+    stage time: k2 and k3 share the midpoint, and the last value is kept
+    for the next step's k1.  Instances are single-use per call site.
     """
 
-    def __init__(self, n, dx, frame_speed, potential):
+    def __init__(self, n, dx, frame_speed, potential, t0, dt):
         self.xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
         self.sym = 1j * (self.xi**3 + frame_speed * self.xi)
         self.mask = _dealias_mask(self.xi)
         self.n = n
+        self.t0 = t0
+        self.dt = dt
         self._potential = potential
         self._last = (None, None)
 
@@ -317,19 +309,21 @@ class _SpectralFlow:
             self._last = (t, self._potential(t))
         return self._last[1]
 
-    def step(self, vhat, t, dt, term):
+    def step(self, vhat, s, term):
+        dt = self.dt
         half = np.exp(self.sym * (dt / 2.0))
         full = half * half
-        k1 = term(self.potential(t), vhat)
-        mid = self.potential(t + dt / 2.0)
+        k1 = term(self.potential(self.t0 + s * dt), vhat)
+        mid = self.potential(self.t0 + (s + 0.5) * dt)
         k2 = term(mid, half * (vhat + dt / 2.0 * k1))
         k3 = term(mid, half * vhat + dt / 2.0 * k2)
-        k4 = term(self.potential(t + dt), full * vhat + dt * half * k3)
+        k4 = term(self.potential(self.t0 + (s + 1) * dt),
+                  full * vhat + dt * half * k3)
         return (full * vhat
                 + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4))
 
-    def drift(self, vhat, dt):
-        return np.exp(self.sym * dt) * vhat
+    def drift(self, vhat):
+        return np.exp(self.sym * self.dt) * vhat
 
 
 def _plan_steps(t0, t1, dt):
@@ -392,7 +386,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     profile = None if family is None else TauLadder(family, family.n)
     flow = _SpectralFlow(
         len(x), dx, frame_speed,
-        lambda tau: profile.second_derivative(tau, x + frame_speed * (tau - t0)))
+        lambda tau: profile.second_derivative(tau, x + frame_speed * (tau - t0)),
+        t0, dt)
 
     def term(phi, vhat):
         vals = np.fft.irfft(vhat * flow.mask, n=flow.n)
@@ -421,24 +416,22 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
             resid.append(np.nan)
         else:
             scale = np.sqrt(simpson_pairing(vals, vals, dx)) or 1.0
-            resid.append(_secular_residual(vals, basis_at(tau), dx,
-                                           family.n, scale))
+            _, eta = basis_at(tau)
+            resid.append(max(_overlap(vals, row, dx, scale) for row in eta))
         return vals
 
     record(t0, vhat)
     for step in range(1, nsteps + 1):
-        tau = t0 + (step - 1) * dt
         if family is None:
-            vhat = flow.drift(vhat, dt)
+            vhat = flow.drift(vhat)
         else:
-            vhat = flow.step(vhat, tau, dt, term)
+            vhat = flow.step(vhat, step - 1, term)
         if damp is not None:
             vhat = np.fft.rfft(damp * np.fft.irfft(vhat, n=flow.n))
         if family is not None and reproject_every \
                 and step % reproject_every == 0:
             vals = np.fft.irfft(vhat, n=flow.n)
-            _, ranged, _ = _secular_coeffs(vals, basis_at(tau + dt), dx,
-                                           family.n)
+            ranged = _secular_coeffs(vals, *basis_at(t0 + step * dt), dx)
             vhat = np.fft.rfft(vals - ranged)
         if step % record_every == 0 or step == nsteps:
             vals = record(t0 + step * dt, vhat)
@@ -465,7 +458,7 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
         return (np.zeros_like(y) if level is None
                 else level.second_derivative(tau, y))
 
-    flow = _SpectralFlow(len(x), dx, frame_speed, slope_at)
+    flow = _SpectralFlow(len(x), dx, frame_speed, slope_at, t0, dt)
 
     def term(slope, vhat):
         dxw = np.fft.irfft(1j * flow.xi * vhat * flow.mask, n=flow.n)
@@ -473,7 +466,7 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
 
     vhat = np.fft.rfft(np.asarray(w0.values, dtype=float))
     for step in range(nsteps):
-        vhat = flow.step(vhat, t0 + step * dt, dt, term)
+        vhat = flow.step(vhat, step, term)
         if step % 50 == 0 and not np.all(np.isfinite(vhat)):
             raise RuntimeError("evolution diverged (NaN)")
     vals = np.fft.irfft(vhat, n=flow.n)
@@ -506,7 +499,7 @@ class ConjugationResult:
 
 
 def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
-                     direction="down", orthogonality_tol=1e-4) -> ConjugationResult:
+                     direction="down") -> ConjugationResult:
     """Walk a perturbation down the ladder to the free flow, or back up.
 
     direction="down" starts from a level-N perturbation that satisfies
@@ -515,8 +508,8 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
     direction="up" ascends with the forward map.  Orthogonality is
     checked against the level shift and speed modes before each descent
     (the conditions propagate down the ladder analytically, so a
-    violation flags numerical drift).  Per-level norms are recorded in
-    the exp(-a x) class.
+    violation beyond LADDER_ORTHOGONALITY_TOL flags numerical drift).
+    Per-level norms are recorded in the exp(-a x) class.
     """
     if not 0.0 < a < 2.0 * family.k[0]:
         raise ValueError("weight exponent must lie in (0, 2 k_1)")
@@ -534,9 +527,8 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
             if scale > 0.0:
                 modes = _level_modes(ladder, m, t, x)
                 for label, mode in zip(("shift", "speed"), modes):
-                    rel = abs(simpson_pairing(cur.values, mode, dx))
-                    rel /= scale * np.sqrt(simpson_pairing(mode, mode, dx))
-                    if rel > orthogonality_tol:
+                    rel = _overlap(cur.values, mode, dx, scale)
+                    if rel > LADDER_ORTHOGONALITY_TOL:
                         raise ValueError(
                             f"level-{m} {label}-mode orthogonality violated "
                             f"({rel:.3e}); the field left the admissible class"

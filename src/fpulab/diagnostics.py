@@ -80,6 +80,17 @@ class DecayFit:
         }
 
 
+def _log_linear_fit(t, values):
+    """Least-squares line through (t, log values): (slope, intercept, R^2)."""
+    y = np.log(values)
+    coeff = np.polyfit(t, y, 1)
+    pred = np.polyval(coeff, t)
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(coeff[0]), float(coeff[1]), r2
+
+
 def decay_fit(times, values, window=0.5):
     """Least-squares fit of log(value) against t over the trailing
     fraction `window` of the samples.
@@ -101,14 +112,8 @@ def decay_fit(times, values, window=0.5):
         raise ValueError("need at least 10 samples in the fit window")
     if np.any(v <= 0.0):
         raise ValueError("decay_fit needs strictly positive values")
-    y = np.log(v)
-    coeff = np.polyfit(t, y, 1)
-    pred = np.polyval(coeff, t)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(float(coeff[0]), float(coeff[1]), r2, float(t[0]),
-                    int(t.size))
+    rate, intercept, r2 = _log_linear_fit(t, v)
+    return DecayFit(rate, intercept, r2, float(t[0]), int(t.size))
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +556,12 @@ def symbol_and_tail_check(eps_values, a, c=None, family=(1.0,),
     for eps in tail_eps:
         disc, cont = transform_tail(family, eps, xi_tail)
         tail[eps] = float(np.max(np.abs(disc - cont)))
-    inv = np.array([1.0 / e for e in tail_eps])
-    logd = np.log([tail[e] for e in tail_eps])
-    coeff = np.polyfit(inv, logd, 1)
-    pred = np.polyval(coeff, inv)
-    ss_res = float(np.sum((logd - pred) ** 2))
-    ss_tot = float(np.sum((logd - np.mean(logd)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, _, r2 = _log_linear_fit(np.array([1.0 / e for e in tail_eps]),
+                                   [tail[e] for e in tail_eps])
     return SymbolTailReport(
         eps_values=eps_values, a=a, family=tuple(family),
         symbol_sup=sym, tail_diff=tail,
-        tail_slope=float(coeff[0]), tail_r_squared=r2,
+        tail_slope=slope, tail_r_squared=r2,
     )
 
 

@@ -3,9 +3,10 @@ and the resolution into 1-soliton trains.
 
 Tau functions are evaluated through the principal-minor (Cauchy) expansion
 in the log domain, which stays finite for arbitrarily large phases where
-the dense determinant overflows.  Spatial derivatives of log tau come out
-of the same expansion as softmax-weighted moments, so profiles carry no
-differencing error; parameter derivatives use central differences.
+the dense determinant overflows.  Spatial derivatives of log tau and the
+derivatives of the profile in every gamma_i and k_i come out of the same
+expansion as softmax-weighted moments, so neither carries differencing
+error.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
@@ -16,9 +17,9 @@ and the plain minors of the level-n matrix do not have that property.
 
 The ladder conventions live here and nowhere else: the phase recursion
 (phase_ladder), the normalized tau quotient (log_psi), the parameter
-gradients of a profile (profile_gradient), the spectral derivative, the
-Simpson pairing of grid samples (simpson_pairing) and the exponentially
-weighted grid norm (exp_weighted_norm).
+gradients of a profile (TauLadder.parameter_gradients), the spectral
+derivative, the Simpson pairing of grid samples (simpson_pairing) and
+the exponentially weighted grid norm (exp_weighted_norm).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from scipy.special import logsumexp
 from .artifacts import read_series, write_series
 
 MAX_SOLITONS = 8
-PARAMETER_STEP = 1e-5  # central-difference step of the parameter gradients
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,41 @@ class TauLadder:
         mean = w.T @ self._slope
         return w.T @ self._slope**2 - mean**2
 
+    def parameter_gradients(self, t, x):
+        """Derivatives of second_derivative in the active parameters.
+
+        Returns a (2m, len(x)) array: rows d/d gamma_1 .. d/d gamma_m, then
+        d/d k_1 .. d/d k_m, with gamma_i the level-m phases this ladder
+        uses (the family's own phases at m = n).  phi is the softmax
+        variance E_w[(s - mu)^2] of the subset slopes s under the weights
+        w of the exponents T, so for every parameter q
+        d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
+        with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
+        - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        m = self.m
+        k = self.family.k[:m]
+        B = self._B
+        # d log_a / d k_i: -1/k_i plus 4 k_j / (k_i^2 - k_j^2) per partner j
+        gap = k[:, None] ** 2 - k[None, :] ** 2
+        np.fill_diagonal(gap, np.inf)
+        columns = np.hstack([B, B * (B @ (4.0 * k[None, :] / gap).T - 1.0 / k)])
+        # every (2^m, len(x)) array is reused in place: w, then w (s - mu),
+        # and the centered slopes, then w (s - mu)^2
+        w = self._weights(t, x)
+        mu = w.T @ self._slope
+        mean = w.T @ columns
+        centered = self._slope[:, None] - mu[None, :]
+        w *= centered
+        tilt = w.T @ columns[:, :m]
+        centered *= w
+        cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
+        lever = x[:, None] - 12.0 * k**2 * t - self._gamma_m[:m]
+        d_gamma = 2.0 * k * cov[:, :m]
+        d_k = cov[:, m:] - 2.0 * lever * cov[:, :m] - 4.0 * tilt
+        return np.ascontiguousarray(np.hstack([d_gamma, d_k]).T)
+
     def dense_matrix(self, t, x):
         """Cauchy matrix C_m with entries e^{-theta_i-theta_j}/(k_i+k_j).
 
@@ -219,65 +254,24 @@ def n_soliton_profile(family: SolitonFamily, t, x, levels=()):
     return GridField(x[0], dx, phi), pots
 
 
-@dataclass(frozen=True)
-class SecularBasis:
-    """Parameter gradients of phi_N and their antiderivatives.
-
-    xi1[i] = d phi_N / d gamma_i, xi2[i] = d phi_N / d k_i; eta1, eta2 are
-    the corresponding antiderivatives anchored to 0 at the left grid edge.
-    """
-
-    xi1: list
-    xi2: list
-    eta1: list
-    eta2: list
-
-
-def profile_gradient(family: SolitonFamily, t, x, i):
-    """(d phi_N / d gamma_i, d phi_N / d k_i) on the abscissas x.
-
-    Central differences with step PARAMETER_STEP on the exact-in-x
-    profile phi_N = d^2/dx^2 log Delta_N; the other parameters are held
-    fixed.
-    """
-    def phi_for(k, gamma):
-        fam = SolitonFamily(k, gamma)
-        return TauLadder(fam, fam.n).second_derivative(t, x)
-
-    dg = np.zeros(family.n)
-    dg[i] = PARAMETER_STEP
-    d_gamma = (phi_for(family.k, family.gamma + dg)
-               - phi_for(family.k, family.gamma - dg)) / (2 * PARAMETER_STEP)
-    d_k = (phi_for(family.k + dg, family.gamma)
-           - phi_for(family.k - dg, family.gamma)) / (2 * PARAMETER_STEP)
-    return d_gamma, d_k
-
-
 def secular_basis(family: SolitonFamily, t, x):
-    """Build the 4N secular fields at time t on the grid x.
+    """The 2N secular fields of phi_N at time t on the grid x.
 
-    Parameter derivatives from profile_gradient; antiderivatives by
-    cumulative trapezoid.  The left grid edge must sit in the flat tail
-    of every gradient.
+    Returns (xi, eta), two (2N, len(x)) arrays: xi holds the parameter
+    gradients d phi_N / d gamma_1..N, then d phi_N / d k_1..N
+    (TauLadder.parameter_gradients), eta their cumulative-trapezoid
+    antiderivatives anchored to 0 at the left grid edge, which must sit
+    in the flat tail of every gradient.
     """
     x = np.asarray(x, dtype=float)
     _check_grid(family, x)
-    dx = x[1] - x[0]
-    xi1, xi2, eta1, eta2 = [], [], [], []
-    for i in range(family.n):
-        d_gamma, d_k = profile_gradient(family, t, x, i)
-        for vals in (d_gamma, d_k):
-            if abs(vals[0]) > 1e-12:
-                raise ValueError(
-                    "left edge not in the flat tail of the parameter gradients"
-                )
-        xi1.append(GridField(x[0], dx, d_gamma))
-        xi2.append(GridField(x[0], dx, d_k))
-        eta1.append(GridField(x[0], dx,
-                              cumulative_trapezoid(d_gamma, dx=dx, initial=0.0)))
-        eta2.append(GridField(x[0], dx,
-                              cumulative_trapezoid(d_k, dx=dx, initial=0.0)))
-    return SecularBasis(xi1, xi2, eta1, eta2)
+    xi = TauLadder(family, family.n).parameter_gradients(t, x)
+    if np.any(np.abs(xi[:, 0]) > 1e-12):
+        raise ValueError(
+            "left edge not in the flat tail of the parameter gradients"
+        )
+    eta = cumulative_trapezoid(xi, dx=x[1] - x[0], axis=1, initial=0.0)
+    return xi, eta
 
 
 def _spectral_dx(values, h, order=1):
@@ -503,7 +497,18 @@ def grid_field_to_csv(fld: GridField, path):
 
 
 def grid_field_from_csv(path):
+    """Read back a grid_field_to_csv file.
+
+    The spacing is refitted from the end points, (x[-1] - x[0]) / (n - 1),
+    so a GridField round-trips with its own dx; files with fewer than two
+    rows or abscissas off a uniform grid are rejected.
+    """
     cols = read_series(path)
     x = cols["x"]
     vals = cols["value"] if "value" in cols else cols["re"] + 1j * cols["im"]
-    return GridField(float(x[0]), float(x[1] - x[0]), vals)
+    if x.size < 2:
+        raise ValueError(f"{path}: a grid field needs at least two rows")
+    dx = float((x[-1] - x[0]) / (x.size - 1))
+    if np.max(np.abs(x - (x[0] + dx * np.arange(x.size)))) > 1e-6 * abs(dx):
+        raise ValueError(f"{path}: abscissas are not uniformly spaced")
+    return GridField(float(x[0]), dx, vals)

@@ -22,6 +22,7 @@ from fpulab.kdv import (
     TauLadder,
     exp_weighted_norm,
     phase_ladder,
+    secular_basis,
     simpson_pairing,
     uniform_grid,
     _spectral_dx,
@@ -179,12 +180,30 @@ class TestForward:
         monkeypatch.setattr(TauLadder, "__init__", counting)
         up = linearized_forward(field(x, np.exp(-0.5 * (x - xc - 1.0)**2)),
                                 lad, 2, t)
-        # levels 1 and 2 once each, then the four level-2 ladders of the
-        # shift and speed modes
-        assert builds == [1, 2] + [2] * 4
+        # levels 1 and 2 once each; the shift and speed modes come from
+        # the level-2 ladder already built
+        assert builds == [1, 2]
         builds.clear()
         # the ladder keeps its levels: the inverse map builds none again
         linearized_inverse(up, lad, 2, t)
+        assert builds == []
+
+    def test_level_modes_build_no_ladder(self, monkeypatch):
+        builds = []
+        init = TauLadder.__init__
+
+        def counting(self, family, m):
+            builds.append(m)
+            init(self, family, m)
+
+        lad = phase_ladder(SolitonFamily([0.5, 1.0, 1.5], [0.3, 0.0, -0.2]))
+        for m in (1, 2, 3):
+            lad.tau(m)
+        monkeypatch.setattr(TauLadder, "__init__", counting)
+        x = uniform_grid(-30.0, 30.0, 0.05)
+        for m in (1, 2, 3):
+            shift, speed = _level_modes(lad, m, 0.4, x)
+            assert shift.shape == speed.shape == x.shape
         assert builds == []
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -244,10 +263,9 @@ class TestInverse:
 
 class TestSecularProjection:
     def test_fixes_its_range(self):
-        from fpulab.kdv import secular_basis
         x = uniform_grid(-45.0, 32.0, 0.02)
-        basis = secular_basis(TRAIN, 0.5, x)
-        v = basis.xi1[0]
+        xi, _ = secular_basis(TRAIN, 0.5, x)
+        v = field(x, xi[0])
         _, qv = secular_projection(v, TRAIN, 0.5, 0.4)
         assert np.max(np.abs(qv.values)) < 1e-8 * np.max(np.abs(v.values))
 
@@ -260,26 +278,23 @@ class TestSecularProjection:
 
     def test_gram_block_structure(self):
         # fast-soliton columns against slow-soliton conditions vanish in
-        # the continuum; the eta quadrature is O(dx^2), so check fine
-        from fpulab.kdv import secular_basis
+        # the continuum; the eta quadrature is O(dx^2), so check fine.
+        # Rows: gamma_1, gamma_2, k_1, k_2
         x = uniform_grid(-45.0, 32.0, 0.0025)
-        basis = secular_basis(TRAIN, 0.5, x)
+        xi, eta = secular_basis(TRAIN, 0.5, x)
         worst = 0.0
-        for eta in (basis.eta1[0], basis.eta2[0]):
-            for xi in (basis.xi1[1], basis.xi2[1]):
-                if eta is basis.eta2[0] and xi is basis.xi2[1]:
+        for a in (0, 2):
+            for b in (1, 3):
+                if (a, b) == (2, 3):
                     continue
-                worst = max(worst,
-                            abs(simpson_pairing(xi.values, eta.values, xi.dx)))
+                worst = max(worst, abs(simpson_pairing(xi[b], eta[a], 0.0025)))
         assert worst < 1e-6
 
     def test_gram_diagonal_pairings(self):
-        from fpulab.kdv import secular_basis
         x = uniform_grid(-45.0, 32.0, 0.01)
-        basis = secular_basis(TRAIN, 0.5, x)
+        xi, eta = secular_basis(TRAIN, 0.5, x)
         for i, k in enumerate(TRAIN.k):
-            d = simpson_pairing(basis.xi1[i].values, basis.eta2[i].values,
-                                basis.xi1[i].dx)
+            d = simpson_pairing(xi[i], eta[TRAIN.n + i], 0.01)
             assert d == pytest.approx(2 * k**2, rel=1e-3)
 
     def test_weight_range_validated(self):
@@ -290,17 +305,11 @@ class TestSecularProjection:
                 secular_projection(g, TRAIN, 0.5, a)
 
     def test_singular_gram_rejected(self):
-        class Degenerate:
-            def __init__(self, f):
-                self.eta1 = [f, f]
-                self.eta2 = [f, f]
-                self.xi1 = [f, f]
-                self.xi2 = [f, f]
-
         x = uniform_grid(-5.0, 5.0, 0.1)
-        f = field(x, np.exp(-x**2))
+        f = np.exp(-x**2)
+        degenerate = np.array([f] * 4)
         with pytest.raises(ValueError, match="condition"):
-            _secular_coeffs(f.values, Degenerate(f), 0.1, 2)
+            _secular_coeffs(f, degenerate, degenerate, 0.1)
 
 
 class TestEvolution:
@@ -354,9 +363,9 @@ class TestEvolution:
         g = field(x, np.exp(-x**2 / 8.0))
         linearized_kdv_evolve(g, TRAIN, 0.0, 0.05, 0.4, 1e-3,
                               reproject_every=0, record_every=10**9)
-        # one profile ladder for all 50 steps, plus the 4N of the secular
+        # one profile ladder for all 50 steps, plus one for the secular
         # basis at each of the two records (t0 and t1)
-        assert len(builds) == 1 + 2 * 4 * TRAIN.n
+        assert builds == [TRAIN.n] * 3
         builds.clear()
         ladder_level_evolve(g, phase_ladder(TRAIN), 2, 0.0, 0.05, 1e-3)
         assert builds == [2]
@@ -366,30 +375,35 @@ class TestEvolution:
         slope = TauLadder.second_derivative
 
         def counting(self, t, x):
-            # the secular basis evaluates ladders of perturbed families;
-            # only the flow's potential reads the family it was given
-            if self.family is flow_family:
-                times.append(t)
+            times.append(t)
             return slope(self, t, x)
 
         monkeypatch.setattr(TauLadder, "second_derivative", counting)
         x = uniform_grid(-45.0, 35.0, 0.05)
         g = field(x, np.exp(-x**2 / 8.0))
-        # binary-fraction steps make each step's t + dt the next step's t
-        # bit for bit, so its potential is carried into the next k1
-        dt, n = 2.0**-10, 50
+        lad = phase_ladder(TRAIN)
         # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1)
         # per step
+        dt, n = 2.0**-10, 50
         want = [k * dt / 2.0 for k in range(2 * n + 1)]
-        flow_family = TRAIN
         linearized_kdv_evolve(g, TRAIN, 0.0, n * dt, 0.4, dt,
                               reproject_every=25, record_every=10**9)
         assert times == want
         times.clear()
-        lad = phase_ladder(TRAIN)
-        flow_family = lad.tau(2).family
         ladder_level_evolve(g, lad, 2, 0.0, n * dt, dt)
         assert times == want
+        # with dt = 2e-3, (t0 + s dt) + dt and t0 + (s + 1) dt round apart
+        # on 22 of these 500 steps; the k4 time of a step must still be the
+        # next step's k1 time
+        dt, n = 2e-3, 500
+        for evolve in (
+                lambda: linearized_kdv_evolve(g, TRAIN, 0.0, n * dt, 0.4, dt,
+                                              reproject_every=0,
+                                              record_every=10**9),
+                lambda: ladder_level_evolve(g, lad, 2, 0.0, n * dt, dt)):
+            times.clear()
+            evolve()
+            assert len(times) == len(set(times)) == 2 * n + 1
 
     def test_aliasing_alarm_fires_on_marginal_steps(self):
         x = uniform_grid(-45.0, 35.0, 0.01)
@@ -545,9 +559,9 @@ class TestLadderConjugation:
 
         monkeypatch.setattr(TauLadder, "__init__", counting)
         ladder_conjugate(y2, TRAIN, self.T, 0.4, direction="down")
-        # level 2: four mode ladders, then levels 1 and 2 for the inverse
-        # map; level 1: four mode ladders, its level already built
-        assert builds == [2] * 4 + [1, 2] + [1] * 4
+        # level 2 for its modes, then level 1 for the inverse map; the
+        # level-1 modes reuse it
+        assert builds == [2, 1]
 
     def test_zero_field(self):
         x = uniform_grid(-45.0, 35.0, self.DX)

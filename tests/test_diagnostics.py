@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from fpulab.diagnostics import (
     decay_fit,
     dispersion_check,
     lambda_branches,
+    stability_metrics,
     symbol_and_tail_check,
     virial_series,
     weighted_norm,
 )
 from fpulab.integrators import EvolveConfig, evolve_nonlinear
 from fpulab.lattice import LatticeField, PotentialModel, WeightKind, WeightSpec
+from fpulab.modulation import ProfileTable, perturbation_split, train_field
+from fpulab.waves import speed_of_kappa
 
 
 def test_sigmoid_weighted_norm_far_left_of_the_center():
@@ -91,3 +96,36 @@ def test_virial_ledger_is_monotone_under_its_hypotheses():
     slow = virial_series(traj, a, lambda t: -20.0 + 0.9 * t, toda, eps=eps)
     assert len(slow.flags) == 1 and "center speed" in slow.flags[0]
     assert slow.max_step_increase() > 0.0  # measured +3.3e-8
+
+
+def test_stability_metrics_ignore_the_site_labels():
+    # a kicked Toda pair; relabelling every site n -> n + d moves each
+    # field offset and each tracked crest by d and changes no distance
+    toda = PotentialModel.toda()
+    c = np.array([speed_of_kappa(0.3), speed_of_kappa(0.45)])
+    x = np.array([-15.0, 15.0])
+    offset, length = -80, 201
+    sites = offset + np.arange(length)
+    train = train_field(ProfileTable(toda), c, x, offset, length)
+    bump = np.exp(-((sites + 8.0) ** 2) / 12.0)
+    v0 = LatticeField(offset, 1e-3 * bump, -7e-4 * bump)
+    u0 = LatticeField(offset, train.r + v0.r, train.p + v0.p)
+    cfg = EvolveConfig(dt=0.05, t_end=10.0, stride=20)
+    split = perturbation_split(u0, v0, toda, cfg, (c, x))
+    eps = split.track.states[0].eps
+    want = stability_metrics(split.track, split, eps)
+
+    def moved(f, d):
+        return LatticeField(f.offset + d, f.r, f.p)
+
+    for d in (-1000, 37):
+        states = [replace(s, x=s.x + d, residual=moved(s.residual, d))
+                  for s in split.track.states]
+        relabelled = replace(
+            split, track=replace(split.track, states=states),
+            free=[moved(f, d) for f in split.free],
+            bound=[moved(f, d) for f in split.bound])
+        got = stability_metrics(relabelled.track, relabelled, eps)
+        for key in ("M1", "M2", "M3", "M4", "M5"):
+            assert want[key] > 0.0
+            assert abs(got[key] - want[key]) <= 1e-12 * want[key]

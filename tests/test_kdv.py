@@ -3,15 +3,18 @@
 Frozen values come from closed forms where available (1-soliton crest,
 tau determinants, train phases) and from measured, margin-checked runs
 of this implementation otherwise.  The dense Cauchy determinant serves
-as the oracle for the log-domain expansion at moderate phases.
+as the oracle for the log-domain expansion at moderate phases, and
+mpmath differentiation of the subset sum for the parameter gradients.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from fpulab.artifacts import write_series
 from fpulab.kdv import (
     GridField,
     SolitonFamily,
@@ -22,11 +25,11 @@ from fpulab.kdv import (
     log_psi,
     n_soliton_profile,
     phase_ladder,
-    profile_gradient,
     secular_basis,
     simpson_pairing,
     soliton_resolution,
     uniform_grid,
+    _phi_mp,
     _spectral_dx,
 )
 
@@ -42,11 +45,12 @@ def psi_ratio(family, t, x, m):
                           np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def basis_pairing(basis, kind_a, i, kind_b, j):
+def basis_pairing(basis, dx, kind_a, i, kind_b, j):
     """<xi_a[i], eta_b[j]> of a secular basis; kinds 1 (gamma) and 2 (k)."""
-    xi = (basis.xi1, basis.xi2)[kind_a - 1][i]
-    eta = (basis.eta1, basis.eta2)[kind_b - 1][j]
-    return simpson_pairing(xi.values, eta.values, xi.dx)
+    xi, eta = basis
+    n = len(xi) // 2
+    return simpson_pairing(xi[(kind_a - 1) * n + i], eta[(kind_b - 1) * n + j],
+                           dx)
 
 
 def test_family_validation():
@@ -165,11 +169,41 @@ def test_profile_gradient_matches_the_closed_form_soliton():
     def fd4(f, h=1e-3):
         return (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
 
-    d_gamma, d_k = profile_gradient(SolitonFamily([k], [g]), t, x, 0)
+    d_gamma, d_k = TauLadder(SolitonFamily([k], [g]), 1).parameter_gradients(t, x)
     for got, want in ((d_gamma, fd4(lambda s: phi(k, g + s))),
                       (d_k, fd4(lambda s: phi(k + s, g)))):
         # measured 1.6e-10 and 3.4e-10
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_parameter_gradients_match_extended_precision_derivatives(n):
+    # oracle: mpmath differentiation of the subset sum phi_N at 40 digits
+    rng = np.random.default_rng(n)
+    k = np.cumsum(0.3 + rng.uniform(0.0, 0.4, n))
+    gamma = rng.uniform(-2.0, 2.0, n)
+    t = 0.37
+    x = np.array([-9.0, -3.3, -0.4, 0.0, 1.7, 5.2, 11.0])
+    got = TauLadder(SolitonFamily(k, gamma), n).parameter_gradients(t, x)
+    assert got.shape == (2 * n, x.size)
+
+    def phi(which, i, xv):
+        def at(q):
+            params = {"k": [mp.mpf(v) for v in k],
+                      "gamma": [mp.mpf(v) for v in gamma]}
+            params[which][i] = q
+            fam = type("Family", (), dict(params, n=n))
+            return _phi_mp(fam, mp.mpf(t), mp.mpf(xv))
+        return at
+
+    with mp.workdps(40):
+        for row in range(2 * n):
+            which, i = ("gamma", row) if row < n else ("k", row - n)
+            start = mp.mpf({"k": k, "gamma": gamma}[which][i])
+            want = np.array([float(mp.diff(phi(which, i, xv), start))
+                             for xv in x])
+            # measured 4.0e-14 at n = 4
+            assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_phase_covariance():
@@ -188,19 +222,19 @@ class TestSecularBasis:
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
         basis = secular_basis(fam, 0.0, uniform_grid(-60, 60, 0.01))
         for i in range(2):
-            assert abs(basis_pairing(basis, 1, i, 1, i)) <= 1e-9
-            d = basis_pairing(basis, 1, i, 2, i)
+            assert abs(basis_pairing(basis, 0.01, 1, i, 1, i)) <= 1e-9
+            d = basis_pairing(basis, 0.01, 1, i, 2, i)
             assert d == pytest.approx(2.0 * fam.k[i] ** 2, abs=1e-4)
-            assert basis_pairing(basis, 2, i, 1, i) == pytest.approx(
+            assert basis_pairing(basis, 0.01, 2, i, 1, i) == pytest.approx(
                 -d, abs=1e-8)
 
     def test_cross_pairings_vanish(self):
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
         basis = secular_basis(fam, 5.0, uniform_grid(-60, 60, 0.01))
         # i < j, all kinds except the (k-gradient, k-antiderivative) pair
-        assert abs(basis_pairing(basis, 1, 0, 1, 1)) <= 1e-6
-        assert abs(basis_pairing(basis, 1, 0, 2, 1)) <= 1e-6
-        assert abs(basis_pairing(basis, 2, 0, 1, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 0.01, 1, 0, 1, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 0.01, 1, 0, 2, 1)) <= 1e-6
+        assert abs(basis_pairing(basis, 0.01, 2, 0, 1, 1)) <= 1e-6
 
     def test_pairings_time_independent(self):
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
@@ -208,7 +242,7 @@ class TestSecularBasis:
         for t in (0.0, 1.0, 5.0):
             basis = secular_basis(fam, t, uniform_grid(-60, 60, 0.002))
             grams.append(np.array(
-                [[basis_pairing(basis, ka + 1, i, kb + 1, j)
+                [[basis_pairing(basis, 0.002, ka + 1, i, kb + 1, j)
                   for j in range(2) for kb in range(2)]
                  for i in range(2) for ka in range(2)]))
         for g in grams[1:]:
@@ -218,6 +252,20 @@ class TestSecularBasis:
         fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="flat tail"):
             secular_basis(fam, 0.0, uniform_grid(-10, 60, 0.05))
+
+    def test_builds_one_ladder(self, monkeypatch):
+        builds = []
+        init = TauLadder.__init__
+
+        def counting(self, family, m):
+            builds.append(m)
+            init(self, family, m)
+
+        monkeypatch.setattr(TauLadder, "__init__", counting)
+        fam = SolitonFamily([0.5, 1.0, 1.5], [0.0, 0.0, 0.0])
+        xi, eta = secular_basis(fam, 0.0, uniform_grid(-60, 60, 0.05))
+        assert builds == [3]
+        assert xi.shape == eta.shape == (6, 2401)
 
 
 class TestKdvResidual:
@@ -351,6 +399,29 @@ def test_grid_field_csv_roundtrip(tmp_path):
     assert back.x0 == fld.x0
     assert back.dx == pytest.approx(fld.dx)
     np.testing.assert_array_equal(back.values, fld.values)
+
+
+def test_grid_field_csv_keeps_an_inexact_spacing(tmp_path):
+    # 0.1 is not a binary fraction: x[1] - x[0] reads back 0.10000000000000142
+    x = uniform_grid(-20.0, 20.0, 0.1)
+    fld = GridField(x[0], 0.1, np.sin(x))
+    path = tmp_path / "f.csv"
+    grid_field_to_csv(fld, path)
+    back = grid_field_from_csv(path)
+    assert back.dx == 0.1
+    assert np.array_equal(back.x, fld.x)
+    assert np.array_equal(back.values, fld.values)
+
+
+def test_grid_field_csv_rejects_non_grids(tmp_path):
+    path = tmp_path / "f.csv"
+    grid_field_to_csv(GridField(1.0, 0.5, np.array([2.0])), path)
+    with pytest.raises(ValueError, match="two rows"):
+        grid_field_from_csv(path)
+    write_series(path, {"x": np.array([0.0, 0.1, 0.25, 0.3]),
+                        "value": np.ones(4)})
+    with pytest.raises(ValueError, match="uniformly"):
+        grid_field_from_csv(path)
 
 
 def test_grid_field_csv_complex(tmp_path):
