@@ -78,6 +78,16 @@ def _overlap(values, mode, dx, scale):
             / (scale * np.sqrt(simpson_pairing(mode, mode, dx))))
 
 
+def _trapezoid_sweep(out, u, lp, dx, indices, power, sign):
+    """Trapezoid recurrence of the integral maps with kernel psi^power:
+    out[b] = f out[a] + sign dx/2 (f u[a] + u[b]), f = exp(power (lp[b] -
+    lp[a])), for each step a -> b of the grid indices."""
+    h = sign * 0.5 * dx
+    for a, b in zip(indices[:-1], indices[1:]):
+        f = np.exp(power * (lp[b] - lp[a]))
+        out[b] = f * out[a] + h * (f * u[a] + u[b])
+
+
 def _crest_index(x, xc):
     dx = x[1] - x[0]
     j = int(round((xc - x[0]) / dx))
@@ -132,12 +142,8 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
     j0 = _crest_index(x, ladder.crest(m, t))
 
     integral = np.zeros_like(x)
-    for j in range(j0, len(x) - 1):
-        r = np.exp(2.0 * (lp[j + 1] - lp[j]))
-        integral[j + 1] = r * integral[j] + 0.5 * dx * (r * u[j] + u[j + 1])
-    for j in range(j0, 0, -1):
-        s = np.exp(2.0 * (lp[j - 1] - lp[j]))
-        integral[j - 1] = s * integral[j] - 0.5 * dx * (s * u[j] + u[j - 1])
+    _trapezoid_sweep(integral, u, lp, dx, range(j0, len(x)), 2.0, 1.0)
+    _trapezoid_sweep(integral, u, lp, dx, range(j0, -1, -1), 2.0, -1.0)
     # endpoint correction: psi^2 (u/psi^2)' = u' + 2 u dv stays bounded,
     # and the constant-endpoint part is a psi^2 multiple that the
     # homogeneous solve absorbs anyway
@@ -183,13 +189,9 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
     n = len(x)
 
     right = np.zeros(n)
-    for j in range(n - 2, -1, -1):
-        r = np.exp(2.0 * (lp[j + 1] - lp[j]))
-        right[j] = r * right[j + 1] + 0.5 * dx * (u[j] + r * u[j + 1])
+    _trapezoid_sweep(right, u, lp, dx, range(n - 1, -1, -1), -2.0, 1.0)
     left = np.zeros(n)
-    for j in range(1, n):
-        s = np.exp(2.0 * (lp[j - 1] - lp[j]))
-        left[j] = s * left[j - 1] - 0.5 * dx * (u[j] + s * u[j - 1])
+    _trapezoid_sweep(left, u, lp, dx, range(n), -2.0, -1.0)
     correction = dx**2 / 12.0 * (np.gradient(u, dx, edge_order=2) - 2.0 * u * dv)
     right += correction
     left += correction
@@ -253,8 +255,10 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
 class Trajectory:
     """Recorded evolution samples: times, weighted norms, secular residuals.
 
-    q_residual is NaN when no family was supplied.  final is the field at
-    t1 on the (possibly comoving) grid.
+    q_residual is the largest relative secular overlap of the recorded
+    field (NaN when no family was supplied); at a reprojection time it is
+    that of the field before the projection.  final is the field at t1 on
+    the (possibly comoving) grid.
     """
 
     t: np.ndarray
@@ -400,7 +404,11 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     def basis_at(tau):
         return secular_basis(family, tau, x + frame_speed * (tau - t0))
 
-    def record(tau, vhat):
+    def overlap(vals, eta):
+        scale = np.sqrt(simpson_pairing(vals, vals, dx)) or 1.0
+        return max(_overlap(vals, row, dx, scale) for row in eta)
+
+    def record(tau, vhat, projected=None):
         vals = np.fft.irfft(vhat, n=flow.n)
         if not np.all(np.isfinite(vals)):
             raise RuntimeError("evolution diverged (NaN)")
@@ -415,9 +423,7 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         if family is None:
             resid.append(np.nan)
         else:
-            scale = np.sqrt(simpson_pairing(vals, vals, dx)) or 1.0
-            _, eta = basis_at(tau)
-            resid.append(max(_overlap(vals, row, dx, scale) for row in eta))
+            resid.append(overlap(*(projected or (vals, basis_at(tau)[1]))))
         return vals
 
     record(t0, vhat)
@@ -428,13 +434,15 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
             vhat = flow.step(vhat, step - 1, term)
         if damp is not None:
             vhat = np.fft.rfft(damp * np.fft.irfft(vhat, n=flow.n))
+        projected = None  # (field before the projection, basis rows)
         if family is not None and reproject_every \
                 and step % reproject_every == 0:
             vals = np.fft.irfft(vhat, n=flow.n)
-            ranged = _secular_coeffs(vals, *basis_at(t0 + step * dt), dx)
-            vhat = np.fft.rfft(vals - ranged)
+            xi, eta = basis_at(t0 + step * dt)
+            projected = (vals, eta)
+            vhat = np.fft.rfft(vals - _secular_coeffs(vals, xi, eta, dx))
         if step % record_every == 0 or step == nsteps:
-            vals = record(t0 + step * dt, vhat)
+            vals = record(t0 + step * dt, vhat, projected)
     final = GridField(v0.x0, dx, vals)
     return Trajectory(np.array(times), np.array(norms), np.array(resid),
                       final)

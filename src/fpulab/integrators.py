@@ -93,12 +93,10 @@ class SampledBackground:
         )
 
 
-def _check_state(t, r, p, cfg, window_len):
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
+def _check_state(t, snap, cfg):
+    if not (np.all(np.isfinite(snap.r)) and np.all(np.isfinite(snap.p))):
         raise RuntimeError(f"state became non-finite at t={t:.6g}")
-    w = min(cfg.boundary_width, window_len)
-    lo = np.sqrt(np.sum(r[:w] ** 2) + np.sum(p[:w] ** 2))
-    hi = np.sqrt(np.sum(r[-w:] ** 2) + np.sum(p[-w:] ** 2))
+    lo, hi = snap.boundary_mass(cfg.boundary_width)
     if max(lo, hi) > cfg.boundary_tol:
         raise RuntimeError(
             f"boundary mass {max(lo, hi):.3e} exceeds {cfg.boundary_tol:.3e} "
@@ -122,9 +120,9 @@ def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
     obs_records = {name: [] for name in observers}
 
     def observe(t):
-        _check_state(t, r, p, cfg, len(r))
-        times.append(t)
         snap = LatticeField(offset, r.copy(), p.copy())
+        _check_state(t, snap, cfg)
+        times.append(t)
         if cfg.keep_snapshots:
             fields.append(snap)
         for name, fn in observers.items():

@@ -1,6 +1,6 @@
 """Core lattice objects: fields on a site window, interaction potentials,
-exponential weights, the symplectic shift operator J and its inverse, and
-pairings built from them.
+exponential weight specifications, the symplectic shift operator J and
+its inverse, and the pairings built from it.
 
 The state variable is u = (r, p) where r(n) is the relative displacement
 between neighbouring sites and p(n) the momentum.  The evolution is
@@ -14,7 +14,7 @@ consecutive sites and are extended by zero outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,7 +36,8 @@ class WeightKind(Enum):
     """Exponential weight families used by the diagnostics.
 
     RIGHT_GROWING is exp(a (n - center)), TWO_SIDED is exp(-a |n - center|),
-    SIGMOID is 1 + tanh(a (n - center)).
+    SIGMOID is 1 + tanh(a (n - center)); diagnostics.weighted_norm owns
+    how each one weights a field.
     """
 
     RIGHT_GROWING = "right_growing"
@@ -49,19 +50,6 @@ class WeightSpec:
     a: float
     center: float = 0.0
     kind: WeightKind = WeightKind.RIGHT_GROWING
-
-    def values(self, n):
-        """Evaluate the weight at (an array of) site positions."""
-        n = np.asarray(n, dtype=float)
-        s = n - self.center
-        if self.kind is WeightKind.RIGHT_GROWING:
-            return np.exp(self.a * s)
-        if self.kind is WeightKind.TWO_SIDED:
-            return np.exp(-self.a * np.abs(s))
-        return 1.0 + np.tanh(self.a * s)
-
-    def moved(self, center):
-        return replace(self, center=center)
 
 
 @dataclass
@@ -255,29 +243,25 @@ def apply_j(v, direction=JDirection.FORWARD):
     return LatticeField(v.offset, first, second)
 
 
-def weighted_pairing(u, v, kind=PairingKind.PLAIN, weight=None):
-    """Pairing <u, v> or <u, J^{-1} v>, optionally against a weight.
+def weighted_pairing(u, v, kind=PairingKind.PLAIN):
+    """Pairing <u, v> or <u, J^{-1} v>.
 
     The J^{-1} pairing is evaluated through the rearranged split form
 
-        <u, J^{-1} v>_w = <w u_1, sum_{k<=0} S^k v_2> + <v_1, sum_{k>=1} S^k (w u_2)>,
+        <u, J^{-1} v> = <u_1, sum_{k<=0} S^k v_2> + <v_1, sum_{k>=1} S^k u_2>,
 
-    which agrees term by term with pairing w*u against J^{-1} v but only
-    ever forms one-sided prefix sums of decaying products, so it stays
-    finite for weights that grow in one direction.
+    which agrees term by term with pairing u against apply_j(v, INVERSE)
+    but moves the second prefix sum onto u.  The library builds the
+    conditions with apply_j (modulation's condition matrix); this
+    independent form is the oracle the tests hold that convention to.
     """
     if u.offset != v.offset or len(u) != len(v):
         raise ValueError("fields must share the window")
-    if weight is not None:
-        wts = weight.values(u.sites)
-    else:
-        wts = np.ones(len(u))
     if kind is PairingKind.PLAIN:
-        return float(np.sum(wts * (u.r * v.r + u.p * v.p)))
+        return float(np.sum(u.r * v.r + u.p * v.p))
     left = np.cumsum(v.p)  # sum_{m <= n} v_p(m)
-    wup = wts * u.p
-    right = np.cumsum(wup[::-1])[::-1] - wup  # sum_{m > n} w(m) u_p(m)
-    return float(np.sum(wts * u.r * left + v.r * right))
+    right = np.cumsum(u.p[::-1])[::-1] - u.p  # sum_{m > n} u_p(m)
+    return float(np.sum(u.r * left + v.r * right))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,19 @@ with the 2N parameters fixed by the symplectic orthogonality conditions
 
     <v, J^{-1} dx u_{c_i}(. - x_i)> = <v, J^{-1} dc u_{c_i}(. - x_i)> = 0.
 
-Newton's method on these conditions uses the scaled pairing matrix of
-the wave directions (secular_gram) as its Jacobian; the exact Jacobian
-differs from it by terms of order |v|, which vanish on the manifold of
-exact trains.  Tracking a trajectory re-solves the conditions at every
-sample instead of integrating the parameter ODE, so accumulated drift
-cannot detach the parameters from the state they describe.
+On a window of L sites, fields flattened as (r, p), the conditions are
+the rows of one (2N, 2L) condition matrix C: row 2i is J^{-1} of wave
+i's x-direction over eps^4, row 2i + 1 J^{-1} of its c-direction over
+eps.  The direction matrix D has rows eps^3 (c-direction) and
+(x-direction) in the same order.  The scaled misfit of v is C v, the
+scaled pairing matrix of the wave directions (secular_gram) is C D^T,
+and a parameter step delta changes v by D^T delta to first order; the
+scalings keep every block of order one near the sonic limit.  Newton's
+method uses C D^T as its Jacobian; the exact Jacobian differs from it
+by terms of order |v|, which vanish on the manifold of exact trains.
+Tracking a trajectory re-solves the conditions at every sample instead
+of integrating the parameter ODE, so accumulated drift cannot detach
+the parameters from the state they describe.
 """
 
 from __future__ import annotations
@@ -25,15 +32,15 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import weighted_norm
+from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
 from .lattice import (
+    JDirection,
     LatticeField,
-    PairingKind,
     WeightKind,
     WeightSpec,
+    apply_j,
     hamiltonian,
-    weighted_pairing,
 )
 from .waves import (
     _profile_grid,
@@ -187,12 +194,38 @@ class ProfileTable:
         return WaveModes(c=c, position=float(position), span=span, sample=sample)
 
 
-def _pair(a, b):
-    return weighted_pairing(a, b, kind=PairingKind.J_INVERSE)
+def _flat(f):
+    return np.concatenate((f.r, f.p))
+
+
+def _conditions(sampled, eps):
+    """The condition matrix C and the direction matrix D of a train (see
+    the module docstring), from one (wave, x-direction, c-direction)
+    triple of fields per wave, all on one site window."""
+    if not sampled:
+        raise ValueError("need at least one wave")
+    if eps <= 0.0:
+        raise ValueError("scaling parameter must be positive")
+    cond = np.empty((2 * len(sampled), 2 * len(sampled[0][0])))
+    dirs = np.empty_like(cond)
+    for i, (_, dx_i, dc_i) in enumerate(sampled):
+        cond[2 * i] = _flat(apply_j(dx_i, JDirection.INVERSE)) / eps**4
+        cond[2 * i + 1] = _flat(apply_j(dc_i, JDirection.INVERSE)) / eps
+        dirs[2 * i] = eps**3 * _flat(dc_i)
+        dirs[2 * i + 1] = _flat(dx_i)
+    return cond, dirs
+
+
+def _checked_gram(cond, dirs):
+    gram = cond @ dirs.T
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
+        raise ValueError("wave-direction pairing matrix is singular to "
+                         "working precision")
+    return gram
 
 
 def secular_gram(sampled, eps):
-    """Scaled pairing matrix of the wave directions of a train.
+    """Scaled pairing matrix C D^T of the wave directions of a train.
 
     sampled holds one (wave, x-direction, c-direction) triple of fields
     per wave, all on one site window (WaveModes.sampled).  Rows alternate
@@ -200,38 +233,16 @@ def secular_gram(sampled, eps):
     c-type); columns alternate between the parameter directions of each
     wave (c-direction, then x-direction).  Entries are
     <direction_j, J^{-1} condition_i> with the scalings 1/eps (x,c and
-    c,x corners), 1/eps^4 (x,x) and eps^2 (c,c), which keep every block
-    of order one as the waves approach the sonic limit.
+    c,x corners), 1/eps^4 (x,x) and eps^2 (c,c).
 
     Raises ValueError when the matrix is singular to working precision.
     """
-    if not sampled:
-        raise ValueError("need at least one wave")
-    if eps <= 0.0:
-        raise ValueError("scaling parameter must be positive")
-    n = len(sampled)
-    gram = np.empty((2 * n, 2 * n))
-    for i in range(n):
-        _, dx_i, dc_i = sampled[i]
-        for j in range(n):
-            _, dx_j, dc_j = sampled[j]
-            gram[2 * i, 2 * j] = _pair(dc_j, dx_i) / eps
-            gram[2 * i, 2 * j + 1] = _pair(dx_j, dx_i) / eps**4
-            gram[2 * i + 1, 2 * j] = eps**2 * _pair(dc_j, dc_i)
-            gram[2 * i + 1, 2 * j + 1] = _pair(dx_j, dc_i) / eps
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
-        raise ValueError("wave-direction pairing matrix is singular to "
-                         "working precision")
-    return gram
+    return _checked_gram(*_conditions(sampled, eps))
 
 
 def _scaled_misfit(v, sampled, eps):
-    """Orthogonality residuals of v, scaled like the Gram rows."""
-    out = np.empty(2 * len(sampled))
-    for i, (_, dx_i, dc_i) in enumerate(sampled):
-        out[2 * i] = _pair(v, dx_i) / eps**4
-        out[2 * i + 1] = _pair(v, dc_i) / eps
-    return out
+    """Orthogonality residuals C v of v, scaled like the Gram rows."""
+    return _conditions(sampled, eps)[0] @ _flat(v)
 
 
 @dataclass
@@ -311,15 +322,12 @@ def decompose(u, model, guess, table=None, eps=None, tol=1e-10, max_iter=30):
 
     offset, length = u.offset, len(u)
     for it in range(max_iter + 1):
-        modes = [table.modes(ci, xi) for ci, xi in zip(c, x)]
-        sampled = [m.sampled(offset, length) for m in modes]
-        total_r = np.zeros(length)
-        total_p = np.zeros(length)
-        for wave, _, _ in sampled:
-            total_r += wave.r
-            total_p += wave.p
-        v = LatticeField(offset, u.r - total_r, u.p - total_p)
-        misfit = _scaled_misfit(v, sampled, eps)
+        sampled = [table.modes(ci, xi).sampled(offset, length)
+                   for ci, xi in zip(c, x)]
+        rest = _flat(u) - sum(_flat(wave) for wave, _, _ in sampled)
+        v = LatticeField(offset, rest[:length], rest[length:])
+        cond, dirs = _conditions(sampled, eps)
+        misfit = cond @ rest
         worst = float(np.max(np.abs(misfit)))
         if worst <= tol:
             state = ModulationState(c, x, v, misfit, it, eps)
@@ -336,8 +344,7 @@ def decompose(u, model, guess, table=None, eps=None, tol=1e-10, max_iter=30):
                 "orthogonality residual %.3e not below %.3e after %d "
                 "iterations" % (worst, tol, max_iter)
             )
-        gram = secular_gram(sampled, eps)
-        delta = np.linalg.solve(gram, -misfit)
+        delta = np.linalg.solve(_checked_gram(cond, dirs), -misfit)
         c = c - eps**3 * delta[0::2]
         x = x + delta[1::2]
         if np.any(c <= 1.0) or not np.all(np.isfinite(c)):
@@ -365,23 +372,19 @@ def mode_projection(w, modes, eps=None):
 
     Returns (projected, alpha, beta) where projected = w minus the
     combination sum_j alpha_j (c-direction)_j + beta_j (x-direction)_j
-    chosen so that every orthogonality pairing of the result vanishes.
+    chosen so that every orthogonality pairing of the result vanishes:
+    with delta = (C D^T)^{-1} C w, projected is w - D^T delta.
     """
     modes = list(modes)
     if eps is None:
         eps = _default_eps(np.array([m.c for m in modes]))
     offset, length = w.offset, len(w)
-    sampled = [m.sampled(offset, length) for m in modes]
-    gram = secular_gram(sampled, eps)
-    delta = np.linalg.solve(gram, _scaled_misfit(w, sampled, eps))
-    alpha = eps**3 * delta[0::2]
-    beta = delta[1::2]
-    out_r = w.r.copy()
-    out_p = w.p.copy()
-    for (_, dx_j, dc_j), a, b in zip(sampled, alpha, beta):
-        out_r -= a * dc_j.r + b * dx_j.r
-        out_p -= a * dc_j.p + b * dx_j.p
-    return LatticeField(offset, out_r, out_p), alpha, beta
+    cond, dirs = _conditions([m.sampled(offset, length) for m in modes], eps)
+    flat = _flat(w)
+    delta = np.linalg.solve(_checked_gram(cond, dirs), cond @ flat)
+    out = flat - dirs.T @ delta
+    return (LatticeField(offset, out[:length], out[length:]),
+            eps**3 * delta[0::2], delta[1::2])
 
 
 @dataclass
@@ -391,9 +394,9 @@ class ModulationTrack:
     `c_plus` are the per-wave means of c over the trailing fifth of the
     samples; `xdot` is the centered difference of the crest positions.
     The series dict carries per-sample scalars (residual norms and the
-    energy ledger) keyed by column name.  "v_w" is the sum over waves of
-    ||e^{-kappa_i |n - x_i| / 2} v||, the l2 norm of the residual v with
-    its squares (r^2 + p^2) weighted by e^{-kappa_i |n - x_i|}.
+    energy ledger) keyed by column name.  "v_w" is the wave-centred norm
+    of M3 and M4 (diagnostics._w_norm) of the residual v: the root sum of
+    squares over waves of ||e^{-kappa_i |n - x_i|} v||, kappa_i = kappa(c_i).
     """
 
     times: np.ndarray
@@ -470,20 +473,13 @@ def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
     start = max(0, times.size - max(2, times.size // 5))
     c_plus = speeds[start:].mean(axis=0)
 
-    kappas = [kappa_of_speed(float(c)) for c in states[0].c]
     v_l2 = np.empty(times.size)
     v_w = np.empty(times.size)
     h_total = np.empty(times.size)
     h_waves = np.empty(times.size)
     for i, (frame, state) in enumerate(zip(trajectory.fields, states)):
         v_l2[i] = state.residual.norm()
-        v_w[i] = sum(
-            weighted_norm(
-                state.residual,
-                WeightSpec(k / 2.0, center=xi, kind=WeightKind.TWO_SIDED),
-            )
-            for k, xi in zip(kappas, state.x)
-        )
+        v_w[i] = _w_norm(state.residual, state)
         h_total[i] = hamiltonian(frame, model)
         h_waves[i] = sum(hamiltonian(table.wave(ci), model) for ci in state.c)
     series = {"v_l2": v_l2, "v_w": v_w, "h_total": h_total,
@@ -502,7 +498,8 @@ class PerturbationSplit:
     ||e^{kappa_1 (n - x_1) / 2} v|| under the rightward-growing weight
     anchored at the slowest crest x_1 (squares weighted by
     e^{kappa_1 (n - x_1)}), where boundedness of the localized part is
-    the meaningful comparison.
+    the meaningful comparison.  This one-sided kappa_1 / 2 norm is a
+    different quantity from the two-sided kappa_i norm of "v_w" and M3/M4.
     """
 
     times: np.ndarray

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from fpulab import backlund
 from fpulab.artifacts import read_series, write_series
 from fpulab.kdv import (
     GridField,
@@ -369,6 +370,32 @@ class TestEvolution:
         builds.clear()
         ladder_level_evolve(g, phase_ladder(TRAIN), 2, 0.0, 0.05, 1e-3)
         assert builds == [2]
+
+    def test_secular_basis_once_per_distinct_time(self, monkeypatch):
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        _, q0 = secular_projection(field(x, np.exp(-x**2 / 8.0)), TRAIN,
+                                   0.0, 0.4)
+        times = []
+        basis = backlund.secular_basis
+
+        def counting(family, t, x):
+            times.append(t)
+            return basis(family, t, x)
+
+        monkeypatch.setattr(backlund, "secular_basis", counting)
+        dt, n = 2e-3, 40
+        traj = linearized_kdv_evolve(q0, TRAIN, 0.0, n * dt, 0.4, dt,
+                                     frame_speed=1.0, reproject_every=5,
+                                     record_every=10)
+        # records at steps 0, 10, ..., 40, reprojections at 5, 10, ..., 40
+        steps = sorted(set(range(0, n + 1, 10)) | set(range(5, n + 1, 5)))
+        assert times == [s * dt for s in steps]
+        # q0 is projected, so t0 reads roundoff; every later record
+        # coincides with a reprojection and reports the drift that
+        # projection removed, not the roundoff it leaves
+        assert traj.t.tolist() == [s * dt for s in range(0, n + 1, 10)]
+        assert traj.q_residual[0] < 1e-12
+        assert np.all(traj.q_residual[1:] > 1e-12)
 
     def test_flows_evaluate_the_potential_once_per_stage_time(self, monkeypatch):
         times = []

@@ -401,6 +401,16 @@ def test_boundary_alarm(toda, soliton):
         evolve_nonlinear(u0, toda, cfg)
 
 
+def test_boundary_alarm_reads_boundary_mass(toda, soliton):
+    u0 = soliton.lattice_field(offset=-8, length=16, position=0.0)
+    mass = max(u0.boundary_mass(3))
+    cfg = EvolveConfig(dt=0.1, t_end=0.0, boundary_width=3, boundary_tol=mass)
+    evolve_nonlinear(u0, toda, cfg)  # at the tolerance: no alarm
+    cfg.boundary_tol = mass * (1.0 - 1e-12)
+    with pytest.raises(RuntimeError, match="boundary mass %.3e" % mass):
+        evolve_nonlinear(u0, toda, cfg)
+
+
 def test_nonfinite_abort():
     model = PotentialModel.by_name("alpha_fpu")
     u0 = zeros_field(-20, 40)

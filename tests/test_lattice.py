@@ -128,17 +128,19 @@ def test_field_window_and_boundary_mass():
 
 
 def test_weight_values():
-    w = WeightSpec(0.5, center=2.0)
-    n = np.array([0.0, 2.0, 4.0])
-    assert np.allclose(w.values(n), np.exp(0.5 * (n - 2.0)))
-    assert np.allclose(
-        WeightSpec(0.5, 2.0, WeightKind.TWO_SIDED).values(n),
-        np.exp(-0.5 * np.abs(n - 2.0)),
-    )
-    sig = WeightSpec(0.5, 2.0, WeightKind.SIGMOID).values(n)
-    assert np.allclose(sig, 1.0 + np.tanh(0.5 * (n - 2.0)))
-    assert w.moved(-1.0).center == -1.0
-    assert w.moved(-1.0) is not w
+    # the one weight law is weighted_norm's: a unit field on the single
+    # site n has norm e^{a s}, e^{-a |s|} and sqrt(1 + tanh(a s)), s = n - 2
+    closed = {
+        WeightKind.RIGHT_GROWING: lambda s: np.exp(0.5 * s),
+        WeightKind.TWO_SIDED: lambda s: np.exp(-0.5 * abs(s)),
+        WeightKind.SIGMOID: lambda s: np.sqrt(1.0 + np.tanh(0.5 * s)),
+    }
+    for kind, want in closed.items():
+        for n in (0, 2, 4):
+            for r, p in ((1.0, 0.0), (0.0, 1.0)):
+                u = LatticeField(n, np.array([r]), np.array([p]))
+                got = weighted_norm(u, WeightSpec(0.5, 2.0, kind))
+                assert got == pytest.approx(want(n - 2.0), rel=1e-14)
 
 
 def test_j_forward_matches_shifts():
@@ -190,14 +192,6 @@ def test_j_inverse_pairing_matches_direct():
     split = weighted_pairing(u, v, PairingKind.J_INVERSE)
     direct = weighted_pairing(u, apply_j(v, JDirection.INVERSE))
     assert split == pytest.approx(direct, rel=1e-12)
-
-    # weighted: split form equals pairing w*u against J^{-1} v
-    w = WeightSpec(0.05, center=-7 + 32)
-    ww = w.values(u.sites)
-    uw = LatticeField(u.offset, ww * u.r, ww * u.p)
-    split_w = weighted_pairing(u, v, PairingKind.J_INVERSE, weight=w)
-    direct_w = weighted_pairing(uw, apply_j(v, JDirection.INVERSE))
-    assert split_w == pytest.approx(direct_w, rel=1e-10)
 
 
 def test_weighted_norm():

@@ -23,6 +23,7 @@ from fpulab import modulation
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
 from fpulab.lattice import (
+    JDirection,
     LatticeField,
     PairingKind,
     PotentialModel,
@@ -217,7 +218,48 @@ class TestProfileTable:
         assert m.kappa == pytest.approx(kappa_of_speed(C_PAIR[0]))
 
 
+def localized_field():
+    sites = OFFSET + np.arange(LENGTH)
+    return LatticeField(
+        OFFSET,
+        1e-3 * np.exp(-((sites - 2.0) ** 2) / 40.0) * np.cos(0.3 * sites),
+        1e-3 * np.exp(-((sites + 6.0) ** 2) / 30.0),
+    )
+
+
 class TestSecularGram:
+    @pytest.mark.parametrize("name", ["toda", "alpha_fpu"])
+    def test_entries_are_split_form_pairings(self, name):
+        """C D^T and C v against lattice.weighted_pairing, the split form
+        of <u, J^{-1} v> that never calls apply_j, with the scalings of
+        the secular_gram docstring: every entry to 1e-12 of the largest
+        (the x,x self-pairings cancel to ~1e-19 of it, so not entrywise
+        relative)."""
+        model = PotentialModel.by_name(name)
+        table = TABLE if name == "toda" else ProfileTable(model)
+        c = C_PAIR if name == "toda" else np.array([1.0067, 1.0267])
+        eps = _default_eps(c)
+        sampled = [table.modes(ci, xi).sampled(OFFSET, LENGTH)
+                   for ci, xi in zip(c, X_PAIR)]
+        v = localized_field()
+
+        def pair(a, b):
+            return weighted_pairing(a, b, PairingKind.J_INVERSE)
+
+        gram = np.empty((4, 4))
+        misfit = np.empty(4)
+        for i, (_, dx_i, dc_i) in enumerate(sampled):
+            misfit[2 * i] = pair(v, dx_i) / eps**4
+            misfit[2 * i + 1] = pair(v, dc_i) / eps
+            for j, (_, dx_j, dc_j) in enumerate(sampled):
+                gram[2 * i, 2 * j] = pair(dc_j, dx_i) / eps
+                gram[2 * i, 2 * j + 1] = pair(dx_j, dx_i) / eps**4
+                gram[2 * i + 1, 2 * j] = eps**2 * pair(dc_j, dc_i)
+                gram[2 * i + 1, 2 * j + 1] = pair(dx_j, dc_i) / eps
+        for got, want in ((secular_gram(sampled, eps), gram),
+                          (_scaled_misfit(v, sampled, eps), misfit)):
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_matches_finite_difference_jacobian(self):
         """Columns are the residual response to the update-rule steps."""
         u = pair_train()
@@ -356,6 +398,24 @@ class TestDecompose:
         assert np.max(np.abs(state.x - fit.x[2:])) < 0.05  # measured 1.3e-2
         assert np.max(np.abs(state.c - fit.x[:2])) < 1e-5  # measured 4.1e-6
 
+    def test_newton_iteration_applies_j_inverse_once_per_direction(
+            self, monkeypatch):
+        calls = []
+        apply_j = modulation.apply_j
+
+        def counting(v, direction=JDirection.FORWARD):
+            calls.append(direction)
+            return apply_j(v, direction)
+
+        monkeypatch.setattr(modulation, "apply_j", counting)
+        guess = (C_PAIR * (1.0 + 1e-3), X_PAIR + np.array([0.3, -0.2]))
+        state = decompose(pair_train(), MODEL, guess, table=TABLE)
+        assert state.iterations >= 2
+        # one condition matrix per iteration, the converged one included:
+        # J^{-1} of the x- and c-direction of each of the two waves
+        assert calls == [JDirection.INVERSE] * (4 * (state.iterations + 1))
+        assert not hasattr(modulation, "weighted_pairing")
+
     def test_rejects_colliding_guess(self):
         u = pair_train()
         with pytest.raises(RuntimeError, match="collision"):
@@ -432,12 +492,7 @@ class TestModulationState:
 
 class TestModeProjection:
     def test_remainder_clears_orthogonality(self):
-        sites = OFFSET + np.arange(LENGTH)
-        w = LatticeField(
-            OFFSET,
-            1e-3 * np.exp(-((sites - 2.0) ** 2) / 40.0) * np.cos(0.3 * sites),
-            1e-3 * np.exp(-((sites + 6.0) ** 2) / 30.0),
-        )
+        w = localized_field()
         modes = pair_modes()
         proj, alpha, beta = mode_projection(w, modes)
         sampled = [m.sampled(OFFSET, LENGTH) for m in modes]
@@ -459,12 +514,7 @@ class TestModeProjection:
         """Orthogonality is one-sided: the remainder pairs to zero as the
         left argument, while the flipped order keeps the far-field term
         of the speed direction."""
-        sites = OFFSET + np.arange(LENGTH)
-        w = LatticeField(
-            OFFSET,
-            1e-3 * np.exp(-((sites - 2.0) ** 2) / 40.0) * np.cos(0.3 * sites),
-            1e-3 * np.exp(-((sites + 6.0) ** 2) / 30.0),
-        )
+        w = localized_field()
         modes = pair_modes()
         proj, _, _ = mode_projection(w, modes)
         ddc = modes[0].sampled(OFFSET, LENGTH)[2]
