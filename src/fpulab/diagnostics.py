@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from .kdv import SolitonFamily, TauLadder
 from .lattice import LatticeField, WeightKind, WeightSpec
-from .waves import kappa_of_speed
+from .waves import _sech2, kappa_of_speed, rho_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +204,7 @@ def virial_series(trajectory, a, xtilde, model, eps=None, k1=1.0):
     for i, snap in enumerate(trajectory.fields):
         s = snap.sites - centers[i]
         psi = 1.0 + np.tanh(a * s)
-        # sech^2 written so large |a*s| underflows to zero instead of
-        # overflowing the intermediate cosh.
-        q = np.exp(-2.0 * np.abs(a * s))
-        sech2 = 4.0 * q / (1.0 + q) ** 2
+        sech2 = _sech2(a * s)
         h1 = 0.5 * snap.p**2 + model(snap.r, 0)
         vsq = snap.r**2 + snap.p**2
         psi_e[i] = np.sum(psi * h1)
@@ -462,12 +459,6 @@ def dispersion_check(eps, a, K=2.0, delta=1.0, k1=1.0, points=10001):
 # resolvent symbol bound and Fourier tail comparison
 
 
-def _symbol_sup(eps, a, c, xi):
-    z = xi + 1j * a * eps
-    denom = c**2 * z**2 - 4.0 * np.sin(z / 2.0) ** 2
-    return float(np.max(np.abs(z**2 / denom)))
-
-
 def _train_profile(family, eps):
     """KdV train slope profile at t=0, scaled onto the lattice:
     g(x) = (eps^2 / 6) phi_N(eps x)."""
@@ -530,10 +521,10 @@ def symbol_and_tail_check(eps_values, a, c=None, family=(1.0,),
     """Two shifted-contour audits across a list of eps.
 
     (i) eps^2 * sup |m(xi + i a eps)| for the wave-speed resolvent
-    symbol m(z) = z^2 / (c^2 z^2 - 4 sin^2(z/2)), c defaulting to the
-    sonic normalization 1 + eps^2/6 per eps.  (ii) the sup over
-    [-pi, pi] of |series transform - integral transform| of the scaled
-    train profile, with a log-linear fit of its decay against 1/eps.
+    symbol m(z) = z^2 / (c^2 z^2 - 4 sin^2(z/2)) (waves.rho_symbol), c
+    defaulting to the sonic normalization 1 + eps^2/6 per eps.  (ii) the
+    sup over [-pi, pi] of |series transform - integral transform| of the
+    scaled train profile, with a log-linear fit of its decay against 1/eps.
 
     The tail difference drops below double precision near eps ~ 0.15
     for unit wave numbers, so the fit uses tail_eps_values when given
@@ -551,7 +542,8 @@ def symbol_and_tail_check(eps_values, a, c=None, family=(1.0,),
     tail = {}
     for eps in eps_values:
         ceff = (1.0 + eps**2 / 6.0) if c is None else c
-        sym[eps] = eps**2 * _symbol_sup(eps, a, ceff, xi)
+        z = xi + 1j * a * eps
+        sym[eps] = eps**2 * float(np.max(np.abs(rho_symbol(ceff, z))))
     xi_tail = np.linspace(-np.pi, np.pi, 257)
     for eps in tail_eps:
         disc, cont = transform_tail(family, eps, xi_tail)

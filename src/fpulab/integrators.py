@@ -2,12 +2,11 @@
 
 The nonlinear flow du/dt = J H'(u) is integrated by Stormer-Verlet on the
 second-order form (kick-drift-kick on p and r), which is symplectic and
-time-reversible; RK4 is available for comparisons.  Verlet makes one force
-evaluation per step: the force at the end of a step is the force of the
-next step's first half kick, so it is carried over, not evaluated again.
-Linear nonautonomous equations dw/dt = J H''(U(t)) w + F1(t) + J F2(t)
-use RK4 with the background supplied either as a closed form or as a
-sampled trajectory.
+time-reversible.  Verlet makes one force evaluation per step: the force
+at the end of a step is the force of the next step's first half kick, so
+it is carried over, not evaluated again.  Linear nonautonomous equations
+dw/dt = J H''(U(t)) w + F1(t) + J F2(t) use RK4 with the background
+supplied either as a closed form or as a sampled trajectory.
 
 Windows use zero extension; a boundary alarm aborts a run when mass
 reaches the window edges.
@@ -16,8 +15,7 @@ reaches the window edges.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +30,10 @@ from .lattice import (
 _SNAPSHOT_MAGIC = b"FPT1"
 
 
-class Scheme(Enum):
-    SYMPLECTIC2 = "symplectic2"
-    RK4 = "rk4"
-
-
 @dataclass
 class EvolveConfig:
     dt: float
     t_end: float
-    scheme: Scheme = Scheme.SYMPLECTIC2
     stride: int = 1
     boundary_tol: float = 1e-8
     boundary_width: int = 10
@@ -104,18 +96,15 @@ def _check_state(t, snap, cfg):
         )
 
 
-def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
+def _run(step, u0, cfg, observers):
     """Shared stepping/observation loop.
 
-    verlet_force set: kick-drift-kick using that force, the end-of-step
-    force carried into the next step's first kick; otherwise
-    deriv_or_step(t, r, p) -> (dr, dp) is integrated with RK4.
+    step(t, r, p) advances the arrays r, p in place from t to t + dt.
     """
     observers = observers or {}
     r = u0.r.copy()
     p = u0.p.copy()
     offset = u0.offset
-    dt = cfg.dt
     times, fields = [], []
     obs_records = {name: [] for name in observers}
 
@@ -130,24 +119,10 @@ def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
 
     observe(0.0)
     n_steps = cfg.n_steps
-    if verlet_force is not None:
-        force = verlet_force(r)
     for k in range(n_steps):
-        if verlet_force is not None:
-            p += 0.5 * dt * force
-            r += dt * _shift_forward_diff(p)
-            force = verlet_force(r)
-            p += 0.5 * dt * force
-        else:
-            t = k * dt
-            k1r, k1p = deriv_or_step(t, r, p)
-            k2r, k2p = deriv_or_step(t + dt / 2, r + dt / 2 * k1r, p + dt / 2 * k1p)
-            k3r, k3p = deriv_or_step(t + dt / 2, r + dt / 2 * k2r, p + dt / 2 * k2p)
-            k4r, k4p = deriv_or_step(t + dt, r + dt * k3r, p + dt * k3p)
-            r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-            p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        step(k * cfg.dt, r, p)
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
-            observe((k + 1) * dt)
+            observe((k + 1) * cfg.dt)
 
     observations = {name: np.asarray(vals) for name, vals in obs_records.items()}
     return Trajectory(
@@ -159,35 +134,39 @@ def _run(deriv_or_step, u0, cfg, observers, verlet_force=None):
 
 
 def evolve_nonlinear(u0, model, cfg, observers=None):
-    """Integrate du/dt = J H'(u) from u0.
+    """Integrate du/dt = J H'(u) from u0 by Stormer-Verlet.
 
-    SYMPLECTIC2 evaluates V' n_steps + 1 times: once at u0, then once per
-    step at the drifted r, whose force ends that step and starts the next.
+    V' is evaluated n_steps + 1 times: once at u0, then once per step at
+    the drifted r, whose force ends that step and starts the next.
 
     observers: dict name -> fn(t, field) evaluated every `stride` steps
     (and at the initial and final times).  Observers must not mutate the
     field they are handed.
     """
     dv = model._dv
-    if cfg.scheme is Scheme.SYMPLECTIC2:
-        force = lambda r: _shift_backward_diff(dv(r))
-        return _run(None, u0, cfg, observers, verlet_force=force)
+    dt = cfg.dt
+    force = _shift_backward_diff(dv(u0.r))
 
-    def deriv(t, r, p):
-        return _shift_forward_diff(p), _shift_backward_diff(dv(r))
+    def step(t, r, p):
+        nonlocal force
+        p += 0.5 * dt * force
+        r += dt * _shift_forward_diff(p)
+        force = _shift_backward_diff(dv(r))
+        p += 0.5 * dt * force
 
-    return _run(deriv, u0, cfg, observers)
+    return _run(step, u0, cfg, observers)
 
 
 def evolve_linearized(
     w0, background, model, cfg, forcing_f1=None, forcing_f2=None, observers=None
 ):
-    """Integrate dw/dt = J H''(U(t)) w + F1(t) + J F2(t) with RK4.
+    """Integrate dw/dt = J H''(U(t)) w + F1(t) + J F2(t) by RK4.
 
     background: callable t -> LatticeField (or None for the zero state);
     forcing_f1, forcing_f2: callables t -> LatticeField or None.
     """
     zeros = np.zeros_like(w0.r)
+    dt = cfg.dt
 
     def deriv(t, r, p):
         if background is None:
@@ -206,7 +185,15 @@ def evolve_linearized(
             dp = dp + _shift_backward_diff(f2.r)
         return dr, dp
 
-    return _run(deriv, w0, cfg, observers)
+    def step(t, r, p):
+        k1r, k1p = deriv(t, r, p)
+        k2r, k2p = deriv(t + dt / 2, r + dt / 2 * k1r, p + dt / 2 * k1p)
+        k3r, k3p = deriv(t + dt / 2, r + dt / 2 * k2r, p + dt / 2 * k2p)
+        k4r, k4p = deriv(t + dt, r + dt * k3r, p + dt * k3p)
+        r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
+        p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+
+    return _run(step, w0, cfg, observers)
 
 
 def energy_observer(model):

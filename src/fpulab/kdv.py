@@ -24,7 +24,7 @@ the exponentially weighted grid norm (exp_weighted_norm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -352,20 +352,15 @@ class LadderPhases:
         return self.anchor(m) + 4.0 * km**2 * t
 
 
-def phase_ladder(family: SolitonFamily, top_phases=None) -> LadderPhases:
+def phase_ladder(family: SolitonFamily) -> LadderPhases:
     """Descend the phase recursion from the full family to level 0.
 
     Removing the largest remaining soliton (index m) shifts every
-    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i); the shifts
-    are additive in the top phases, so doubling those translates every
-    level by the same amounts.
+    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i).
     """
     k = family.k
-    top = family.gamma if top_phases is None else np.asarray(top_phases, float)
-    if top.shape != family.gamma.shape:
-        raise ValueError("top phases must match the family size")
     levels = [None] * (family.n + 1)
-    levels[family.n] = top.astype(float).copy()
+    levels[family.n] = family.gamma.copy()
     for m in range(family.n, 0, -1):
         prev = levels[m][: m - 1].copy()
         for i in range(m - 1):

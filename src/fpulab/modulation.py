@@ -387,6 +387,12 @@ def mode_projection(w, modes, eps=None):
             eps**3 * delta[0::2], delta[1::2])
 
 
+def _final_window(samples):
+    """Index of the first sample in the trailing-fifth fit window of a
+    series of `samples` samples (at least the last two)."""
+    return max(0, samples - max(2, samples // 5))
+
+
 @dataclass
 class ModulationTrack:
     """Decomposed frames of a trajectory plus fitted asymptotics.
@@ -426,11 +432,7 @@ class ModulationTrack:
 
     def final_window(self):
         """Index of the first sample in the trailing-fifth fit window."""
-        return max(0, self.times.size - max(2, self.times.size // 5))
-
-
-def _tail_mean(values, start):
-    return values[start:].mean(axis=0)
+        return _final_window(self.times.size)
 
 
 def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
@@ -470,8 +472,7 @@ def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
         xdot = np.gradient(positions, times, axis=0)
     else:
         xdot = np.tile(speeds[0], (1, 1))
-    start = max(0, times.size - max(2, times.size // 5))
-    c_plus = speeds[start:].mean(axis=0)
+    c_plus = speeds[_final_window(times.size):].mean(axis=0)
 
     v_l2 = np.empty(times.size)
     v_w = np.empty(times.size)
@@ -585,7 +586,7 @@ def track_summary(trk):
         "samples": int(trk.times.size),
         "waves": int(trk.n_waves),
         "c_plus": [float(v) for v in trk.c_plus],
-        "xdot_final": [float(v) for v in _tail_mean(trk.xdot, start)],
+        "xdot_final": [float(v) for v in trk.xdot[start:].mean(axis=0)],
         "xdot_final_variation": [
             float(np.ptp(trk.xdot[start:, i])) for i in range(trk.n_waves)
         ],

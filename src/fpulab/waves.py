@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .kdv import _spectral_dx
-from .lattice import LatticeField, PotentialModel, hamiltonian
+from .lattice import LatticeField, hamiltonian
 
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
 
@@ -275,30 +275,26 @@ def toda_soliton(kappa, steps_per_site=16, span=None):
     )
 
 
-def _petviashvili(dv, c, x, h, seed, tol, max_iter, form):
-    """Fixed-point iteration for the scalar profile equation.
+def _petviashvili(model, c, h, seed, tol, max_iter):
+    """Petviashvili iteration for the scalar profile equation, in the split
+    form: the linear part of V' sits on the left-hand side, so each step is
+    r <- M^2 K[V'(r) - r] with K = 4 sin^2(xi/2) / (c^2 xi^2 - 4 sin^2(xi/2)),
+    which contracts near the sonic limit.  The stabilizing factor M is the
+    standard quadratic-nonlinearity choice.
 
-    form="direct" iterates r <- M^2 * K[V'(r)] with K the ratio of the
-    difference symbol to c^2 xi^2; form="split" moves the linear part of V'
-    to the left-hand side, which contracts much faster near the sonic limit.
-    The stabilizing factor M is the standard quadratic-nonlinearity choice.
+    Returns the iterate and its residual history, one entry per iteration.
+    Raises RuntimeError when the residual stalls (it has not halved over the
+    last 25 iterations, checked from iteration 30 on) or when max_iter
+    iterations end above tol.
     """
-    n = x.size
+    dv = model._dv
+    where = f"(model {model.name}, c={c:g})"
+    n = seed.size
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
     sin2 = 4.0 * np.sin(xi / 2.0) ** 2
-    if form == "direct":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = sin2 / (c**2 * xi**2)
-        mult[0] = 1.0 / c**2
-        nonlinearity = dv
-    else:
-        denom = c**2 * xi**2 - sin2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = sin2 / denom
-        mult[0] = 1.0 / (c**2 - 1.0)
-
-        def nonlinearity(r):
-            return dv(r) - r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = sin2 / (c**2 * xi**2 - sin2)
+    mult[0] = 1.0 / (c**2 - 1.0)
 
     # bins beyond the analytic decay of the profile carry only roundoff;
     # zeroing them keeps the c^2 xi^2 amplification out of the residual
@@ -307,11 +303,12 @@ def _petviashvili(dv, c, x, h, seed, tol, max_iter, form):
     history = []
     r = seed.copy()
     for it in range(1, max_iter + 1):
-        w = nonlinearity(r)
-        kw = np.fft.irfft(mult * np.fft.rfft(w), n=n)
+        kw = np.fft.irfft(mult * np.fft.rfft(dv(r) - r), n=n)
         denom_m = float(np.sum(r * kw))
         if denom_m == 0.0:
-            break
+            raise RuntimeError(
+                f"Petviashvili iterate vanished at iteration {it} {where}"
+            )
         m_fac = float(np.sum(r * r)) / denom_m
         r = m_fac**2 * kw
         r = _even_part(r)
@@ -319,10 +316,17 @@ def _petviashvili(dv, c, x, h, seed, tol, max_iter, form):
         res = _scalar_residual(r, dv(r), h, c)
         history.append(res)
         if res < tol:
-            return r, history, True
+            return r, history
         if it >= 30 and res > 0.5 * history[it - 26]:
-            break  # stalled
-    return r, history, False
+            raise RuntimeError(
+                f"Petviashvili iteration stalled at iteration {it}: residual "
+                f"{res:.3e}, {history[it - 26]:.3e} 25 iterations earlier "
+                f"{where}"
+            )
+    raise RuntimeError(
+        f"Petviashvili iteration did not reach residual {tol:g} in "
+        f"{max_iter} iterations {where}"
+    )
 
 
 def _recenter(r, x, h):
@@ -348,7 +352,8 @@ def solve_profile(
     max_iter=500,
     seed=None,
 ):
-    """Solve the traveling-wave profile equation by Petviashvili iteration.
+    """Solve the traveling-wave profile equation by the split-form
+    Petviashvili iteration (_petviashvili).
 
     Parameters
     ----------
@@ -363,7 +368,8 @@ def solve_profile(
     Raises
     ------
     RuntimeError
-        if neither iteration form reaches the residual tolerance
+        if the iteration stalls or does not reach the residual tolerance
+        in max_iter iterations; the message says which
     ValueError
         if the converged profile leaves the convexity region V'' > 0
     """
@@ -374,18 +380,8 @@ def solve_profile(
     eps = np.sqrt(6.0 * (c - 1.0))
     if seed is None:
         seed = eps**2 / np.cosh(eps * x) ** 2
-    dv = model._dv
 
-    r, history, ok = _petviashvili(dv, c, x, h, seed, tol, max_iter, "direct")
-    method = "direct"
-    if not ok:
-        r, history, ok = _petviashvili(dv, c, x, h, seed, tol, max_iter, "split")
-        method = "split"
-    if not ok:
-        raise RuntimeError(
-            f"Petviashvili iteration did not reach residual {tol:g} in "
-            f"{max_iter} iterations (model {model.name}, c={c:g})"
-        )
+    r, history = _petviashvili(model, c, h, seed, tol, max_iter)
     r = _recenter(r, x, h)
     r = _even_part(r)
 
@@ -403,7 +399,7 @@ def solve_profile(
         steps=steps,
         residual=history[-1],
         iterations=len(history),
-        method=method,
+        method="split",
         residual_history=history,
     )
 
@@ -429,13 +425,13 @@ def traveling_wave_residual(c, r, p, dr, dp, steps, model):
     return res
 
 
-def profile_derivative(profile, which, model, h_c=None):
+def profile_derivative(profile, which, model):
     """x- or c-derivative of the wave profile, as a new profile object.
 
     DDX differentiates spectrally (or uses the closed form) and verifies
     the traveling-wave identity with traveling_wave_residual.
     DDC re-solves at c +- h_c and takes a central difference; the family is
-    smooth in c near the sonic limit so the default step 1e-4 (c-1) keeps
+    smooth in c near the sonic limit so the step h_c = 1e-4 (c-1) keeps
     truncation and cancellation balanced.
     """
     which = DerivativeKind(which)
@@ -446,8 +442,7 @@ def profile_derivative(profile, which, model, h_c=None):
         )
         out_r, out_p, label, resid = dr, dp, "ddx", res
     else:
-        if h_c is None:
-            h_c = 1e-4 * (profile.c - 1.0)
+        h_c = 1e-4 * (profile.c - 1.0)
         lo, hi = profile.c - h_c, profile.c + h_c
         kwargs = dict(steps_per_site=profile.steps, span=profile.span)
         if profile.exact is not None:

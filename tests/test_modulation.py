@@ -11,7 +11,6 @@ bound for the wave tails.
 
 import functools
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +29,6 @@ from fpulab.lattice import (
     weighted_pairing,
 )
 from fpulab.modulation import (
-    COLLISION_GAP,
-    MIN_SCALED_SEPARATION,
     ModulationState,
     ModulationTrack,
     ProfileTable,
@@ -114,10 +111,10 @@ def perturbed_track():
 
 
 @functools.lru_cache(maxsize=None)
-def single_wave_track():
+def single_wave_track(t_end=30.0):
     c0 = speed_of_kappa(0.35)
     u0 = TABLE.wave(c0, -70, 191, position=0.0)
-    cfg = EvolveConfig(dt=0.05, t_end=30.0, stride=20)
+    cfg = EvolveConfig(dt=0.05, t_end=t_end, stride=20)
     traj = evolve_nonlinear(u0, MODEL, cfg)
     return c0, track(traj, MODEL, (np.array([c0]), np.array([0.0])), table=TABLE)
 
@@ -534,6 +531,13 @@ class TestTrack:
         assert np.max(trk.series["v_l2"]) < 3e-4  # scheme-induced, dt^2
         gap = np.abs(trk.series["h_total"] - trk.series["h_waves"])
         assert np.max(gap) < 1e-7  # measured 6.9e-9
+
+    @pytest.mark.parametrize("samples", [7, 23])
+    def test_c_plus_is_the_mean_over_the_final_window(self, samples):
+        _, trk = single_wave_track(t_end=samples - 1.0)  # one sample per 1.0
+        assert trk.times.size == samples
+        np.testing.assert_array_equal(
+            trk.c_plus, trk.speeds[trk.final_window():].mean(axis=0))
 
     def test_perturbed_pair_stays_orbitally_stable(self):
         _, v0, _ = perturbed_setup()

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from fpulab import waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
@@ -19,6 +21,7 @@ from fpulab.lattice import (
 from fpulab.waves import (
     DerivativeKind,
     WaveProfile,
+    _scalar_residual,
     energy_curve,
     j_inverse_dx_profile,
     kappa_of_speed,
@@ -165,6 +168,26 @@ def test_solve_profile_errors():
     )
     with pytest.raises(ValueError, match="convexity"):
         solve_profile(lying, 1.01)
+
+
+def test_solve_profile_stall_names_its_iteration():
+    # at c = 2 the residual levels off near 1e-11, above the default tol
+    with pytest.raises(RuntimeError, match="stall") as err:
+        solve_profile(ALPHA, 2.0, max_iter=500)
+    stalled_at = int(re.search(r"iteration (\d+)", str(err.value)).group(1))
+    assert 30 <= stalled_at < 500
+
+
+def test_solve_profile_counts_every_iteration(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _scalar_residual(*args)
+
+    monkeypatch.setattr(waves, "_scalar_residual", counted)
+    sol = solve_profile(ALPHA, 1.02)
+    assert sol.iterations == len(calls) == 37
 
 
 def test_profile_sampling_and_tails():
