@@ -11,9 +11,8 @@ through artifacts.write_series, plots through artifacts.svg_series_plot).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .kdv import SolitonFamily, TauLadder
+from .kdv import SolitonFamily, TauLadder, log_sum_exp
 from .lattice import LatticeField, WeightKind, WeightSpec
 from .waves import _sech2, kappa_of_speed, rho_symbol
 
@@ -52,7 +51,7 @@ def weighted_norm(u, weight):
             2.0 * np.log(np.abs(u.r)) + logw,
             2.0 * np.log(np.abs(u.p)) + logw,
         ])
-    return float(np.exp(0.5 * logsumexp(terms)))
+    return float(np.exp(0.5 * log_sum_exp(terms)))
 
 
 # ---------------------------------------------------------------------------

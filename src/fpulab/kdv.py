@@ -3,10 +3,12 @@ and the resolution into 1-soliton trains.
 
 Tau functions are evaluated through the principal-minor (Cauchy) expansion
 in the log domain, which stays finite for arbitrarily large phases where
-the dense determinant overflows.  Spatial derivatives of log tau and the
-derivatives of the profile in every gamma_i and k_i come out of the same
-expansion as softmax-weighted moments, so neither carries differencing
-error.
+the dense determinant overflows.  The subset table of that expansion is
+built as array expressions, and log Delta goes through the package's one
+log-sum-exp (log_sum_exp, shifted by the largest term).  Spatial
+derivatives of log tau and the derivatives of the profile in every
+gamma_i and k_i come out of the same expansion as softmax-weighted
+moments, so neither carries differencing error.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.special import logsumexp
 
 from .artifacts import read_series, write_series
 
@@ -108,6 +109,17 @@ def exp_weighted_norm(values, x, dx, b):
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
+def log_sum_exp(terms):
+    """log sum exp(terms) over axis 0 in the max-shifted form
+    top + log sum exp(terms - top), top the largest term (taken as 0 where
+    it is not finite); a slice whose terms are all -inf gives -inf, one
+    with a +inf term gives inf."""
+    top = np.max(terms, axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(terms - top), axis=0))
+
+
 def _subset_tables(k, m):
     """Membership matrix, log coefficients and slopes of the 2^m minors.
 
@@ -115,19 +127,17 @@ def _subset_tables(k, m):
     log_a[S] = log of prod 1/(2k_i) * prod ((k_i-k_j)/(k_i+k_j))^2 over S,
     slope[S] = -2 sum_{i in S} k_i (the x-slope of that minor's exponent).
     """
+    k = k[:m]
     subsets = np.arange(2**m)
-    B = (subsets[:, None] >> np.arange(m)[None, :]) & 1
-    log_a = np.zeros(2**m)
-    for s in range(2**m):
-        idx = np.nonzero(B[s])[0]
-        val = -np.sum(np.log(2.0 * k[idx]))
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                val += 2.0 * np.log(abs((k[i] - k[j]) / (k[i] + k[j])))
-        log_a[s] = val
-    slope = -2.0 * (B @ k[:m])
-    return B.astype(float), log_a, slope
+    B = ((subsets[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+    # pair terms 2 log|(k_i-k_j)/(k_i+k_j)| for i < j, summed over the
+    # pairs of each subset as the quadratic form B_S^T pair B_S
+    ratio = np.abs((k[:, None] - k[None, :]) / (k[:, None] + k[None, :]))
+    np.fill_diagonal(ratio, 1.0)
+    pair = np.triu(2.0 * np.log(ratio), 1)
+    log_a = -(B @ np.log(2.0 * k)) + np.sum((B @ pair) * B, axis=1)
+    slope = -2.0 * (B @ k)
+    return B, log_a, slope
 
 
 class TauLadder:
@@ -162,7 +172,7 @@ class TauLadder:
 
     def log_delta(self, t, x):
         pre, terms = self._terms(t, x)
-        return pre + logsumexp(terms, axis=0)
+        return pre + log_sum_exp(terms)
 
     def _weights(self, t, x):
         pre, terms = self._terms(t, x)

@@ -38,6 +38,7 @@ from fpulab.backlund import (
     secular_projection,
     _level_modes,
     _secular_coeffs,
+    _trapezoid_sweep,
 )
 
 TRAIN = SolitonFamily([0.5, 1.0], [np.log(3.0), 0.0])
@@ -229,7 +230,59 @@ class TestForward:
             linearized_forward(field(x, np.exp(-x**2)), lad, 1, 0.0)
 
 
+def loop_sweep(out, u, lp, dx, indices, power, sign):
+    """The trapezoid recurrence one grid point at a time (the reference)."""
+    h = sign * 0.5 * dx
+    for a, b in zip(indices[:-1], indices[1:]):
+        f = np.exp(power * (lp[b] - lp[a]))
+        out[b] = f * out[a] + h * (f * u[a] + u[b])
+
+
+class TestTrapezoidSweep:
+    @pytest.mark.parametrize("length", [1, 2, 4001])
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("slope", [-0.3, 0.3])
+    def test_matches_the_pointwise_recurrence(self, length, ascending, slope):
+        # along the sweep the kernel contracts for one sign of the slope
+        # and grows (to e^{+-24} over 4001 points) for the other
+        rng = np.random.default_rng(length)
+        n = length + 10
+        dx = 0.01
+        x = dx * np.arange(n)
+        lp = slope * x + 0.5 * np.sin(x)
+        u = rng.standard_normal(n)
+        start = 5 if ascending else 5 + length - 1
+        indices = range(start, start + length) if ascending \
+            else range(start, start - length, -1)
+        sign = 1.0 if ascending else -1.0
+        init = rng.standard_normal(n)
+        want = init.copy()
+        loop_sweep(want, u, lp, dx, indices, 2.0, sign)
+        got = init.copy()
+        _trapezoid_sweep(got, u, lp, dx, indices, 2.0, sign)
+        # the same recurrence on |u| bounds the size of every partial sum
+        scale = np.abs(init)
+        loop_sweep(scale, np.abs(u), lp, dx, indices, 2.0, 1.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert got[indices[0]] == init[indices[0]]
+        outside = np.ones(n, bool)
+        outside[list(indices)] = False
+        assert np.array_equal(got[outside], init[outside])
+
+
 class TestInverse:
+    def test_wide_window_round_trip(self):
+        # tails of 380 decay lengths: a sweep past the crest would grow
+        # the kernel by e^{2 * 380} and overflow
+        lad = phase_ladder(SolitonFamily([1.0], [0.0]))
+        dx = 0.05
+        xc = lad.crest(1, 0.0)
+        x = xc + dx * np.arange(round(-380 / dx), round(380 / dx) + 1)
+        w_prev = field(x, np.exp(-0.5 * (x - xc - 1.0)**2))
+        w_m = linearized_forward(w_prev, lad, 1, 0.0)
+        back = linearized_inverse(w_m, lad, 1, 0.0)
+        assert rel_diff(back.values, w_prev.values) < 1e-5  # measured 2.2e-6
+
     @pytest.mark.parametrize("k", [(1.0, 2.0), (0.5, 1.0)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_round_trip_both_orders(self, m, k):

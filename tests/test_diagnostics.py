@@ -29,6 +29,13 @@ def test_sigmoid_weighted_norm_far_left_of_the_center():
     assert abs(got - direct) < 1e-13 * direct
 
 
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_weighted_norm_of_zero_field_is_zero(kind):
+    u = LatticeField(-10, np.zeros(21), np.zeros(21))
+    with np.errstate(all="raise"):
+        assert weighted_norm(u, WeightSpec(0.5, center=0.0, kind=kind)) == 0.0
+
+
 def test_band_split_reconstructs_the_weighted_field():
     rng = np.random.default_rng(3)
     u = LatticeField(-60, rng.standard_normal(150), rng.standard_normal(150))

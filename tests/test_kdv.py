@@ -23,6 +23,7 @@ from fpulab.kdv import (
     grid_field_to_csv,
     kdv_residual,
     log_psi,
+    log_sum_exp,
     n_soliton_profile,
     phase_ladder,
     secular_basis,
@@ -31,6 +32,7 @@ from fpulab.kdv import (
     uniform_grid,
     _phi_mp,
     _spectral_dx,
+    _subset_tables,
 )
 
 
@@ -88,6 +90,39 @@ def test_tau_two_soliton_matches_dense():
         np.eye(2) + TauLadder(fam, 2).dense_matrix(0.0, np.array([0.0]))))
     assert val == pytest.approx(0.5675209674425359, abs=1e-13)
     assert abs(val - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_subset_tables_match_a_loop_over_subsets_and_pairs(m):
+    k = np.array([0.3, 0.45, 0.5, 0.9, 1.2, 1.25, 2.0, 3.1])
+    B, log_a, slope = _subset_tables(k, m)
+    assert B.shape == (2**m, m)
+    for s in range(2**m):
+        idx = [i for i in range(m) if (s >> i) & 1]
+        assert list(np.nonzero(B[s])[0]) == idx
+        want = -sum(np.log(2.0 * k[i]) for i in idx)
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                i, j = idx[a], idx[b]
+                want += 2.0 * np.log(abs((k[i] - k[j]) / (k[i] + k[j])))
+        assert abs(log_a[s] - want) <= 1e-13
+        assert abs(slope[s] + 2.0 * sum(k[i] for i in idx)) <= 1e-13
+
+
+def test_log_sum_exp_matches_the_direct_sum_and_takes_all_minus_inf():
+    rng = np.random.default_rng(2)
+    terms = rng.uniform(-30.0, 30.0, (16, 5))
+    direct = np.log(np.sum(np.exp(terms), axis=0))
+    assert np.max(np.abs(log_sum_exp(terms) - direct)) < 1e-13
+    shifted = log_sum_exp(terms + 900.0)  # exp of the terms overflows
+    assert np.max(np.abs(shifted - 900.0 - direct)) < 1e-12
+    cols = np.column_stack([
+        np.full(3, -np.inf), [-np.inf, 0.0, -np.inf], [np.inf, 0.0, -np.inf],
+    ])
+    with np.errstate(all="raise"):
+        assert list(log_sum_exp(cols)) == [-np.inf, 0.0, np.inf]
+        assert log_sum_exp(np.array([0.0, np.inf])) == np.inf
+        assert log_sum_exp(np.full(4, -np.inf)) == -np.inf
 
 
 def test_tau_level_bounds():
