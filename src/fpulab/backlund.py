@@ -464,8 +464,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
                       final)
 
 
-def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
-                        frame_speed=0.0) -> GridField:
+def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
+                        dt) -> GridField:
     """Evolve the level-m transport flow d/dt w + d^3x w + 12 (dx v^m) dx w = 0.
 
     This is the flow that commutes with the linearized ladder maps; it is
@@ -478,11 +478,10 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1, dt,
     level = ladder.tau(m) if m else None
 
     def slope_at(tau):
-        y = x + frame_speed * (tau - t0)
-        return (np.zeros_like(y) if level is None
-                else level.second_derivative(tau, y))
+        return (np.zeros_like(x) if level is None
+                else level.second_derivative(tau, x))
 
-    flow = _SpectralFlow(len(x), dx, frame_speed, slope_at, t0, dt)
+    flow = _SpectralFlow(len(x), dx, 0.0, slope_at, t0, dt)
 
     def term(slope, vhat):
         dxw = np.fft.irfft(1j * flow.xi * vhat * flow.mask, n=flow.n)

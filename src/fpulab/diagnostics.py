@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kdv import SolitonFamily, TauLadder, log_sum_exp
-from .lattice import LatticeField, WeightKind, WeightSpec
+from .lattice import LatticeField, WeightKind, WeightSpec, hamiltonian_density
 from .waves import _sech2, kappa_of_speed, rho_symbol
 
 
@@ -90,9 +90,9 @@ def _log_linear_fit(t, values):
     return float(coeff[0]), float(coeff[1]), r2
 
 
-def decay_fit(times, values, window=0.5):
-    """Least-squares fit of log(value) against t over the trailing
-    fraction `window` of the samples.
+def decay_fit(times, values):
+    """Least-squares fit of log(value) against t over the trailing half
+    of the samples (from index len // 2 on).
 
     Multiplying the series by a constant only shifts the intercept.
     Raises ValueError for non-positive values or fewer than 10 samples
@@ -102,9 +102,7 @@ def decay_fit(times, values, window=0.5):
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be equal-length vectors")
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must be a fraction in (0, 1]")
-    start = int(np.floor((1.0 - window) * times.size))
+    start = times.size // 2
     t = times[start:]
     v = values[start:]
     if t.size < 10:
@@ -168,12 +166,12 @@ class VirialReport:
         return out
 
 
-def virial_series(trajectory, a, xtilde, model, eps=None, k1=1.0):
+def virial_series(trajectory, a, xtilde, model, eps=None):
     """Sigmoid-weighted energy ledger of a small-solution run.
 
     trajectory: snapshots of the freely evolving small field; a: weight
     slope; xtilde: callable t -> center position.  The decay hypothesis
-    needs the center to outrun the sound speed by k1^2 eps^2 / 24 and
+    needs the center to outrun the sound speed by eps^2 / 24 and
     the combination a*eps + |v(0)| to stay below eps^2 / 2; violations
     are flagged, never fatal.
     """
@@ -184,7 +182,7 @@ def virial_series(trajectory, a, xtilde, model, eps=None, k1=1.0):
     flags = []
     if eps is not None:
         speed = np.gradient(centers, times) if times.size > 1 else None
-        floor = 1.0 + (k1 * eps) ** 2 / 24.0
+        floor = 1.0 + eps**2 / 24.0
         if speed is not None and np.min(speed) < floor:
             flags.append(
                 "center speed %.6g below the hypothesis floor %.6g"
@@ -204,7 +202,7 @@ def virial_series(trajectory, a, xtilde, model, eps=None, k1=1.0):
         s = snap.sites - centers[i]
         psi = 1.0 + np.tanh(a * s)
         sech2 = _sech2(a * s)
-        h1 = 0.5 * snap.p**2 + model(snap.r, 0)
+        h1 = hamiltonian_density(snap, model)
         vsq = snap.r**2 + snap.p**2
         psi_e[i] = np.sum(psi * h1)
         sech_e[i] = np.sum(sech2 * h1)
@@ -216,6 +214,11 @@ def virial_series(trajectory, a, xtilde, model, eps=None, k1=1.0):
 
 # ---------------------------------------------------------------------------
 # smooth cutoffs and the band decomposition
+
+# The band convention of band_split and dispersion_check: the low band is
+# |xi| <= BAND_K eps and the high band |xi| >= BAND_DELTA.
+BAND_K = 2.0
+BAND_DELTA = 1.0
 
 
 def _bump_side(u):
@@ -281,19 +284,6 @@ class BandSplit:
     def fplus(self):
         return self.f1p + self.f2p + self.f3p
 
-    def _norm_sq(self, part):
-        dxi = 2.0 * np.pi / self.xi.size
-        return float(np.sum(np.abs(part) ** 2) * dxi)
-
-    def mass_fractions(self):
-        total = self._norm_sq(self.fplus) + self._norm_sq(self.fm)
-        return {
-            "low": self._norm_sq(self.f1p) / total,
-            "middle": self._norm_sq(self.f2p) / total,
-            "high": self._norm_sq(self.f3p) / total,
-            "minus": self._norm_sq(self.fm) / total,
-        }
-
     def reconstruct(self):
         """Invert back to the weighted field e^{k1 eps n} w."""
         xi = np.fft.ifftshift(self.xi)
@@ -308,16 +298,17 @@ class BandSplit:
                             p.real[: self.length])
 
 
-def band_split(w, eps, k1=1.0, c1eps=None, K=2.0, delta=1.0, t=0.0):
+def band_split(w, eps, k1=1.0, t=0.0):
     """Split a lattice field into moving-frame frequency bands.
 
     The contour shift to xi + i k1 eps is realized by weighting with
     e^{k1 eps n} in physical space before transforming; the branch
-    phases carry e^{i c1eps t xi} so band contents are stationary in
-    the frame of the slowest wave.
+    phases carry e^{i c1eps t xi}, c1eps = 1 + (k1 eps)^2 / 6, so band
+    contents are stationary in the frame of the slowest wave.  The
+    cutoffs are BAND_K eps and BAND_DELTA.
     """
-    if c1eps is None:
-        c1eps = 1.0 + (k1 * eps) ** 2 / 6.0
+    c1eps = 1.0 + (k1 * eps) ** 2 / 6.0
+    K, delta = BAND_K, BAND_DELTA
     length = len(w)
     if length * K * eps < 4.0 * np.pi:
         raise ValueError(
@@ -409,8 +400,9 @@ class DispersionReport:
         }
 
 
-def dispersion_check(eps, a, K=2.0, delta=1.0, k1=1.0, points=10001):
-    """Evaluate the shifted-contour branch bounds on an eta-grid.
+def dispersion_check(eps, a, k1=1.0):
+    """Evaluate the shifted-contour branch bounds on a 10001-point
+    eta-grid, with K = BAND_K and delta = BAND_DELTA.
 
     Checks, each on its own eta-range over [-pi/eps, pi/eps]:
       quadratic:  Im lambda_+ >= eps^3 a eta^2 / 16   (K <= |eta| <= 2 delta/eps)
@@ -422,17 +414,23 @@ def dispersion_check(eps, a, K=2.0, delta=1.0, k1=1.0, points=10001):
     The high band starts where the quadratic band ends: the constant
     1 - cos(delta) needs eps |eta| >= 2 delta (half-angle under the
     cosine), and the two ranges together still cover everything past K.
+    The quadratic range is empty unless eps < 2 delta / K; an eps that
+    leaves it no grid point raises ValueError.
     """
+    K, delta = BAND_K, BAND_DELTA
     if not 0.0 < a < 2.0 * k1:
         raise ValueError("a must lie in (0, 2 k1)")
-    if not 0.0 < delta < np.pi:
-        raise ValueError("delta must lie in (0, pi)")
     c1eps = 1.0 + (k1 * eps) ** 2 / 6.0
-    eta = np.linspace(-np.pi / eps, np.pi / eps, points)
+    eta = np.linspace(-np.pi / eps, np.pi / eps, 10001)
     z = eps * (eta + 1j * a)
     lam_p, lam_m = lambda_branches(z, c1eps)
     margins = {}
     quad = (np.abs(eta) >= K) & (np.abs(eta) <= 2.0 * delta / eps)
+    if not np.any(quad):
+        raise ValueError("eps = %.9g leaves no grid point in the quadratic "
+                         "band K <= |eta| <= 2 delta / eps; it needs "
+                         "0 < eps < 2 delta / K = %g, less one grid step"
+                         % (eps, 2.0 * delta / K))
     margins["quadratic"] = float(np.min(
         lam_p.imag[quad] - eps**3 * a * eta[quad] ** 2 / 16.0
     ))
@@ -515,15 +513,16 @@ class SymbolTailReport:
         }
 
 
-def symbol_and_tail_check(eps_values, a, c=None, family=(1.0,),
-                          xi_points=4001, tail_eps_values=None):
+def symbol_and_tail_check(eps_values, a, family=(1.0,),
+                          tail_eps_values=None):
     """Two shifted-contour audits across a list of eps.
 
     (i) eps^2 * sup |m(xi + i a eps)| for the wave-speed resolvent
-    symbol m(z) = z^2 / (c^2 z^2 - 4 sin^2(z/2)) (waves.rho_symbol), c
-    defaulting to the sonic normalization 1 + eps^2/6 per eps.  (ii) the
-    sup over [-pi, pi] of |series transform - integral transform| of the
-    scaled train profile, with a log-linear fit of its decay against 1/eps.
+    symbol m(z) = z^2 / (c^2 z^2 - 4 sin^2(z/2)) (waves.rho_symbol) with
+    the sonic normalization c = 1 + eps^2/6, on 4001 points of [-pi, pi]
+    per eps.  (ii) the sup over [-pi, pi] of |series transform - integral
+    transform| of the scaled train profile, with a log-linear fit of its
+    decay against 1/eps.
 
     The tail difference drops below double precision near eps ~ 0.15
     for unit wave numbers, so the fit uses tail_eps_values when given
@@ -536,11 +535,11 @@ def symbol_and_tail_check(eps_values, a, c=None, family=(1.0,),
                 else tuple(float(e) for e in tail_eps_values))
     if len(tail_eps) < 2:
         raise ValueError("need at least two tail eps values to fit")
-    xi = np.linspace(-np.pi, np.pi, xi_points)
+    xi = np.linspace(-np.pi, np.pi, 4001)
     sym = {}
     tail = {}
     for eps in eps_values:
-        ceff = (1.0 + eps**2 / 6.0) if c is None else c
+        ceff = 1.0 + eps**2 / 6.0
         z = xi + 1j * a * eps
         sym[eps] = eps**2 * float(np.max(np.abs(rho_symbol(ceff, z))))
     xi_tail = np.linspace(-np.pi, np.pi, 257)

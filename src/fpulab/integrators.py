@@ -5,7 +5,7 @@ second-order form (kick-drift-kick on p and r), which is symplectic and
 time-reversible.  Verlet makes one force evaluation per step: the force
 at the end of a step is the force of the next step's first half kick, so
 it is carried over, not evaluated again.  Linear nonautonomous equations
-dw/dt = J H''(U(t)) w + F1(t) + J F2(t) use RK4 with the background
+dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background
 supplied either as a closed form or as a sampled trajectory.
 
 Windows use zero extension; a boundary alarm aborts a run when mass
@@ -14,7 +14,6 @@ reaches the window edges.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ from .lattice import (
     hamiltonian,
     potential_eval,
 )
-
-_SNAPSHOT_MAGIC = b"FPT1"
 
 
 @dataclass
@@ -157,13 +154,13 @@ def evolve_nonlinear(u0, model, cfg, observers=None):
     return _run(step, u0, cfg, observers)
 
 
-def evolve_linearized(
-    w0, background, model, cfg, forcing_f1=None, forcing_f2=None, observers=None
-):
-    """Integrate dw/dt = J H''(U(t)) w + F1(t) + J F2(t) by RK4.
+def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
+                      observers=None):
+    """Integrate dw/dt = J H''(U(t)) w + F1(t) by RK4.
 
     background: callable t -> LatticeField (or None for the zero state);
-    forcing_f1, forcing_f2: callables t -> LatticeField or None.
+    forcing_f1: callable t -> LatticeField or None (a forcing J F2 is
+    F1 = apply_j(F2)).
     """
     zeros = np.zeros_like(w0.r)
     dt = cfg.dt
@@ -179,10 +176,6 @@ def evolve_linearized(
             f1 = forcing_f1(t)
             dr = dr + f1.r
             dp = dp + f1.p
-        if forcing_f2 is not None:
-            f2 = forcing_f2(t)
-            dr = dr + _shift_forward_diff(f2.p)
-            dp = dp + _shift_backward_diff(f2.r)
         return dr, dp
 
     def step(t, r, p):
@@ -232,33 +225,3 @@ def mass_center_observer():
         return float(np.sum(fld.sites * fld.r) / total) if total != 0 else np.nan
 
     return fn
-
-
-# ---------------------------------------------------------------------------
-# trajectory output
-
-
-def snapshots_to_binary(traj, path):
-    """Binary stream of (t, offset, length, r, p) records, little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<q", len(traj.fields)))
-        for t, fld in zip(traj.times, traj.fields):
-            fh.write(struct.pack("<dqq", float(t), int(fld.offset), len(fld)))
-            fh.write(fld.r.astype("<f8").tobytes())
-            fh.write(fld.p.astype("<f8").tobytes())
-
-
-def snapshots_from_binary(path):
-    out_t, out_f = [], []
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SNAPSHOT_MAGIC:
-            raise ValueError("not a snapshot stream")
-        (count,) = struct.unpack("<q", fh.read(8))
-        for _ in range(count):
-            t, offset, length = struct.unpack("<dqq", fh.read(24))
-            r = np.frombuffer(fh.read(8 * length), dtype="<f8").copy()
-            p = np.frombuffer(fh.read(8 * length), dtype="<f8").copy()
-            out_t.append(t)
-            out_f.append(LatticeField(offset, r, p))
-    return np.asarray(out_t), out_f

@@ -458,8 +458,8 @@ class Resolution:
             out += k[i] ** 2 / np.cosh(arg) ** 2
         return GridField(x[0], x[1] - x[0], out)
 
-    def remainder_sup(self, t, x, dps=300):
-        """sup |phi_N - train| on the grid, in extended precision.
+    def remainder_sup(self, t, x):
+        """sup |phi_N - train| on the grid, in 300-digit precision.
 
         At large t the two terms agree far below float64 epsilon, so the
         difference is formed in mpmath and only then converted back; the
@@ -467,7 +467,7 @@ class Resolution:
         float64 rounding alone would floor the remainder near 1e-16.
         """
         n = self.family.n
-        with mp.workdps(dps):
+        with mp.workdps(300):
             k = [mp.mpf(v) for v in self.family.k]
             gt = []
             for i in range(n):

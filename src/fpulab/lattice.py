@@ -96,8 +96,8 @@ class PotentialModel:
     """Interaction potential V with V(0)=V'(0)=0 and V''(0)=1.
 
     Built-ins: alpha-FPU V(r)=r^2/2+r^3/6 and the Toda potential
-    V(r)=e^r-1-r.  Custom potentials supply callables for V and V';
-    V'' is optional and falls back to a central difference.
+    V(r)=e^r-1-r.  Custom potentials supply callables for V and V'; their
+    V'' is a central difference of V'.
     """
 
     def __init__(self, name, v, dv, d2v=None):
@@ -125,8 +125,8 @@ class PotentialModel:
         )
 
     @classmethod
-    def custom(cls, v, dv, d2v=None, name="custom"):
-        model = cls(name, v, dv, d2v)
+    def custom(cls, v, dv):
+        model = cls("custom", v, dv)
         model.check_normalization()
         return model
 
@@ -140,9 +140,10 @@ class PotentialModel:
     def __call__(self, r, order=0):
         return potential_eval(self, r, order)
 
-    def check_normalization(self, tol=1e-8):
+    def check_normalization(self):
         """Verify V(0)=0, V'(0)=0, V''(0)=1 and a cubic Taylor
-        coefficient of 1/6, by central differences at the origin."""
+        coefficient of 1/6 to 1e-8, by central differences at the
+        origin."""
         h = 1e-2
         r = h * np.arange(-3, 4)
         v = self._v(r)
@@ -155,7 +156,7 @@ class PotentialModel:
             "V''(0)-1": abs(d2 - 1.0),
             "cubic-1/6": abs(d3 / 6.0 - 1.0 / 6.0),
         }
-        bad = {k: v for k, v in checks.items() if v > tol}
+        bad = {k: v for k, v in checks.items() if v > 1e-8}
         if bad:
             raise ValueError(f"potential fails normalization checks: {bad}")
         return checks
@@ -186,13 +187,14 @@ def potential_eval(model, r, order=0):
     return out if np.ndim(r) else float(out)
 
 
+def hamiltonian_density(field, model):
+    """Lattice energy density p^2/2 + V(r) per site."""
+    return 0.5 * field.p**2 + model._v(field.r)
+
+
 def hamiltonian(field, model):
     """Total lattice energy sum p^2/2 + V(r)."""
-    return float(np.sum(0.5 * field.p**2 + model._v(field.r)))
-
-
-def hamiltonian_density(field, model):
-    return 0.5 * field.p**2 + model._v(field.r)
+    return float(np.sum(hamiltonian_density(field, model)))
 
 
 def grad_hamiltonian(field, model):

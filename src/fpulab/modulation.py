@@ -287,12 +287,13 @@ class ModulationState:
 
 
 def _default_eps(c):
-    # sech-scale of the slowest wave; any positive value gives the same
-    # solution, this one keeps the scaled quantities of order one
+    # sech-scale of the slowest wave, the scaling eps of every solve; any
+    # positive value gives the same solution, this one keeps the scaled
+    # quantities of order one
     return float(np.sqrt(6.0 * (np.min(c) - 1.0)))
 
 
-def decompose(u, model, guess, table=None, eps=None, tol=1e-10, max_iter=30):
+def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
     """Fit modulated wave parameters to a lattice state.
 
     guess: (c, x) vectors ordered left to right.  The guess must lie in
@@ -317,8 +318,7 @@ def decompose(u, model, guess, table=None, eps=None, tol=1e-10, max_iter=30):
                            "%g sites" % COLLISION_GAP)
     if table is None:
         table = ProfileTable(model)
-    if eps is None:
-        eps = _default_eps(c)
+    eps = _default_eps(c)
 
     offset, length = u.offset, len(u)
     for it in range(max_iter + 1):
@@ -367,7 +367,7 @@ def train_field(table, c, x, offset, length):
     return LatticeField(offset, total_r, total_p)
 
 
-def mode_projection(w, modes, eps=None):
+def mode_projection(w, modes):
     """Remove the wave-direction components of a field.
 
     Returns (projected, alpha, beta) where projected = w minus the
@@ -376,8 +376,7 @@ def mode_projection(w, modes, eps=None):
     with delta = (C D^T)^{-1} C w, projected is w - D^T delta.
     """
     modes = list(modes)
-    if eps is None:
-        eps = _default_eps(np.array([m.c for m in modes]))
+    eps = _default_eps(np.array([m.c for m in modes]))
     offset, length = w.offset, len(w)
     cond, dirs = _conditions([m.sampled(offset, length) for m in modes], eps)
     flat = _flat(w)
@@ -435,8 +434,7 @@ class ModulationTrack:
         return _final_window(self.times.size)
 
 
-def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
-          max_iter=30):
+def track(trajectory, model, guess, table=None):
     """Decompose every stored frame of a trajectory.
 
     Each frame is seeded from the previous solution with the crests
@@ -458,8 +456,7 @@ def track(trajectory, model, guess, table=None, eps=None, tol=1e-10,
         seed_x = seed_x + seed_c * (t - prev_t)
         prev_t = t
         try:
-            state = decompose(frame, model, (seed_c, seed_x), table=table,
-                              eps=eps, tol=tol, max_iter=max_iter)
+            state = decompose(frame, model, (seed_c, seed_x), table=table)
         except (RuntimeError, ValueError) as err:
             raise RuntimeError("decomposition failed at t=%.6g: %s"
                                % (t, err)) from err
@@ -513,8 +510,7 @@ class PerturbationSplit:
     total_leading: np.ndarray
 
 
-def perturbation_split(u0, v0, model, cfg, guess, table=None, eps=None,
-                       tol=1e-10, max_iter=30):
+def perturbation_split(u0, v0, model, cfg, guess, table=None):
     """Evolve a perturbed train and split its residual into a free part
     (the perturbation evolved alone under the full dynamics) and a
     localized remainder tracked through the modulated decomposition.
@@ -541,8 +537,7 @@ def perturbation_split(u0, v0, model, cfg, guess, table=None, eps=None,
         observations={},
         final=localized_fields[-1],
     )
-    trk = track(localized, model, guess, table=table, eps=eps, tol=tol,
-                max_iter=max_iter)
+    trk = track(localized, model, guess, table=table)
 
     kappa1 = kappa_of_speed(float(trk.states[0].c[0]))
     n_t = trk.times.size

@@ -561,14 +561,14 @@ class EnergyCurve:
     theta1: np.ndarray  # dH/dc by central differences on the c grid
 
 
-def energy_curve(model, speeds, steps_per_site=16):
+def energy_curve(model, speeds):
     """Lattice energy H(u_c) and theta1 = dH/dc along a speed grid."""
     speeds = np.asarray(speeds, dtype=float)
     if speeds.size < 3:
         raise ValueError("need at least three speeds for the derivative")
     energies = np.empty_like(speeds)
     for i, c in enumerate(speeds):
-        prof = solve_profile(model, c, steps_per_site=steps_per_site)
+        prof = solve_profile(model, c)
         energies[i] = prof.energy(model)
     theta1 = np.gradient(energies, speeds)
     return EnergyCurve(model.name, speeds, energies, theta1)

@@ -142,14 +142,12 @@ def _calls_and_imports(tree):
 
 
 def test_files_are_written_through_artifacts_only():
-    allowed_open = {("integrators.py", "snapshots_to_binary"),
-                    ("integrators.py", "snapshots_from_binary")}
     stray = []
     for path in sorted(Path(fpulab.__file__).parent.glob("*.py")):
         if path.name == "artifacts.py":
             continue
         for what, func in _calls_and_imports(ast.parse(path.read_text())):
-            if what == "open" and (path.name, func) not in allowed_open:
+            if what == "open":
                 stray.append("%s: open() in %s" % (path.name, func))
             if what in ("csv", "json"):
                 stray.append("%s imports %s" % (path.name, what))

@@ -82,9 +82,44 @@ def test_minus_margin_is_the_closed_form(eps, a, k1):
         assert abs(lam_m.imag - eps * a - want) < 1e-10 * want
 
 
+@pytest.mark.parametrize("eps, a", [(0.2, 0.5), (0.1, 1.0), (0.3, 0.2),
+                                    (0.05, 1.5)])
+def test_plus_margins_are_the_closed_form(eps, a):
+    # Im lambda_+(eps (eta + i a))
+    #   = c1eps eps a - 2 cos(eps eta / 2) sinh(eps a / 2)
+    # in real arithmetic, minimized over each band of the function's own grid
+    rep = dispersion_check(eps, a)
+    K, delta, eta = rep.K, rep.delta, rep.eta
+    im_plus = (rep.c1eps * eps * a
+               - 2.0 * np.cos(eps * eta / 2.0) * np.sinh(eps * a / 2.0))
+    quad = (np.abs(eta) >= K) & (np.abs(eta) <= 2.0 * delta / eps)
+    high = np.abs(eta) >= 2.0 * delta / eps
+    want = {
+        "quadratic": np.min(im_plus[quad] - eps**3 * a * eta[quad] ** 2 / 16.0),
+        "high_plus": np.min(im_plus[high] - eps * a * (1.0 - np.cos(delta))),
+    }
+    for key, value in want.items():
+        # measured 3.5e-13 relative at most
+        assert abs(rep.margins[key] - value) < 1e-10 * abs(value)
+    # cos(eps eta / 2) <= cos(delta) on the high band, so its margin is at
+    # least the continuous infimum at |eta| = 2 delta / eps
+    infimum = (rep.c1eps * eps * a
+               - 2.0 * np.cos(delta) * np.sinh(eps * a / 2.0)
+               - eps * a * (1.0 - np.cos(delta)))
+    assert rep.margins["high_plus"] >= infimum
+
+
+@pytest.mark.parametrize("eps", [1.2, 1.0, 0.99999, -0.1])
+def test_dispersion_check_rejects_an_empty_quadratic_band(eps):
+    # K <= |eta| <= 2 delta / eps holds no point of the grid once
+    # eps >= 2 delta / K = 1, or within a grid step below it
+    with pytest.raises(ValueError, match="2 delta / K = 1"):
+        dispersion_check(eps, 0.5)
+
+
 def test_virial_ledger_is_monotone_under_its_hypotheses():
     # a small free Toda bump; the sigmoid center outruns the sound speed by
-    # eps^2 / 12, above the k1^2 eps^2 / 24 floor, and a eps + |v0| stays
+    # eps^2 / 12, above the eps^2 / 24 floor, and a eps + |v0| stays
     # below eps^2 / 2, so the weighted energy may only decrease
     toda = PotentialModel.toda()
     sites = -200 + np.arange(400)

@@ -20,8 +20,6 @@ from fpulab.integrators import (
     evolve_linearized,
     evolve_nonlinear,
     mass_center_observer,
-    snapshots_from_binary,
-    snapshots_to_binary,
 )
 from fpulab.lattice import (
     LatticeField,
@@ -442,17 +440,3 @@ def test_trajectory_csv(tmp_path, toda, soliton):
     for name in ("H", "crest"):
         assert np.array_equal(back[name], traj.observations[name])
 
-
-def test_snapshot_stream_roundtrip(tmp_path, toda, soliton):
-    u0 = soliton.lattice_field(offset=-30, length=80, position=0.0)
-    cfg = EvolveConfig(dt=0.1, t_end=1.0, stride=2, boundary_tol=1e-3)
-    traj = evolve_nonlinear(u0, toda, cfg)
-    path = tmp_path / "snaps.bin"
-    snapshots_to_binary(traj, path)
-    times, fields = snapshots_from_binary(path)
-    np.testing.assert_array_equal(times, traj.times)
-    assert len(fields) == len(traj.fields)
-    for a, b in zip(fields, traj.fields):
-        assert a.offset == b.offset
-        np.testing.assert_array_equal(a.r, b.r)
-        np.testing.assert_array_equal(a.p, b.p)
