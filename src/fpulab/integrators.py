@@ -162,14 +162,13 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
     forcing_f1: callable t -> LatticeField or None (a forcing J F2 is
     F1 = apply_j(F2)).
     """
-    zeros = np.zeros_like(w0.r)
     dt = cfg.dt
+    flat = (potential_eval(model, np.zeros_like(w0.r), 2)
+            if background is None else None)
 
     def deriv(t, r, p):
-        if background is None:
-            coeff = potential_eval(model, zeros, 2)
-        else:
-            coeff = potential_eval(model, background(t).r, 2)
+        coeff = (flat if background is None
+                 else potential_eval(model, background(t).r, 2))
         dr = _shift_forward_diff(p)
         dp = _shift_backward_diff(coeff * r)
         if forcing_f1 is not None:

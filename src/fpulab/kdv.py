@@ -4,11 +4,15 @@ and the resolution into 1-soliton trains.
 Tau functions are evaluated through the principal-minor (Cauchy) expansion
 in the log domain, which stays finite for arbitrarily large phases where
 the dense determinant overflows.  The subset table of that expansion is
-built as array expressions, and log Delta goes through the package's one
-log-sum-exp (log_sum_exp, shifted by the largest term).  Spatial
+built as array expressions, and log Delta takes the shift by the largest
+term and the sum of the package's one log-sum-exp (log_sum_exp).  Spatial
 derivatives of log tau and the derivatives of the profile in every
 gamma_i and k_i come out of the same expansion as softmax-weighted
-moments, so neither carries differencing error.
+moments, so neither carries differencing error.  A TauLadder keeps the
+moments of its last evaluation point (t, x), compared by value, so asking
+for log Delta, v, its slope and the parameter gradients at one point
+builds the subset table once; the table itself is dropped when
+parameter_gradients has used it or the point changes.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
@@ -60,12 +64,6 @@ class SolitonFamily:
     def n(self):
         return len(self.k)
 
-    def theta(self, t, x):
-        """Phases k_i (x - 4 k_i^2 t - gamma_i); shape (n, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = self.k[:, None]
-        return k * (x[None, :] - 4.0 * k**2 * t - self.gamma[:, None])
-
 
 @dataclass(frozen=True)
 class GridField:
@@ -109,15 +107,28 @@ def exp_weighted_norm(values, x, dx, b):
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
+def _shift_exp(terms):
+    """Overwrite the float array terms with exp(terms - top), top the
+    largest term of each slice along axis 0 (taken as 0 where it is not
+    finite); returns (top, the sums of the shifted exponentials)."""
+    top = terms.max(axis=0, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    terms -= top
+    np.exp(terms, out=terms)
+    return top[0], terms.sum(axis=0)
+
+
+def _log_total(top, total):
+    with np.errstate(divide="ignore"):
+        return top + np.log(total)
+
+
 def log_sum_exp(terms):
     """log sum exp(terms) over axis 0 in the max-shifted form
     top + log sum exp(terms - top), top the largest term (taken as 0 where
     it is not finite); a slice whose terms are all -inf gives -inf, one
     with a +inf term gives inf."""
-    top = np.max(terms, axis=0)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.sum(np.exp(terms - top), axis=0))
+    return _log_total(*_shift_exp(np.array(terms, dtype=float)))
 
 
 def _subset_tables(k, m):
@@ -147,6 +158,15 @@ class TauLadder:
     and the dense Cauchy matrix C_m for cross-checking at moderate phases.
     The active solitons i <= m use the descended phases gamma_i^m, the
     inactive tail keeps the level-n phases (it only feeds the prefactor).
+
+    Every evaluation goes through a one-entry memo keyed on (t, x), both
+    compared by value.  A miss builds the (2^m, len(x)) subset table once,
+    turns it into softmax weights in place and keeps the len(x)-long
+    results: the prefactor with the shift and sum of log Delta_m, and the
+    mean and variance of the subset slopes.  The weights table itself is
+    kept only until parameter_gradients takes it at that key, or until the
+    next miss, so a ladder holds at most one.  Callers get fresh arrays,
+    never the memo's own.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -158,6 +178,8 @@ class TauLadder:
         gam = family.gamma.astype(float).copy()
         gam[:m] = phase_ladder(family).levels[m]
         self._gamma_m = gam
+        self._key = None  # (t, x) of the memo
+        self._weights = None
 
     def _theta(self, t, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -170,28 +192,41 @@ class TauLadder:
         terms = self._log_a[:, None] - 2.0 * (self._B @ theta[: self.m])
         return pre, terms
 
-    def log_delta(self, t, x):
-        pre, terms = self._terms(t, x)
-        return pre + log_sum_exp(terms)
+    def _eval(self, t, x, weights=False):
+        """Bring the memo to (t, x): refill it on a miss, or when weights
+        are wanted and an earlier parameter_gradients call took them.
+        Returns x as a 1-d float array."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        key = self._key
+        if (key is None or t != key[0] or not np.array_equal(x, key[1])
+                or (weights and self._weights is None)):
+            self._weights = None  # drop the old table before the next
+            pre, w = self._terms(t, x)
+            top, total = _shift_exp(w)
+            w /= total
+            mean = w.T @ self._slope
+            self._key = (t, x.copy())
+            self._lse = (pre, top, total)  # the log waits for log_delta
+            self._mean = mean
+            self._var = w.T @ self._slope**2 - mean**2
+            self._weights = w
+        return x
 
-    def _weights(self, t, x):
-        pre, terms = self._terms(t, x)
-        shifted = terms - terms.max(axis=0, keepdims=True)
-        w = np.exp(shifted)
-        w /= w.sum(axis=0, keepdims=True)
-        return w
+    def log_delta(self, t, x):
+        self._eval(t, x)
+        pre, top, total = self._lse
+        return pre + _log_total(top, total)
 
     def v(self, t, x):
         """d/dx log Delta_m (time-indexed ladder potential)."""
-        w = self._weights(t, x)
+        self._eval(t, x)
         base = -np.sum(self.family.k[self.m :])
-        return base + w.T @ self._slope
+        return base + self._mean
 
     def second_derivative(self, t, x):
         """d^2/dx^2 log Delta_m (the softmax variance of the slopes)."""
-        w = self._weights(t, x)
-        mean = w.T @ self._slope
-        return w.T @ self._slope**2 - mean**2
+        self._eval(t, x)
+        return self._var.copy()
 
     def parameter_gradients(self, t, x):
         """Derivatives of second_derivative in the active parameters.
@@ -205,7 +240,8 @@ class TauLadder:
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
         - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = self._eval(t, x, weights=True)
+        w, self._weights = self._weights, None
         m = self.m
         k = self.family.k[:m]
         B = self._B
@@ -215,8 +251,7 @@ class TauLadder:
         columns = np.hstack([B, B * (B @ (4.0 * k[None, :] / gap).T - 1.0 / k)])
         # every (2^m, len(x)) array is reused in place: w, then w (s - mu),
         # and the centered slopes, then w (s - mu)^2
-        w = self._weights(t, x)
-        mu = w.T @ self._slope
+        mu = self._mean
         mean = w.T @ columns
         centered = self._slope[:, None] - mu[None, :]
         w *= centered
@@ -347,7 +382,9 @@ class LadderPhases:
     def tau(self, m):
         """The level-m tau function of level_family(m), built on the first
         call and kept: it depends on the phases alone, so every map and
-        flow on this ladder shares one per level."""
+        flow on this ladder shares one per level, and with it the memo of
+        that level's last evaluation (see TauLadder): consecutive maps at
+        one (t, x) build each level's subset table once."""
         if m not in self._taus:
             self._taus[m] = TauLadder(self.level_family(m), m)
         return self._taus[m]

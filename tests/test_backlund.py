@@ -643,6 +643,33 @@ class TestLadderConjugation:
         # level-1 modes reuse it
         assert builds == [2, 1]
 
+    def test_walk_builds_one_subset_table_per_level(self, monkeypatch):
+        # a 4-soliton family whose level anchors sit on the grid, and a
+        # bump projected against its exact parameter modes
+        k = np.linspace(0.5, 1.0, 4)
+        anchors = np.array([-11.0, -7.0, -3.0, 1.0])
+        gamma = np.array([
+            anchors[i] - sum(np.log((k[j] - k[i]) / (k[j] + k[i])) / (2.0 * k[i])
+                             for j in range(i + 1, 4))
+            for i in range(4)])
+        fam = SolitonFamily(k, gamma)
+        x = uniform_grid(-45.0, 35.0, self.DX)
+        modes = TauLadder(fam, 4).parameter_gradients(0.0, x)
+        raw = np.exp(-(x + 4.0)**2 / 8.0) * np.cos(0.6 * x)
+        y4 = field(x, project_against(raw, list(modes), self.DX))
+        tables = []
+        terms = TauLadder._terms
+
+        def counting(self, t, x):
+            tables.append(self.m)
+            return terms(self, t, x)
+
+        monkeypatch.setattr(TauLadder, "_terms", counting)
+        down = ladder_conjugate(y4, fam, 0.0, 0.4, direction="down")
+        ladder_conjugate(down.field, fam, 0.0, 0.4, direction="up")
+        # each walk evaluates every level at one (t, x): one table apiece
+        assert tables == [4, 3, 2, 1, 1, 2, 3, 4]
+
     def test_zero_field(self):
         x = uniform_grid(-45.0, 35.0, self.DX)
         out = ladder_conjugate(field(x, np.zeros_like(x)), TRAIN, self.T, 0.4)

@@ -7,6 +7,8 @@ as the oracle for the log-domain expansion at moderate phases, and
 mpmath differentiation of the subset sum for the parameter gradients.
 """
 
+from itertools import permutations
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -78,9 +80,10 @@ def test_tau_one_soliton_value():
 
 
 def test_tau_level_zero_is_plain_phase_sum():
-    fam = SolitonFamily([0.5, 1.3], [0.2, -0.4])
-    th = fam.theta(0.7, np.array([1.9]))
-    assert tau_logdet(fam, 0.7, 1.9, 0) == -float(th.sum())
+    k, g = np.array([0.5, 1.3]), np.array([0.2, -0.4])
+    # theta_i = k_i (x - 4 k_i^2 t - gamma_i) at t = 0.7, x = 1.9
+    th = k * (1.9 - 4.0 * k**2 * 0.7 - g)
+    assert tau_logdet(SolitonFamily(k, g), 0.7, 1.9, 0) == -float(th.sum())
 
 
 def test_tau_two_soliton_matches_dense():
@@ -239,6 +242,37 @@ def test_parameter_gradients_match_extended_precision_derivatives(n):
                              for xv in x])
             # measured 4.0e-14 at n = 4
             assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_evaluation_memo_is_invisible():
+    # a ladder answers every call as a fresh ladder does, whatever the
+    # order of calls and keys, and no returned array aliases its memo
+    fam = SolitonFamily([0.5, 0.9, 1.4], [0.3, -0.2, 0.1])
+    x = uniform_grid(-12.0, 12.0, 0.05)
+    keys = ((0.2, x), (0.7, x + 0.5))
+    names = ("log_delta", "v", "second_derivative", "parameter_gradients")
+
+    def fresh(name, key):
+        t, xs = keys[key]
+        return getattr(TauLadder(fam, 3), name)(t, xs)
+
+    ladder = TauLadder(fam, 3)
+    for order in permutations(names):
+        # the repeated key 0 asks parameter_gradients twice at one key
+        for key in (0, 0, 1, 0):
+            for name in order:
+                t, xs = keys[key]
+                got = getattr(ladder, name)(t, xs.copy())  # equal, new array
+                want = fresh(name, key)
+                assert np.array_equal(got, want)
+                got += 1.0
+                assert np.array_equal(getattr(ladder, name)(t, xs), want)
+    # an x mutated in place after a call is a new key
+    xs = x.copy()
+    ladder.v(0.7, xs)
+    xs += 0.5
+    for name in names:
+        assert np.array_equal(getattr(ladder, name)(0.7, xs), fresh(name, 1))
 
 
 def test_phase_covariance():
