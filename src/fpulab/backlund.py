@@ -311,16 +311,22 @@ class _SpectralFlow:
     sequence, so a step's k4 time is the next step's k1 time bit for bit.
     The potential depends on t alone, so it is evaluated once per distinct
     stage time: k2 and k3 share the midpoint, and the last value is kept
-    for the next step's k1.  Instances are single-use per call site.
+    for the next step's k1.  The step size is fixed, so the flow holds its
+    dispersion factors exp(sym dt/2) and exp(sym dt) (and the square of the
+    first, which the RK4 step uses) from construction on.  Instances are
+    single-use per call site.
     """
 
     def __init__(self, n, dx, frame_speed, potential, t0, dt):
         self.xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-        self.sym = 1j * (self.xi**3 + frame_speed * self.xi)
+        sym = 1j * (self.xi**3 + frame_speed * self.xi)
         self.mask = _dealias_mask(self.xi)
         self.n = n
         self.t0 = t0
         self.dt = dt
+        self._half = np.exp(sym * (dt / 2.0))
+        self._full = self._half * self._half
+        self._drift = np.exp(sym * dt)
         self._potential = potential
         self._last = (None, None)
 
@@ -331,8 +337,7 @@ class _SpectralFlow:
 
     def step(self, vhat, s, term):
         dt = self.dt
-        half = np.exp(self.sym * (dt / 2.0))
-        full = half * half
+        half, full = self._half, self._full
         k1 = term(self.potential(self.t0 + s * dt), vhat)
         mid = self.potential(self.t0 + (s + 0.5) * dt)
         k2 = term(mid, half * (vhat + dt / 2.0 * k1))
@@ -343,7 +348,7 @@ class _SpectralFlow:
                 + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4))
 
     def drift(self, vhat):
-        return np.exp(self.sym * self.dt) * vhat
+        return self._drift * vhat
 
 
 def _plan_steps(t0, t1, dt):
@@ -406,13 +411,13 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     profile = None if family is None else TauLadder(family, family.n)
     flow = _SpectralFlow(
         len(x), dx, frame_speed,
-        lambda tau: profile.second_derivative(tau, x + frame_speed * (tau - t0)),
+        None if profile is None else profile.frame_profile(x, frame_speed, t0),
         t0, dt)
+    coupling = -12j * flow.xi * flow.mask
 
     def term(phi, vhat):
         vals = np.fft.irfft(vhat * flow.mask, n=flow.n)
-        prod = np.fft.rfft(phi * vals)
-        return -12j * flow.xi * prod * flow.mask
+        return coupling * np.fft.rfft(phi * vals)
 
     vhat = np.fft.rfft(np.asarray(v0.values, dtype=float))
     times, norms, resid = [], [], []
@@ -470,22 +475,27 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
 
     This is the flow that commutes with the linearized ladder maps; it is
     not in flux form, so it conserves no mass and carries a first-order
-    potential term instead.  Returns the field at t1.
+    potential term instead.  The grid must resolve k_m, as for
+    n_soliton_profile.  Returns the field at t1.
     """
     x = w0.x
     dx = w0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
-    level = ladder.tau(m) if m else None
-
-    def slope_at(tau):
-        return (np.zeros_like(x) if level is None
-                else level.second_derivative(tau, x))
+    if m:
+        level = ladder.tau(m)
+        _check_grid(level.family, x)
+        slope_at = level.frame_profile(x, 0.0, t0)
+    else:
+        def slope_at(tau):
+            return np.zeros_like(x)
 
     flow = _SpectralFlow(len(x), dx, 0.0, slope_at, t0, dt)
+    derivative = 1j * flow.xi * flow.mask
+    coupling = -12.0 * flow.mask
 
     def term(slope, vhat):
-        dxw = np.fft.irfft(1j * flow.xi * vhat * flow.mask, n=flow.n)
-        return -12.0 * np.fft.rfft(slope * dxw) * flow.mask
+        dxw = np.fft.irfft(derivative * vhat, n=flow.n)
+        return coupling * np.fft.rfft(slope * dxw)
 
     vhat = np.fft.rfft(np.asarray(w0.values, dtype=float))
     for step in range(nsteps):

@@ -96,7 +96,8 @@ def _check_state(t, snap, cfg):
 def _run(step, u0, cfg, observers):
     """Shared stepping/observation loop.
 
-    step(t, r, p) advances the arrays r, p in place from t to t + dt.
+    step(k, r, p) advances the arrays r, p in place from k dt to
+    (k + 1) dt, k the step index.
     """
     observers = observers or {}
     r = u0.r.copy()
@@ -117,7 +118,7 @@ def _run(step, u0, cfg, observers):
     observe(0.0)
     n_steps = cfg.n_steps
     for k in range(n_steps):
-        step(k * cfg.dt, r, p)
+        step(k, r, p)
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
             observe((k + 1) * cfg.dt)
 
@@ -144,7 +145,7 @@ def evolve_nonlinear(u0, model, cfg, observers=None):
     dt = cfg.dt
     force = _shift_backward_diff(dv(u0.r))
 
-    def step(t, r, p):
+    def step(k, r, p):
         nonlocal force
         p += 0.5 * dt * force
         r += dt * _shift_forward_diff(p)
@@ -161,14 +162,21 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
     background: callable t -> LatticeField (or None for the zero state);
     forcing_f1: callable t -> LatticeField or None (a forcing J F2 is
     F1 = apply_j(F2)).
+
+    Step k has its stage times k dt, (k + 1/2) dt and (k + 1) dt, so a
+    step's k4 time is the next step's k1 time bit for bit, and V''(U(t))
+    is evaluated once per distinct stage time: 2 n_steps + 1 background
+    calls in all (V''(0) once when background is None).
     """
     dt = cfg.dt
     flat = (potential_eval(model, np.zeros_like(w0.r), 2)
             if background is None else None)
 
-    def deriv(t, r, p):
-        coeff = (flat if background is None
-                 else potential_eval(model, background(t).r, 2))
+    def coefficient(t):
+        return (flat if background is None
+                else potential_eval(model, background(t).r, 2))
+
+    def deriv(t, coeff, r, p):
         dr = _shift_forward_diff(p)
         dp = _shift_backward_diff(coeff * r)
         if forcing_f1 is not None:
@@ -177,11 +185,17 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
             dp = dp + f1.p
         return dr, dp
 
-    def step(t, r, p):
-        k1r, k1p = deriv(t, r, p)
-        k2r, k2p = deriv(t + dt / 2, r + dt / 2 * k1r, p + dt / 2 * k1p)
-        k3r, k3p = deriv(t + dt / 2, r + dt / 2 * k2r, p + dt / 2 * k2p)
-        k4r, k4p = deriv(t + dt, r + dt * k3r, p + dt * k3p)
+    start = coefficient(0.0)  # V'' at the start of the next step
+
+    def step(k, r, p):
+        nonlocal start
+        t, mid, end = k * dt, (k + 0.5) * dt, (k + 1) * dt
+        c_mid, c_end = coefficient(mid), coefficient(end)
+        k1r, k1p = deriv(t, start, r, p)
+        k2r, k2p = deriv(mid, c_mid, r + dt / 2 * k1r, p + dt / 2 * k1p)
+        k3r, k3p = deriv(mid, c_mid, r + dt / 2 * k2r, p + dt / 2 * k2p)
+        k4r, k4p = deriv(end, c_end, r + dt * k3r, p + dt * k3p)
+        start = c_end
         r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
         p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
 

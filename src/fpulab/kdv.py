@@ -12,7 +12,11 @@ moments, so neither carries differencing error.  A TauLadder keeps the
 moments of its last evaluation point (t, x), compared by value, so asking
 for log Delta, v, its slope and the parameter gradients at one point
 builds the subset table once; the table itself is dropped when
-parameter_gradients has used it or the point changes.
+parameter_gradients has used it or the point changes.  The linearized
+flows ask for the profile at every stage time on a moving frame, where
+that memo would miss each time; they evaluate through a frame table
+instead (TauLadder.frame_profile), one exponential table per anchor time
+from which every later time is a matrix product.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
@@ -39,6 +43,11 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from .artifacts import read_series, write_series
 
 MAX_SOLITONS = 8
+# Largest drift max|r_S| |tau - tau_a| of the subset exponents a frame
+# table (TauLadder.frame_profile) takes from its anchor time tau_a before
+# it is rebuilt: the weights then stay within e^{+-FRAME_REACH} of their
+# anchor values, so none overflows and none that matters underflows.
+FRAME_REACH = 20.0
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,9 @@ class TauLadder:
     mean and variance of the subset slopes.  The weights table itself is
     kept only until parameter_gradients takes it at that key, or until the
     next miss, so a ladder holds at most one.  Callers get fresh arrays,
-    never the memo's own.
+    never the memo's own.  The flows, whose every stage time is a new key,
+    do not go through this memo but through frame_profile, which keeps its
+    own table per anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -262,6 +273,38 @@ class TauLadder:
         d_gamma = 2.0 * k * cov[:, :m]
         d_k = cov[:, m:] - 2.0 * lever * cov[:, :m] - 4.0 * tilt
         return np.ascontiguousarray(np.hstack([d_gamma, d_k]).T)
+
+    def frame_profile(self, x, speed, t0):
+        """The profile on a moving frame, tau -> second_derivative(tau,
+        x + speed (tau - t0)), for a flow that asks at many times.
+
+        Every subset exponent is affine in tau along the frame, T_S(tau) =
+        T_S(tau_a) + r_S (tau - tau_a) with r = B (-2 k (speed - 4 k^2)),
+        so the table exp(T(tau_a) - top) is built once at an anchor time
+        tau_a and each later time costs one (3, 2^m) x (2^m, len(x))
+        product for the moments sum w, sum w s and sum w s^2 of the slopes
+        s.  The table is rebuilt at the asked time once the exponents have
+        drifted by more than FRAME_REACH.  The (t, x) memo is not touched.
+        """
+        x = np.array(x, dtype=float, ndmin=1)
+        k = self.family.k[: self.m]
+        rate = self._B @ (-2.0 * k * (speed - 4.0 * k**2))
+        fastest = np.abs(rate).max()
+        powers = np.vstack([np.ones_like(self._slope), self._slope,
+                            self._slope**2])
+        anchor, table = None, None
+
+        def phi(tau):
+            nonlocal anchor, table
+            if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
+                _, table = self._terms(tau, x + speed * (tau - t0))
+                _shift_exp(table)
+                anchor = tau
+            m0, m1, m2 = (powers * np.exp(rate * (tau - anchor))) @ table
+            mean = m1 / m0
+            return m2 / m0 - mean**2
+
+        return phi
 
     def dense_matrix(self, t, x):
         """Cauchy matrix C_m with entries e^{-theta_i-theta_j}/(k_i+k_j).

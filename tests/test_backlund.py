@@ -17,6 +17,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from fpulab import backlund
 from fpulab.artifacts import read_series, write_series
 from fpulab.kdv import (
+    FRAME_REACH,
     GridField,
     LadderPhases,
     SolitonFamily,
@@ -452,13 +453,18 @@ class TestEvolution:
 
     def test_flows_evaluate_the_potential_once_per_stage_time(self, monkeypatch):
         times = []
-        slope = TauLadder.second_derivative
+        frame = TauLadder.frame_profile
 
-        def counting(self, t, x):
-            times.append(t)
-            return slope(self, t, x)
+        def counting(self, x, speed, t0):
+            phi = frame(self, x, speed, t0)
 
-        monkeypatch.setattr(TauLadder, "second_derivative", counting)
+            def counted(tau):
+                times.append(tau)
+                return phi(tau)
+
+            return counted
+
+        monkeypatch.setattr(TauLadder, "frame_profile", counting)
         x = uniform_grid(-45.0, 35.0, 0.05)
         g = field(x, np.exp(-x**2 / 8.0))
         lad = phase_ladder(TRAIN)
@@ -484,6 +490,41 @@ class TestEvolution:
             times.clear()
             evolve()
             assert len(times) == len(set(times)) == 2 * n + 1
+
+    def test_flow_builds_one_subset_table_per_anchor(self, monkeypatch):
+        tables, bases = [], []
+        terms = TauLadder._terms
+        basis = backlund.secular_basis
+
+        def counting_terms(self, t, x):
+            tables.append(t)
+            return terms(self, t, x)
+
+        def counting_basis(family, t, x):
+            bases.append(t)
+            return basis(family, t, x)
+
+        monkeypatch.setattr(TauLadder, "_terms", counting_terms)
+        monkeypatch.setattr(backlund, "secular_basis", counting_basis)
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        g = field(x, np.exp(-x**2 / 8.0))
+        dt, n = 2e-3, 500
+        # in the frame at speed 1 the subset exponents of TRAIN drift at
+        # rates up to 6, so the whole run stays within one anchor's reach
+        assert 6.0 * n * dt < FRAME_REACH
+        linearized_kdv_evolve(g, TRAIN, 0.0, n * dt, 0.4, dt,
+                              frame_speed=1.0, reproject_every=100,
+                              record_every=250)
+        # bases for the records at steps 0 and 250 and the reprojections
+        # at 100, ..., 500 (the record at 500 reuses the last of them)
+        assert len(bases) == 7
+        assert len(tables) == 1 + len(bases)
+
+    def test_level_flow_rejects_an_unresolved_grid(self):
+        x = uniform_grid(-30.0, 30.0, 0.25)
+        g = field(x, np.exp(-x**2 / 8.0))
+        with pytest.raises(ValueError, match="grid too coarse"):
+            ladder_level_evolve(g, phase_ladder(TRAIN), 2, 0.0, 0.1, 1e-3)
 
     def test_aliasing_alarm_fires_on_marginal_steps(self):
         x = uniform_grid(-45.0, 35.0, 0.01)

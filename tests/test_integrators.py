@@ -372,6 +372,32 @@ def test_linearized_matches_nonlinear_difference(toda, soliton):
     assert diff2 / lin2.final.norm() <= 5e-6  # measured 1.1e-6
 
 
+def test_background_is_evaluated_once_per_stage_time(toda, soliton):
+    L, off = 120, -40
+    times = []
+
+    def background(t):
+        times.append(t)
+        return soliton.lattice_field(offset=off, length=L, position=soliton.c * t)
+
+    w0 = zeros_field(off, L)
+    w0.r[35:45] = 1.0
+    # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1) per step
+    dt, n = 2.0**-6, 40
+    cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
+                       keep_snapshots=False, boundary_tol=np.inf)
+    evolve_linearized(w0, background, toda, cfg)
+    assert times == [j * dt / 2.0 for j in range(2 * n + 1)]
+    # with dt = 0.01 the k4 time of a step must still be the next step's
+    # k1 time, so the 2n + 1 calls come at 2n + 1 distinct times
+    dt, n = 0.01, 300
+    times.clear()
+    cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
+                       keep_snapshots=False, boundary_tol=np.inf)
+    evolve_linearized(w0, background, toda, cfg)
+    assert len(times) == len(set(times)) == 2 * n + 1
+
+
 def test_sampled_background_interpolation():
     times = np.array([0.0, 1.0, 2.0])
     fields = [zeros_field(0, 4) for _ in range(3)]
