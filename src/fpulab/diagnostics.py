@@ -14,7 +14,7 @@ import numpy as np
 
 from .kdv import SolitonFamily, TauLadder, log_sum_exp
 from .lattice import LatticeField, WeightKind, WeightSpec, hamiltonian_density
-from .waves import _sech2, kappa_of_speed, rho_symbol
+from .waves import _sech2, kappa_of_speed, rho_symbol, speed_of_eps
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +303,11 @@ def band_split(w, eps, k1=1.0, t=0.0):
 
     The contour shift to xi + i k1 eps is realized by weighting with
     e^{k1 eps n} in physical space before transforming; the branch
-    phases carry e^{i c1eps t xi}, c1eps = 1 + (k1 eps)^2 / 6, so band
+    phases carry e^{i c1eps t xi}, c1eps = speed_of_eps(k1 eps), so band
     contents are stationary in the frame of the slowest wave.  The
     cutoffs are BAND_K eps and BAND_DELTA.
     """
-    c1eps = 1.0 + (k1 * eps) ** 2 / 6.0
+    c1eps = speed_of_eps(k1 * eps)
     K, delta = BAND_K, BAND_DELTA
     length = len(w)
     if length * K * eps < 4.0 * np.pi:
@@ -420,7 +420,7 @@ def dispersion_check(eps, a, k1=1.0):
     K, delta = BAND_K, BAND_DELTA
     if not 0.0 < a < 2.0 * k1:
         raise ValueError("a must lie in (0, 2 k1)")
-    c1eps = 1.0 + (k1 * eps) ** 2 / 6.0
+    c1eps = speed_of_eps(k1 * eps)
     eta = np.linspace(-np.pi / eps, np.pi / eps, 10001)
     z = eps * (eta + 1j * a)
     lam_p, lam_m = lambda_branches(z, c1eps)
@@ -458,13 +458,14 @@ def dispersion_check(eps, a, k1=1.0):
 
 def _train_profile(family, eps):
     """KdV train slope profile at t=0, scaled onto the lattice:
-    g(x) = (eps^2 / 6) phi_N(eps x)."""
+    g(x) = eps^2 phi_N(eps x), the amplitude of a lattice wave at
+    speed_of_eps(eps) (see waves)."""
     fam = SolitonFamily(list(family), [0.0] * len(family))
     ladder = TauLadder(fam, fam.n)
     span = 24.0 / (min(family) * eps)
 
     def g(x):
-        return eps**2 / 6.0 * ladder.second_derivative(0.0, eps * np.asarray(x))
+        return eps**2 * ladder.second_derivative(0.0, eps * np.asarray(x))
 
     return g, span
 
@@ -519,10 +520,12 @@ def symbol_and_tail_check(eps_values, a, family=(1.0,),
 
     (i) eps^2 * sup |m(xi + i a eps)| for the wave-speed resolvent
     symbol m(z) = z^2 / (c^2 z^2 - 4 sin^2(z/2)) (waves.rho_symbol) with
-    the sonic normalization c = 1 + eps^2/6, on 4001 points of [-pi, pi]
-    per eps.  (ii) the sup over [-pi, pi] of |series transform - integral
-    transform| of the scaled train profile, with a log-linear fit of its
-    decay against 1/eps.
+    the sonic normalization c = speed_of_eps(eps), on 4001 points of
+    [-pi, pi] per eps.  (ii) the sup over [-pi, pi] of |series transform
+    - integral transform| of the scaled train profile eps^2 phi_N(eps x)
+    (_train_profile), with a log-linear fit of its decay against 1/eps.
+    The tail differences are linear in that amplitude, so the slope does
+    not depend on it.
 
     The tail difference drops below double precision near eps ~ 0.15
     for unit wave numbers, so the fit uses tail_eps_values when given
@@ -539,9 +542,8 @@ def symbol_and_tail_check(eps_values, a, family=(1.0,),
     sym = {}
     tail = {}
     for eps in eps_values:
-        ceff = 1.0 + eps**2 / 6.0
-        z = xi + 1j * a * eps
-        sym[eps] = eps**2 * float(np.max(np.abs(rho_symbol(ceff, z))))
+        m = rho_symbol(speed_of_eps(eps), xi + 1j * a * eps)
+        sym[eps] = eps**2 * float(np.max(np.abs(m)))
     xi_tail = np.linspace(-np.pi, np.pi, 257)
     for eps in tail_eps:
         disc, cont = transform_tail(family, eps, xi_tail)

@@ -140,6 +140,15 @@ def log_sum_exp(terms):
     return _log_total(*_shift_exp(np.array(terms, dtype=float)))
 
 
+def _pair_terms(k):
+    """Pair factors A_ij = 2 log|(k_i - k_j)/(k_i + k_j)| of the KdV
+    N-soliton, A_ii = 0: e^{A_ij} is the interaction coefficient of a
+    minor holding solitons i and j."""
+    ratio = np.abs((k[:, None] - k[None, :]) / (k[:, None] + k[None, :]))
+    np.fill_diagonal(ratio, 1.0)
+    return 2.0 * np.log(ratio)
+
+
 def _subset_tables(k, m):
     """Membership matrix, log coefficients and slopes of the 2^m minors.
 
@@ -150,11 +159,9 @@ def _subset_tables(k, m):
     k = k[:m]
     subsets = np.arange(2**m)
     B = ((subsets[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
-    # pair terms 2 log|(k_i-k_j)/(k_i+k_j)| for i < j, summed over the
-    # pairs of each subset as the quadratic form B_S^T pair B_S
-    ratio = np.abs((k[:, None] - k[None, :]) / (k[:, None] + k[None, :]))
-    np.fill_diagonal(ratio, 1.0)
-    pair = np.triu(2.0 * np.log(ratio), 1)
+    # pair terms A_ij for i < j, summed over the pairs of each subset as
+    # the quadratic form B_S^T pair B_S
+    pair = np.triu(_pair_terms(k), 1)
     log_a = -(B @ np.log(2.0 * k)) + np.sum((B @ pair) * B, axis=1)
     slope = -2.0 * (B @ k)
     return B, log_a, slope
@@ -446,16 +453,14 @@ def phase_ladder(family: SolitonFamily) -> LadderPhases:
     """Descend the phase recursion from the full family to level 0.
 
     Removing the largest remaining soliton (index m) shifts every
-    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i).
+    surviving phase by log((k_m - k_i)/(k_m + k_i)) / (2 k_i) = A_mi / (4 k_i).
     """
     k = family.k
+    pair = _pair_terms(k)
     levels = [None] * (family.n + 1)
     levels[family.n] = family.gamma.copy()
     for m in range(family.n, 0, -1):
-        prev = levels[m][: m - 1].copy()
-        for i in range(m - 1):
-            prev[i] += np.log((k[m - 1] - k[i]) / (k[m - 1] + k[i])) / (2.0 * k[i])
-        levels[m - 1] = prev
+        levels[m - 1] = levels[m][: m - 1] + pair[m - 1, : m - 1] / (4.0 * k[: m - 1])
     return LadderPhases(family, tuple(levels))
 
 
@@ -478,20 +483,16 @@ def log_psi(ladder: LadderPhases, m, t, x):
 def resolution_phases(family: SolitonFamily):
     """Asymptotic 1-soliton phases gamma~_i of the large-time train.
 
-    gamma~_i = gamma_i - [log(2 k_i) + 2 sum_{j>i} log((k_j+k_i)/(k_j-k_i))]
-    / (2 k_i); each faster soliton retards the slower one it passes, and
-    the interaction factor enters squared because the minor coefficients
-    carry ((k_i-k_j)/(k_i+k_j))^2.  Verified against the measured crest
-    locations of the tau profile (offsets agree to 7 digits at t=5, 10).
+    gamma~_i = gamma_i - [log(2 k_i) - sum_{j>i} A_ij] / (2 k_i) with the
+    pair factors A_ij of _pair_terms; each faster soliton retards the
+    slower one it passes, and the interaction factor enters squared
+    because the minor coefficients carry ((k_i-k_j)/(k_i+k_j))^2.
+    Verified against the measured crest locations of the tau profile
+    (offsets agree to 7 digits at t=5, 10).
     """
-    k, g = family.k, family.gamma
-    out = np.empty(family.n)
-    for i in range(family.n):
-        corr = np.log(2.0 * k[i])
-        for j in range(i + 1, family.n):
-            corr += 2.0 * np.log((k[j] + k[i]) / (k[j] - k[i]))
-        out[i] = g[i] - corr / (2.0 * k[i])
-    return out
+    k = family.k
+    corr = np.log(2.0 * k) - np.sum(np.triu(_pair_terms(k), 1), axis=1)
+    return family.gamma - corr / (2.0 * k)
 
 
 def _phi_mp(family, t, x):

@@ -44,6 +44,7 @@ from .lattice import (
 )
 from .waves import (
     _profile_grid,
+    eps_of_speed,
     kappa_of_speed,
     profile_spline,
     solve_profile,
@@ -61,7 +62,6 @@ MIN_SCALED_SEPARATION = 7.0
 COLLISION_GAP = 2.0
 
 _TABLE_NODES_PER_DECADE = 64
-_STEPS_PER_SITE = 16
 
 
 @dataclass
@@ -92,7 +92,7 @@ class WaveModes:
 
 def _span(kappa):
     # the window solve_profile and toda_soliton pick, so nodes are reusable
-    return _profile_grid(kappa, _STEPS_PER_SITE, None)[3]
+    return _profile_grid(kappa, None)[1]
 
 
 class ProfileTable:
@@ -118,8 +118,7 @@ class ProfileTable:
     def _node(self, speed, span):
         node = self._nodes.get((speed, span))
         if node is None:
-            prof = solve_profile(self.model, speed,
-                                 steps_per_site=_STEPS_PER_SITE, span=span)
+            prof = solve_profile(self.model, speed, span=span)
             node = self._nodes[(speed, span)] = profile_spline(prof, self.model)
         return node
 
@@ -184,7 +183,7 @@ class ProfileTable:
         else:
             nodes, w, dw = self._bracket(c, span)
             grid = sum(wk * cols for wk, (cols, _) in zip(w, nodes))
-            traveling_wave_residual(c, *grid.T, _STEPS_PER_SITE, self.model)
+            traveling_wave_residual(c, *grid.T, self.model)
 
             def sample(rel):
                 vals = [at(rel) for _, at in nodes]
@@ -290,7 +289,7 @@ def _default_eps(c):
     # sech-scale of the slowest wave, the scaling eps of every solve; any
     # positive value gives the same solution, this one keeps the scaled
     # quantities of order one
-    return float(np.sqrt(6.0 * (np.min(c) - 1.0)))
+    return float(eps_of_speed(np.min(c)))
 
 
 def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):

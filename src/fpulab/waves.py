@@ -8,14 +8,18 @@ profile equation
 with the momentum recovered through p = -c (S - 1)^{-1} r'.  For the Toda
 potential the profile is known in closed form; for general normalized
 potentials it is computed by a Petviashvili iteration in Fourier space.
-Profiles are stored on a fine uniform grid whose spacing divides the unit
-lattice spacing, so integer shifts are exact grid shifts.
+Profiles are stored on a fine uniform grid of STEPS_PER_SITE points per
+lattice site, so integer shifts are exact grid shifts.
+
+The lattice-to-KdV scale is the one pair eps_of_speed / speed_of_eps,
+c = 1 + eps^2 / 6.  Under the normalization V''(0) = V'''(0) = 1 a wave
+of that speed peaks at eps^2 (1 + O(eps^2)) with sech width 1/eps: the
+sonic limit of Friesecke and Pego (1999).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 
 import numpy as np
@@ -26,10 +30,19 @@ from .lattice import LatticeField, hamiltonian
 
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
 
+STEPS_PER_SITE = 16  # profile grid points per lattice site
+_H = 1.0 / STEPS_PER_SITE  # profile grid spacing
 
-class DerivativeKind(Enum):
-    DDX = "ddx"
-    DDC = "ddc"
+
+def speed_of_eps(eps):
+    """Wave speed c = 1 + eps^2 / 6 of the KdV scale eps."""
+    return 1.0 + eps**2 / 6.0
+
+
+def eps_of_speed(c):
+    """KdV scale eps = sqrt(6 (c - 1)) of the wave speed c, the inverse of
+    speed_of_eps."""
+    return np.sqrt(6.0 * (c - 1.0))
 
 
 def speed_of_kappa(kappa):
@@ -40,11 +53,11 @@ def speed_of_kappa(kappa):
 def kappa_of_speed(c):
     """Invert c = sinh(kappa)/kappa by safeguarded Newton.
 
-    The initial guess kappa0 = sqrt(6(c-1)) is the KdV-regime expansion.
+    The initial guess kappa0 = eps_of_speed(c) is the KdV-regime expansion.
     """
     if c <= 1.0:
         raise ValueError("wave speed must exceed the sound speed 1")
-    k = np.sqrt(6.0 * (c - 1.0))
+    k = eps_of_speed(c)
     lo, hi = 0.0, max(2.0 * k, 2.0 * np.arcsinh(2.0 * c) + 2.0)
     for _ in range(100):
         f = np.sinh(k) - c * k
@@ -67,29 +80,26 @@ def _next_pow2(n):
     return 1 << int(np.ceil(np.log2(max(2, n))))
 
 
-def _profile_grid(kappa, steps_per_site, span):
-    """Uniform grid covering [-span, span) with 1/h grid points per site."""
-    steps = int(steps_per_site)
-    if steps < 8:
-        raise ValueError("oversampling must be at least 8 points per site")
+def _profile_grid(kappa, span):
+    """Uniform grid covering [-span, span) with STEPS_PER_SITE points per
+    site, and its half-width span in sites."""
     if span is None:
         span = _SECH2_SEED_TAIL / (2.0 * kappa)
-    n = _next_pow2(int(np.ceil(2 * span * steps)))
-    span = n // (2 * steps)
-    if 2 * span * steps != n:
+    n = _next_pow2(int(np.ceil(2 * span * STEPS_PER_SITE)))
+    span = n // (2 * STEPS_PER_SITE)
+    if 2 * span * STEPS_PER_SITE != n:
         # keep integer sites on the grid: bump to the next multiple
-        n = 2 * span * steps
-    h = 1.0 / steps
-    x = (np.arange(n) - n // 2) * h
-    return x, h, steps, span
+        n = 2 * span * STEPS_PER_SITE
+    x = (np.arange(n) - n // 2) * _H
+    return x, span
 
 
 def _even_part(values):
-    """Symmetrize about x=0 on a grid with x_j = (j - n/2) h."""
+    """Symmetrize about x=0 on a grid with x_j = (j - n/2) _H."""
     return 0.5 * (values + np.roll(values[::-1], 1))
 
 
-def _momentum_from_r(r, h, c):
+def _momentum_from_r(r, c):
     """p = -c (S-1)^{-1} r' as a Fourier multiplier.
 
     The symbol -c i xi / (e^{i xi} - 1) tends to -c at xi = 0.  At nonzero
@@ -98,7 +108,7 @@ def _momentum_from_r(r, h, c):
     noise and are zeroed.
     """
     n = r.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     denom = np.exp(1j * xi) - 1.0
     sing = np.abs(denom) < 1e-12
     denom[sing] = 1.0
@@ -108,10 +118,10 @@ def _momentum_from_r(r, h, c):
     return np.fft.irfft(mult * np.fft.rfft(r), n=n)
 
 
-def _scalar_residual(r, dv_r, h, c):
+def _scalar_residual(r, dv_r, c):
     """sup |c^2 r'' - (S-2+S^{-1}) V'(r)| on the grid."""
     n = r.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     sin2 = 4.0 * np.sin(xi / 2.0) ** 2
     res = np.fft.irfft(
         -(c**2) * xi**2 * np.fft.rfft(r) + sin2 * np.fft.rfft(dv_r), n=n
@@ -123,11 +133,12 @@ def _scalar_residual(r, dv_r, h, c):
 class WaveProfile:
     """Solitary-wave data on a fine grid, crest centered at 0.
 
-    `x` spans [-span, span) with `steps` points per lattice site, so the
-    integer sites are exact grid points.  `kappa` solves c = sinh(k)/k and
-    2*kappa is the exponential decay rate of r.  Interpolation off the grid
-    is cubic; the closed forms `exact` (r, p, dx r, dx p), when known, are
-    used instead.
+    `x` spans [-span, span) with STEPS_PER_SITE points per lattice site,
+    so the integer sites are exact grid points.  `kappa` solves
+    c = sinh(k)/k and 2*kappa is the exponential decay rate of r.
+    Interpolation off the grid is cubic; the closed forms `exact`
+    (r, p, dx r, dx p), when known, are used instead.  `iterations` is
+    the length of the solver's residual history.
     """
 
     model_name: str
@@ -135,9 +146,7 @@ class WaveProfile:
     x: np.ndarray
     r: np.ndarray
     p: np.ndarray
-    steps: int
     residual: float = np.nan
-    iterations: int = 0
     method: str = "exact"
     residual_history: list = field(default_factory=list)
     exact: tuple = None
@@ -147,15 +156,15 @@ class WaveProfile:
 
     @property
     def eps(self):
-        return float(np.sqrt(6.0 * (self.c - 1.0)))
+        return float(eps_of_speed(self.c))
 
     @property
     def kappa(self):
         return kappa_of_speed(self.c)
 
     @property
-    def h(self):
-        return 1.0 / self.steps
+    def iterations(self):
+        return len(self.residual_history)
 
     @property
     def span(self):
@@ -195,7 +204,7 @@ class WaveProfile:
             "eps": self.eps,
             "model": self.model_name,
             "kappa": self.kappa,
-            "steps_per_site": self.steps,
+            "steps_per_site": STEPS_PER_SITE,
             "span": self.span,
             "residual": self.residual,
             "iterations": self.iterations,
@@ -209,13 +218,6 @@ def _spline_at(spline, pts):
     out = np.zeros(pts.shape + spline.c.shape[2:])
     out[inside] = spline(pts[inside])
     return out
-
-
-def _dx_columns(profile):
-    """(dx r, dx p) on the profile grid: closed form if known, else spectral."""
-    if profile.exact is not None:
-        return profile.exact[2](profile.x), profile.exact[3](profile.x)
-    return _spectral_dx(profile.r, profile.h), _spectral_dx(profile.p, profile.h)
 
 
 def _sech2(z):
@@ -251,7 +253,7 @@ def toda_forms(kappa):
     return r_exact, p_exact, dr_exact, dp_exact
 
 
-def toda_soliton(kappa, steps_per_site=16, span=None):
+def toda_soliton(kappa, span=None):
     """Closed-form Toda lattice soliton with parameter kappa > 0 (see
     toda_forms): a single positive hump with tail rate 2 kappa, traveling
     at c = sinh(kappa)/kappa.
@@ -260,7 +262,7 @@ def toda_soliton(kappa, steps_per_site=16, span=None):
         raise ValueError("kappa must be positive")
     kappa = float(kappa)
     c = speed_of_kappa(kappa)
-    x, h, steps, span = _profile_grid(kappa, steps_per_site, span)
+    x, _ = _profile_grid(kappa, span)
     forms = toda_forms(kappa)
     return WaveProfile(
         model_name="toda",
@@ -268,14 +270,13 @@ def toda_soliton(kappa, steps_per_site=16, span=None):
         x=x,
         r=forms[0](x),
         p=forms[1](x),
-        steps=steps,
         residual=0.0,
         method="exact",
         exact=forms,
     )
 
 
-def _petviashvili(model, c, h, seed, tol, max_iter):
+def _petviashvili(model, c, seed, tol, max_iter):
     """Petviashvili iteration for the scalar profile equation, in the split
     form: the linear part of V' sits on the left-hand side, so each step is
     r <- M^2 K[V'(r) - r] with K = 4 sin^2(xi/2) / (c^2 xi^2 - 4 sin^2(xi/2)),
@@ -290,7 +291,7 @@ def _petviashvili(model, c, h, seed, tol, max_iter):
     dv = model._dv
     where = f"(model {model.name}, c={c:g})"
     n = seed.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     sin2 = 4.0 * np.sin(xi / 2.0) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = sin2 / (c**2 * xi**2 - sin2)
@@ -313,7 +314,7 @@ def _petviashvili(model, c, h, seed, tol, max_iter):
         r = m_fac**2 * kw
         r = _even_part(r)
         r = np.fft.irfft(np.where(keep, np.fft.rfft(r), 0.0), n=n)
-        res = _scalar_residual(r, dv(r), h, c)
+        res = _scalar_residual(r, dv(r), c)
         history.append(res)
         if res < tol:
             return r, history
@@ -329,29 +330,21 @@ def _petviashvili(model, c, h, seed, tol, max_iter):
     )
 
 
-def _recenter(r, x, h):
+def _recenter(r, x):
     """Quadratic fit through the three largest samples; shift crest to 0."""
     j = int(np.argmax(r))
     n = r.size
     y0, y1, y2 = r[(j - 1) % n], r[j], r[(j + 1) % n]
     curv = y0 - 2.0 * y1 + y2
     delta = 0.5 * (y0 - y2) / curv if curv != 0 else 0.0
-    shift = x[j] + delta * h
+    shift = x[j] + delta * _H
     if shift == 0.0:
         return r
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     return np.fft.irfft(np.exp(1j * xi * shift) * np.fft.rfft(r), n=n)
 
 
-def solve_profile(
-    model,
-    c,
-    steps_per_site=16,
-    span=None,
-    tol=1e-12,
-    max_iter=500,
-    seed=None,
-):
+def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
     """Solve the traveling-wave profile equation by the split-form
     Petviashvili iteration (_petviashvili).
 
@@ -360,10 +353,13 @@ def solve_profile(
     model : PotentialModel
         must satisfy the normalization checks (V''(0)=1, cubic 1/6)
     c : float
-        wave speed, 1 < c, small-amplitude regime
+        wave speed, 1 < c, small-amplitude regime.  Fast waves are out of
+        reach at the default tol 1e-12: from c - 1 >= 0.57 on, for Toda
+        and alpha-FPU alike, the residual floors near 1e-11 and the
+        iteration raises RuntimeError("... stalled ...").
     seed : array, optional
         initial iterate on the solver grid; defaults to the KdV profile
-        eps^2 sech^2(eps x), eps = sqrt(6(c-1))
+        eps^2 sech^2(eps x), eps = eps_of_speed(c)
 
     Raises
     ------
@@ -375,46 +371,42 @@ def solve_profile(
     """
     if c <= 1.0:
         raise ValueError("wave speed must exceed 1")
-    kappa = kappa_of_speed(c)
-    x, h, steps, span = _profile_grid(kappa, steps_per_site, span)
-    eps = np.sqrt(6.0 * (c - 1.0))
+    x, _ = _profile_grid(kappa_of_speed(c), span)
+    eps = eps_of_speed(c)
     if seed is None:
         seed = eps**2 / np.cosh(eps * x) ** 2
 
-    r, history = _petviashvili(model, c, h, seed, tol, max_iter)
-    r = _recenter(r, x, h)
+    r, history = _petviashvili(model, c, seed, tol, max_iter)
+    r = _recenter(r, x)
     r = _even_part(r)
 
     probe = np.linspace(float(np.min(r)), float(np.max(r)), 65)
     if np.min(model(probe, order=2)) <= 0.0:
         raise ValueError("profile leaves the convexity region of the potential")
 
-    p = _momentum_from_r(r, h, c)
+    p = _momentum_from_r(r, c)
     return WaveProfile(
         model_name=model.name,
         c=float(c),
         x=x,
         r=r,
         p=p,
-        steps=steps,
         residual=history[-1],
-        iterations=len(history),
         method="split",
         residual_history=history,
     )
 
 
-def traveling_wave_residual(c, r, p, dr, dp, steps, model):
-    """sup |c dx^2 u + J H''(u) dx u| for grid columns u = (r, p) and
-    dx u = (dr, dp) with `steps` points per site, where integer shifts are
-    exact grid shifts and dx^2 u is spectral.  Raises RuntimeError above
-    1e-6: dx u is then not the x-direction of a traveling wave of speed c.
+def traveling_wave_residual(c, r, p, dr, dp, model):
+    """sup |c dx^2 u + J H''(u) dx u| for profile-grid columns u = (r, p)
+    and dx u = (dr, dp), where integer shifts are exact grid shifts and
+    dx^2 u is spectral.  Raises RuntimeError above 1e-6: dx u is then not
+    the x-direction of a traveling wave of speed c.
     """
-    h = 1.0 / steps
-    d2r = _spectral_dx(r, h, order=2)
-    d2p = _spectral_dx(p, h, order=2)
+    d2r = _spectral_dx(r, _H, order=2)
+    d2p = _spectral_dx(p, _H, order=2)
     v2 = model(r, order=2)
-    shift = lambda a, k: np.roll(a, -k * steps)
+    shift = lambda a, k: np.roll(a, -k * STEPS_PER_SITE)
     res_r = c * d2r + (shift(dp, 1) - dp)
     res_p = c * d2p + (v2 * dr - shift(v2 * dr, -1))
     res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
@@ -425,46 +417,36 @@ def traveling_wave_residual(c, r, p, dr, dp, steps, model):
     return res
 
 
-def profile_derivative(profile, which, model):
-    """x- or c-derivative of the wave profile, as a new profile object.
-
-    DDX differentiates spectrally (or uses the closed form) and verifies
-    the traveling-wave identity with traveling_wave_residual.
-    DDC re-solves at c +- h_c and takes a central difference; the family is
-    smooth in c near the sonic limit so the step h_c = 1e-4 (c-1) keeps
-    truncation and cancellation balanced.
+def profile_derivative(profile, model):
+    """x-derivative of the wave profile, as a new profile object: the
+    closed form when known, else spectral, verified against the
+    traveling-wave identity (traveling_wave_residual).
     """
-    which = DerivativeKind(which)
-    if which is DerivativeKind.DDX:
-        dr, dp = _dx_columns(profile)
-        res = traveling_wave_residual(
-            profile.c, profile.r, profile.p, dr, dp, profile.steps, model
-        )
-        out_r, out_p, label, resid = dr, dp, "ddx", res
+    if profile.exact is not None:
+        dr, dp = profile.exact[2](profile.x), profile.exact[3](profile.x)
     else:
-        h_c = 1e-4 * (profile.c - 1.0)
-        lo, hi = profile.c - h_c, profile.c + h_c
-        kwargs = dict(steps_per_site=profile.steps, span=profile.span)
-        if profile.exact is not None:
-            plus = toda_soliton(kappa_of_speed(hi), **kwargs)
-            minus = toda_soliton(kappa_of_speed(lo), **kwargs)
-        else:
-            plus = solve_profile(model, hi, seed=profile.r, **kwargs)
-            minus = solve_profile(model, lo, seed=profile.r, **kwargs)
-        out_r = (plus.r - minus.r) / (2.0 * h_c)
-        out_p = (plus.p - minus.p) / (2.0 * h_c)
-        label, resid = "ddc", np.nan
+        dr, dp = _spectral_dx(profile.r, _H), _spectral_dx(profile.p, _H)
+    res = traveling_wave_residual(profile.c, profile.r, profile.p, dr, dp, model)
+    return WaveProfile(profile.model_name, profile.c, profile.x, dr, dp,
+                       residual=res, method="ddx")
 
-    return WaveProfile(
-        model_name=profile.model_name,
-        c=profile.c,
-        x=profile.x,
-        r=out_r,
-        p=out_p,
-        steps=profile.steps,
-        residual=resid,
-        method=label,
-    )
+
+def speed_derivative(profile, model):
+    """c-derivative of the wave profile, as a new profile object: the
+    central difference of profiles re-solved at c +- h_c on the same
+    window.  The family is smooth in c near the sonic limit, so the step
+    h_c = 1e-4 (c-1) keeps truncation and cancellation balanced.
+    """
+    h_c = 1e-4 * (profile.c - 1.0)
+    if profile.exact is not None:
+        plus, minus = (toda_soliton(kappa_of_speed(ci), span=profile.span)
+                       for ci in (profile.c + h_c, profile.c - h_c))
+    else:
+        plus, minus = (solve_profile(model, ci, span=profile.span, seed=profile.r)
+                       for ci in (profile.c + h_c, profile.c - h_c))
+    return WaveProfile(profile.model_name, profile.c, profile.x,
+                       (plus.r - minus.r) / (2.0 * h_c),
+                       (plus.p - minus.p) / (2.0 * h_c), method="ddc")
 
 
 def profile_spline(profile, model):
@@ -474,7 +456,7 @@ def profile_spline(profile, model):
     The x-direction is profile_derivative's, so it has passed the
     traveling-wave identity check.
     """
-    ddx = profile_derivative(profile, DerivativeKind.DDX, model)
+    ddx = profile_derivative(profile, model)
     cols = np.column_stack([profile.r, profile.p, ddx.r, ddx.p])
     return cols, partial(_spline_at, CubicSpline(profile.x, cols))
 
@@ -503,10 +485,9 @@ def rho_profile(profile, model):
         raise ValueError("requires a supersonic profile")
     c = profile.c
     n = profile.x.size
-    h = profile.h
     f = model._dv(profile.r) - profile.r
     fhat = np.fft.rfft(f)
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     denom = c**2 * xi**2 - 4.0 * np.sin(xi / 2.0) ** 2
     denom[0] = 1.0
     m11 = c * xi**2 / denom
@@ -515,40 +496,8 @@ def rho_profile(profile, model):
     m21[0] = -1.0 / (c**2 - 1.0)
     comp1 = np.fft.irfft(m11 * fhat, n=n)
     comp2 = np.fft.irfft(m21 * fhat, n=n)
-    return WaveProfile(
-        model_name=profile.model_name,
-        c=c,
-        x=profile.x,
-        r=comp1,
-        p=comp2,
-        steps=profile.steps,
-        method="rho",
-    )
-
-
-def j_inverse_dx_profile(profile):
-    """J^{-1} applied to the x-derivative of the wave, on the profile grid.
-
-    Uses the prefix-sum representation over integer shifts (exact grid
-    shifts), which decays in both directions because dx r_c and dx p_c have
-    zero mean.  Returns the two components as a profile-shaped object.
-    """
-    dr, dp = _dx_columns(profile)
-    steps = profile.steps
-    blocks_p = dp.reshape(-1, steps)
-    blocks_r = dr.reshape(-1, steps)
-    comp1 = np.cumsum(blocks_p, axis=0).reshape(-1)
-    inclusive_r = np.cumsum(blocks_r, axis=0)
-    comp2 = (inclusive_r - blocks_r).reshape(-1)
-    return WaveProfile(
-        model_name=profile.model_name,
-        c=profile.c,
-        x=profile.x,
-        r=comp1,
-        p=comp2,
-        steps=profile.steps,
-        method="j_inverse_dx",
-    )
+    return WaveProfile(profile.model_name, c, profile.x, comp1, comp2,
+                       method="rho")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpulab.diagnostics import (
+    _train_profile,
     band_split,
     decay_fit,
     dispersion_check,
@@ -16,7 +17,7 @@ from fpulab.diagnostics import (
 from fpulab.integrators import EvolveConfig, evolve_nonlinear
 from fpulab.lattice import LatticeField, PotentialModel, WeightKind, WeightSpec
 from fpulab.modulation import ProfileTable, perturbation_split, train_field
-from fpulab.waves import speed_of_kappa
+from fpulab.waves import kappa_of_speed, solve_profile, speed_of_eps, speed_of_kappa, toda_soliton
 
 
 def test_sigmoid_weighted_norm_far_left_of_the_center():
@@ -65,7 +66,20 @@ def test_fourier_tail_slope_is_the_sech_pole_rate():
     # is -pi^2/2 at k = 1
     rep = symbol_and_tail_check((0.2, 0.1), 0.5, family=(1.0,),
                                 tail_eps_values=(0.6, 0.5, 0.4, 0.3))
-    assert abs(rep.tail_slope + np.pi**2 / 2.0) < 1e-8  # measured 4.4e-10
+    assert abs(rep.tail_slope + np.pi**2 / 2.0) < 1e-8  # measured 6.0e-10
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_train_profile_peaks_at_the_lattice_wave_amplitude(eps):
+    # a lattice wave at speed_of_eps(eps) peaks at eps^2 (1 + O(eps^2)), and
+    # so must the scaled KdV 1-soliton eps^2 phi_1(eps x); measured ratios
+    # 0.9914, 0.9978, 0.9995 (Toda) and 1.0014, 1.0003, 1.0001 (alpha-FPU)
+    c = speed_of_eps(eps)
+    g, _ = _train_profile((1.0,), eps)
+    kdv_peak = np.max(g(np.linspace(-3.0, 3.0, 6001) / eps))
+    for prof in (toda_soliton(kappa_of_speed(c)),
+                 solve_profile(PotentialModel.alpha_fpu(), c)):
+        assert abs(prof.r_at(np.array([0.0]))[0] / kdv_peak - 1.0) < eps**2
 
 
 @pytest.mark.parametrize("eps, a, k1", [(0.1, 0.5, 1.0), (0.05, 1.2, 1.0),

@@ -1,13 +1,18 @@
 """Every name a module of the package or of the tests imports is used,
-and the package has one log-sum-exp.
+every private module-level name of the package is read, and the package
+has one log-sum-exp.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
-counts).  A name mentioned only in a docstring or comment counts as
-unused.  `from __future__` imports are exempt.
+counts).  A private name a package module defines at module level must
+be read (loaded, imported or taken as an attribute) somewhere in the
+package or the tests outside its own definition.  A name mentioned only
+in a docstring, a comment or a string counts as unused.  `from
+__future__` imports are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fpulab
@@ -33,6 +38,43 @@ def test_no_unused_imports():
             for name in _unused_imports(ast.parse(path.read_text())):
                 unused.append("%s/%s: %s" % (folder.name, path.name, name))
     assert unused == []
+
+
+def _reads(tree):
+    """Names a tree loads, imports or takes as attributes, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _private_definitions(tree):
+    """(name, defining statement) of each private module-level name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_orphaned_private_names():
+    trees = {path: ast.parse(path.read_text())
+             for folder in SOURCES for path in sorted(folder.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    orphans = []
+    for path in sorted(SOURCES[0].glob("*.py")):
+        for name, node in _private_definitions(trees[path]):
+            if reads[name] == Counter(_reads(node))[name]:
+                orphans.append("%s: %s" % (path.name, name))
+    assert orphans == []
 
 
 def _names_logsumexp(node):

@@ -43,10 +43,11 @@ from fpulab.modulation import (
     _scaled_misfit,
 )
 from fpulab.waves import (
-    DerivativeKind,
     kappa_of_speed,
     profile_derivative,
     solve_profile,
+    speed_derivative,
+    speed_of_eps,
     speed_of_kappa,
     toda_soliton,
 )
@@ -158,10 +159,29 @@ class TestProfileTable:
         c = 1.0 + 0.017 * 1.13
         xs = np.linspace(-12.0, 12.0, 97)
         _, _, (ddc_r, _) = table.modes(c).sample(xs)
-        direct = profile_derivative(solve_profile(model, c),
-                                    DerivativeKind.DDC, model)
+        direct = speed_derivative(solve_profile(model, c), model)
         err = np.max(np.abs(ddc_r - direct.r_at(xs)))
         assert err / np.max(np.abs(direct.r_at(xs))) < 1e-4
+
+    @pytest.mark.parametrize("c", [1.005, 1.02, 1.05, 1.2])
+    def test_toda_speed_direction_is_the_closed_form(self, c):
+        # the c-direction of the Toda table is a central difference in c;
+        # the oracle is (dkappa/dc) d/dkappa of toda_forms, differentiated
+        # by hand, with dc/dkappa = (kappa cosh kappa - sinh kappa)/kappa^2
+        kappa = kappa_of_speed(c)
+        y = np.linspace(-8.0, 8.0, 161) / kappa + 0.3
+        sh, ch = np.sinh(kappa), np.cosh(kappa)
+        q0, q1 = (np.cosh(kappa * z) ** -2 for z in (y, y - 1.0))
+        dr = (np.sinh(2.0 * kappa) * q0 - 2.0 * sh**2 * y * q0
+              * np.tanh(kappa * y)) / (1.0 + sh**2 * q0)
+        dp = (-ch * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
+              - sh * (y * q0 - (y - 1.0) * q1))
+        dkappa_dc = kappa**2 / (kappa * ch - sh)
+        _, _, ddc = TABLE.modes(c).sample(y)
+        for got, want in zip(ddc, (dr, dp)):
+            want = dkappa_dc * want
+            # measured 9.6e-10 relative at most
+            assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
     def test_node_speed_samples_the_node(self):
         model = PotentialModel.alpha_fpu()
@@ -169,7 +189,7 @@ class TestProfileTable:
         xs = np.linspace(-12.0, 12.0, 97) + 0.3
         wave, ddx, _ = ProfileTable(model).modes(c).sample(xs)
         prof = solve_profile(model, c)
-        dprof = profile_derivative(prof, DerivativeKind.DDX, model)
+        dprof = profile_derivative(prof, model)
         for got, want in ((wave[0], prof.r_at(xs)), (wave[1], prof.p_at(xs)),
                           (ddx[0], dprof.r_at(xs)), (ddx[1], dprof.p_at(xs))):
             assert np.max(np.abs(got - want)) < 1e-12
@@ -303,7 +323,7 @@ class TestSecularGram:
 
     def test_near_sonic_entries_approach_universal_constants(self):
         eps = 0.05
-        c = 1.0 + eps**2 / 6.0
+        c = speed_of_eps(eps)
         modes = [TABLE.modes(c, 0.0)]
         gram = gram_of(modes, eps)
         assert gram[1, 1] == pytest.approx(12.0, rel=0.05)
@@ -328,7 +348,7 @@ class TestSecularGram:
 
     def test_conditioning_stays_moderate(self):
         for eps in (0.1, 0.2):
-            c = 1.0 + np.array([1.0, 4.0]) * eps**2 / 6.0
+            c = speed_of_eps(np.array([1.0, 2.0]) * eps)
             sep = 10.0 / eps
             modes = [TABLE.modes(ci, xi)
                      for ci, xi in zip(c, [-sep / 2, sep / 2])]

@@ -19,16 +19,18 @@ from fpulab.lattice import (
     weighted_pairing,
 )
 from fpulab.waves import (
-    DerivativeKind,
+    STEPS_PER_SITE,
     WaveProfile,
     _scalar_residual,
     energy_curve,
-    j_inverse_dx_profile,
+    eps_of_speed,
     kappa_of_speed,
     profile_derivative,
     rho_profile,
     rho_symbol,
     solve_profile,
+    speed_derivative,
+    speed_of_eps,
     speed_of_kappa,
     toda_forms,
     toda_soliton,
@@ -44,6 +46,16 @@ def test_speed_kappa_inversion():
         assert kappa_of_speed(speed_of_kappa(k)) == pytest.approx(k, rel=1e-12)
     with pytest.raises(ValueError):
         kappa_of_speed(0.99)
+
+
+def test_kdv_scale_pair():
+    # the pair is one map and its inverse, and near the sonic limit the
+    # Toda kappa of the speed is eps
+    for eps in (0.05, 0.2, 1.0):
+        assert eps_of_speed(speed_of_eps(eps)) == pytest.approx(eps, rel=1e-12)
+    for eps in (0.1, 0.05, 0.025):
+        kappa = kappa_of_speed(speed_of_eps(eps))
+        assert abs(kappa / eps - 1.0) < eps**2 / 20.0  # kappa = eps (1 - eps^2/40 + ...)
 
 
 def test_toda_closed_form_is_a_traveling_wave():
@@ -97,8 +109,8 @@ def test_custom_potential_without_second_derivative():
     )
     c = 1 + 0.04 / 6
     prof = solve_profile(custom, c)
-    got = profile_derivative(prof, DerivativeKind.DDX, custom)
-    want = profile_derivative(solve_profile(ALPHA, c), DerivativeKind.DDX, ALPHA)
+    got = profile_derivative(prof, custom)
+    want = profile_derivative(solve_profile(ALPHA, c), ALPHA)
     assert np.max(np.abs(got.r - want.r)) < 1e-6
     assert np.max(np.abs(got.p - want.p)) < 1e-6
     u = prof.lattice_field()
@@ -136,11 +148,11 @@ def test_solve_profile_matches_toda():
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
 def test_solve_profile_kdv_amplitude(eps):
-    sol = solve_profile(ALPHA, 1 + eps**2 / 6)
+    sol = solve_profile(ALPHA, speed_of_eps(eps))
     peak = sol.r_at(np.array([0.0]))[0] / eps**2
     assert 0.9 < peak < 1.1
     # the deviation from the sech^2 amplitude shrinks like eps^2
-    half = solve_profile(ALPHA, 1 + (eps / 2) ** 2 / 6)
+    half = solve_profile(ALPHA, speed_of_eps(eps / 2))
     peak_half = half.r_at(np.array([0.0]))[0] / (eps / 2) ** 2
     assert abs(peak_half - 1) < 0.5 * abs(peak - 1)
 
@@ -202,7 +214,7 @@ def test_profile_sampling_and_tails():
 
 def test_derivative_x_identity():
     for prof, model in ((toda_soliton(0.3), TODA), (solve_profile(ALPHA, 1 + 0.04 / 6), ALPHA)):
-        ddx = profile_derivative(prof, DerivativeKind.DDX, model)
+        ddx = profile_derivative(prof, model)
         assert ddx.residual < 1e-6
     # corrupting the speed breaks the traveling-wave identity
     prof = toda_soliton(0.3)
@@ -212,10 +224,9 @@ def test_derivative_x_identity():
         x=prof.x,
         r=prof.r,
         p=prof.p,
-        steps=prof.steps,
     )
     with pytest.raises(RuntimeError, match="identity"):
-        profile_derivative(broken, DerivativeKind.DDX, TODA)
+        profile_derivative(broken, TODA)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +235,8 @@ def test_derivative_x_identity():
 )
 def test_secular_pairings(make, model):
     prof = make()
-    ddx = profile_derivative(prof, DerivativeKind.DDX, model).lattice_field()
-    ddc = profile_derivative(prof, DerivativeKind.DDC, model).lattice_field()
+    ddx = profile_derivative(prof, model).lattice_field()
+    ddc = speed_derivative(prof, model).lattice_field()
     self_pair = weighted_pairing(ddx, ddx, PairingKind.J_INVERSE)
     assert abs(self_pair) < 1e-8 * ddx.norm() ** 2
     cross = prof.c * weighted_pairing(ddx, ddc, PairingKind.J_INVERSE)
@@ -239,7 +250,7 @@ def test_secular_pairings(make, model):
         ]
     else:
         energies = [
-            solve_profile(model, c, seed=prof.r, steps_per_site=prof.steps, span=prof.span).energy(model)
+            solve_profile(model, c, seed=prof.r, span=prof.span).energy(model)
             for c in (prof.c + h_c, prof.c - h_c)
         ]
     dhdc = (energies[0] - energies[1]) / (2 * h_c)
@@ -262,7 +273,7 @@ def test_rho_profile_quadratic_potential_vanishes():
 def test_rho_profile_scaling():
     ratios = []
     for eps in (0.2, 0.1, 0.05):
-        prof = solve_profile(ALPHA, 1 + eps**2 / 6)
+        prof = solve_profile(ALPHA, speed_of_eps(eps))
         rho = rho_profile(prof, ALPHA)
         ratios.append(rho.lattice_field().norm() / eps**1.5)
     ratios = np.array(ratios)
@@ -274,22 +285,11 @@ def test_rho_symbol_bound():
     # sup of eps^2 |m| along the shifted line approaches 4 from below
     sups = []
     for eps in (0.05, 0.1, 0.2):
-        c = 1 + eps**2 / 6
+        c = speed_of_eps(eps)
         xi = np.linspace(-16 * np.pi, 16 * np.pi, 20001)
         sups.append(eps**2 * np.max(np.abs(rho_symbol(c, xi + 1j * eps))))
     assert all(3.9 < s <= 4.05 for s in sups)
     assert rho_symbol(1.2, np.array([0.0]))[0] == pytest.approx(1 / (1.2**2 - 1))
-
-
-def test_j_inverse_dx_matches_lattice_cumsums():
-    prof = toda_soliton(0.3)
-    ddx = profile_derivative(prof, DerivativeKind.DDX, TODA)
-    ji = j_inverse_dx_profile(prof)
-    idx = np.arange(0, prof.x.size, prof.steps)
-    fld = LatticeField(-prof.span, ddx.r[idx], ddx.p[idx])
-    ji_lat = apply_j(fld, JDirection.INVERSE)
-    assert np.max(np.abs(ji.r[idx] - ji_lat.r)) < 1e-15
-    assert np.max(np.abs(ji.p[idx] - ji_lat.p)) < 1e-15
 
 
 def test_adjoint_direction_comparison():
@@ -297,12 +297,13 @@ def test_adjoint_direction_comparison():
     # weighted against growth to the right; the deviation scales as eps^2.5
     ratios = []
     for eps in (0.2, 0.1, 0.05):
-        prof = solve_profile(ALPHA, 1 + eps**2 / 6)
-        ji = j_inverse_dx_profile(prof)
-        idx = np.arange(0, prof.x.size, prof.steps)
-        sites = -prof.span + np.arange(idx.size)
-        phi = eps**2 / np.cosh(eps * sites) ** 2
-        dev = LatticeField(-prof.span, ji.r[idx] + phi, ji.p[idx] - phi)
+        prof = solve_profile(ALPHA, speed_of_eps(eps))
+        idx = np.arange(0, prof.x.size, STEPS_PER_SITE)  # the integer sites
+        ddx = profile_derivative(prof, ALPHA)
+        ji = apply_j(LatticeField(-prof.span, ddx.r[idx], ddx.p[idx]),
+                     JDirection.INVERSE)
+        phi = eps**2 / np.cosh(eps * ji.sites) ** 2
+        dev = LatticeField(ji.offset, ji.r + phi, ji.p - phi)
         ratios.append(weighted_norm(dev, WeightSpec(-eps / 2.0)) / eps**2.5)
     ratios = np.array(ratios)
     assert np.all(ratios < 0.8)
@@ -321,7 +322,7 @@ def test_energy_curve_toda():
 def test_energy_curve_kdv_limit():
     vals = []
     for eps in (0.2, 0.1, 0.05):
-        c = 1 + eps**2 / 6
+        c = speed_of_eps(eps)
         d = 1e-3 * (c - 1)
         curve = energy_curve(ALPHA, [c - d, c, c + d])
         vals.append(curve.theta1[1] / (c * eps))
@@ -344,6 +345,8 @@ def test_profile_export(tmp_path):
     assert head["model"] == "toda"
     assert head["c"] == pytest.approx(prof.c)
     assert head["eps"] == pytest.approx(np.sqrt(6 * (prof.c - 1)))
+    assert head["steps_per_site"] == STEPS_PER_SITE
+    assert np.all(np.diff(prof.x) == 1.0 / STEPS_PER_SITE)
 
 
 def test_energy_curve_export(tmp_path):
