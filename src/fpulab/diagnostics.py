@@ -175,8 +175,6 @@ def virial_series(trajectory, a, xtilde, model, eps=None):
     the combination a*eps + |v(0)| to stay below eps^2 / 2; violations
     are flagged, never fatal.
     """
-    if not trajectory.fields:
-        raise ValueError("trajectory carries no snapshots")
     times = np.asarray(trajectory.times, dtype=float)
     centers = np.array([float(xtilde(t)) for t in times])
     flags = []
@@ -576,7 +574,12 @@ def _time_l2(times, series):
 def stability_metrics(track, split, eps):
     """The five scaled suprema of the stability argument, with the
     tracked split standing in for the per-wave cascade pieces; all
-    entries are proxies in that sense and marked as such."""
+    entries are proxies in that sense and marked as such.
+
+    split is None (M1 only) or the split of `track`; its bound part v2 is
+    the residuals of `track.states`, whose M2 and M4 norms are read from
+    `track.series["v_l2"]` and `track.series["v_w"]`.
+    """
     times = track.times
     states = track.states
     n = track.n_waves
@@ -587,26 +590,24 @@ def stability_metrics(track, split, eps):
     out = {"M1": m1, "proxy": True}
     if split is None:
         return out
-    if split.times.size != times.size:
-        raise ValueError("split and track must sample the same times")
-    v1_l2 = split.free_l2
-    v2_l2 = split.bound_l2
+    if split.track is not track:
+        raise ValueError("split must carry the track it is measured with")
     v1_w = [_w_norm(f, s) for f, s in zip(split.free, states)]
-    v2_w = [_w_norm(f, s) for f, s in zip(split.bound, states)]
     psi1 = [
-        weighted_norm(f, WeightSpec(kap1, s.x[0], WeightKind.SIGMOID))
-        for f, s in zip(split.bound, states)
+        weighted_norm(s.residual, WeightSpec(kap1, s.x[0], WeightKind.SIGMOID))
+        for s in states
     ]
-    out["M2"] = float(np.max(v2_l2) ** 2) / eps**3
-    out["M3"] = float(np.max(v1_l2)) / eps**1.5 + _time_l2(times, v1_w)
-    out["M4"] = float(np.max(psi1)) / eps**1.5 + _time_l2(times, v2_w)
+    out["M2"] = float(np.max(track.series["v_l2"]) ** 2) / eps**3
+    out["M3"] = float(np.max(split.free_l2)) / eps**1.5 + _time_l2(times, v1_w)
+    out["M4"] = (float(np.max(psi1)) / eps**1.5
+                 + _time_l2(times, track.series["v_w"]))
     m5 = 0.0
     for k in range(1, n + 1):
         xk = [
             weighted_norm(
-                f, WeightSpec(kap1, s.x[n - k], WeightKind.RIGHT_GROWING)
+                s.residual, WeightSpec(kap1, s.x[n - k], WeightKind.RIGHT_GROWING)
             )
-            for f, s in zip(split.bound, states)
+            for s in states
         ]
         m5 += float(np.max(xk)) / eps**1.5 + _time_l2(times, xk)
     out["M5"] = m5

@@ -8,8 +8,10 @@ it is carried over, not evaluated again.  Linear nonautonomous equations
 dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background
 supplied either as a closed form or as a sampled trajectory.
 
-Windows use zero extension; a boundary alarm aborts a run when mass
-reaches the window edges.
+Windows use zero extension.  A run records the frames at t = 0, every
+`stride` steps and t_end (`Trajectory.final`), and a boundary alarm aborts
+it when a frame has l2 mass above `boundary_tol` on the outer
+BOUNDARY_WIDTH sites of an edge.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .lattice import (
     LatticeField,
     _shift_backward_diff,
     _shift_forward_diff,
-    hamiltonian,
     potential_eval,
 )
+
+BOUNDARY_WIDTH = 10
 
 
 @dataclass
@@ -33,8 +36,6 @@ class EvolveConfig:
     t_end: float
     stride: int = 1
     boundary_tol: float = 1e-8
-    boundary_width: int = 10
-    keep_snapshots: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt <= 0.25:
@@ -42,7 +43,9 @@ class EvolveConfig:
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if self.stride < 1:
-            raise ValueError("observer stride must be >= 1")
+            raise ValueError("stride must be >= 1")
+        if not self.boundary_tol >= 0:
+            raise ValueError("boundary_tol must be >= 0 (inf: no alarm)")
 
     @property
     def n_steps(self):
@@ -53,8 +56,10 @@ class EvolveConfig:
 class Trajectory:
     times: np.ndarray
     fields: list
-    observations: dict
-    final: LatticeField
+
+    @property
+    def final(self):
+        return self.fields[-1]
 
 
 class SampledBackground:
@@ -85,7 +90,7 @@ class SampledBackground:
 def _check_state(t, snap, cfg):
     if not (np.all(np.isfinite(snap.r)) and np.all(np.isfinite(snap.p))):
         raise RuntimeError(f"state became non-finite at t={t:.6g}")
-    lo, hi = snap.boundary_mass(cfg.boundary_width)
+    lo, hi = snap.boundary_mass(BOUNDARY_WIDTH)
     if max(lo, hi) > cfg.boundary_tol:
         raise RuntimeError(
             f"boundary mass {max(lo, hi):.3e} exceeds {cfg.boundary_tol:.3e} "
@@ -93,53 +98,40 @@ def _check_state(t, snap, cfg):
         )
 
 
-def _run(step, u0, cfg, observers):
-    """Shared stepping/observation loop.
+def _run(step, u0, cfg):
+    """Shared stepping/recording loop.
 
     step(k, r, p) advances the arrays r, p in place from k dt to
-    (k + 1) dt, k the step index.
+    (k + 1) dt, k the step index.  Records and checks a copy of the state
+    at t = 0, after every `stride`-th step and after the last step.
     """
-    observers = observers or {}
     r = u0.r.copy()
     p = u0.p.copy()
-    offset = u0.offset
     times, fields = [], []
-    obs_records = {name: [] for name in observers}
 
-    def observe(t):
-        snap = LatticeField(offset, r.copy(), p.copy())
+    def record(t):
+        snap = LatticeField(u0.offset, r.copy(), p.copy())
         _check_state(t, snap, cfg)
         times.append(t)
-        if cfg.keep_snapshots:
-            fields.append(snap)
-        for name, fn in observers.items():
-            obs_records[name].append(fn(t, snap))
+        fields.append(snap)
 
-    observe(0.0)
+    record(0.0)
     n_steps = cfg.n_steps
     for k in range(n_steps):
         step(k, r, p)
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
-            observe((k + 1) * cfg.dt)
-
-    observations = {name: np.asarray(vals) for name, vals in obs_records.items()}
-    return Trajectory(
-        times=np.asarray(times),
-        fields=fields,
-        observations=observations,
-        final=LatticeField(offset, r, p),
-    )
+            record((k + 1) * cfg.dt)
+    return Trajectory(times=np.asarray(times), fields=fields)
 
 
-def evolve_nonlinear(u0, model, cfg, observers=None):
+def evolve_nonlinear(u0, model, cfg):
     """Integrate du/dt = J H'(u) from u0 by Stormer-Verlet.
 
     V' is evaluated n_steps + 1 times: once at u0, then once per step at
     the drifted r, whose force ends that step and starts the next.
 
-    observers: dict name -> fn(t, field) evaluated every `stride` steps
-    (and at the initial and final times).  Observers must not mutate the
-    field they are handed.
+    Returns the frames at t = 0, every `stride` steps and t_end, each
+    checked by the boundary alarm.
     """
     dv = model._dv
     dt = cfg.dt
@@ -152,11 +144,10 @@ def evolve_nonlinear(u0, model, cfg, observers=None):
         force = _shift_backward_diff(dv(r))
         p += 0.5 * dt * force
 
-    return _run(step, u0, cfg, observers)
+    return _run(step, u0, cfg)
 
 
-def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
-                      observers=None):
+def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
     """Integrate dw/dt = J H''(U(t)) w + F1(t) by RK4.
 
     background: callable t -> LatticeField (or None for the zero state);
@@ -166,7 +157,8 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
     Step k has its stage times k dt, (k + 1/2) dt and (k + 1) dt, so a
     step's k4 time is the next step's k1 time bit for bit, and V''(U(t))
     is evaluated once per distinct stage time: 2 n_steps + 1 background
-    calls in all (V''(0) once when background is None).
+    calls in all (V''(0) once when background is None).  Records and
+    checks frames like evolve_nonlinear.
     """
     dt = cfg.dt
     flat = (potential_eval(model, np.zeros_like(w0.r), 2)
@@ -199,42 +191,4 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None,
         r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
         p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
-    return _run(step, w0, cfg, observers)
-
-
-def energy_observer(model):
-    """Observer recording the lattice Hamiltonian."""
-    return lambda t, fld: hamiltonian(fld, model)
-
-
-def crest_observer():
-    """Observer recording the crest position of r by a three-point
-    quadratic fit around the largest sample.
-
-    For single-hump profiles the fit is applied to log r, which is much
-    closer to a parabola near the crest; it falls back to the plain fit
-    when a neighbour is not positive.
-    """
-
-    def fn(t, fld):
-        j = int(np.argmax(fld.r))
-        if j in (0, len(fld) - 1):
-            return float(fld.offset + j)
-        y0, y1, y2 = fld.r[j - 1], fld.r[j], fld.r[j + 1]
-        if y0 > 0 and y1 > 0 and y2 > 0:
-            y0, y1, y2 = np.log(y0), np.log(y1), np.log(y2)
-        curv = y0 - 2 * y1 + y2
-        delta = 0.5 * (y0 - y2) / curv if curv != 0 else 0.0
-        return float(fld.offset + j + delta)
-
-    return fn
-
-
-def mass_center_observer():
-    """Observer recording the first moment of r over its total mass."""
-
-    def fn(t, fld):
-        total = np.sum(fld.r)
-        return float(np.sum(fld.sites * fld.r) / total) if total != 0 else np.nan
-
-    return fn
+    return _run(step, w0, cfg)

@@ -81,7 +81,9 @@ class LatticeField:
         return float(np.sqrt(np.sum(self.r**2) + np.sum(self.p**2)))
 
     def boundary_mass(self, width=10):
-        """l2 mass of (r, p) on the outer `width` sites of each edge."""
+        """l2 mass of (r, p) on the outer `width` >= 1 sites of each edge."""
+        if width < 1:
+            raise ValueError("boundary width must be >= 1")
         w = min(int(width), len(self))
         lo = np.sum(self.r[:w] ** 2) + np.sum(self.p[:w] ** 2)
         hi = np.sum(self.r[-w:] ** 2) + np.sum(self.p[-w:] ** 2)

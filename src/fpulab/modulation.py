@@ -439,10 +439,8 @@ def track(trajectory, model, guess, table=None):
     Each frame is seeded from the previous solution with the crests
     advanced by c * dt, which keeps the seed inside the basin across
     widely strided samples.  Decomposition failures carry the sample
-    time.  Requires the trajectory to have kept its snapshots.
+    time.
     """
-    if not trajectory.fields:
-        raise ValueError("trajectory carries no snapshots to decompose")
     if table is None:
         table = ProfileTable(model)
     times = np.asarray(trajectory.times, dtype=float)
@@ -488,9 +486,10 @@ def track(trajectory, model, guess, table=None):
 class PerturbationSplit:
     """Free/localized split of the residual along a perturbed-train run.
 
-    `free` is the nonlinear evolution of the perturbation alone;
-    `bound` is what remains after subtracting it and the modulated train,
-    zero at t=0 whenever the unperturbed state is an exact table train.
+    `free` is the nonlinear evolution of the perturbation alone; the bound
+    part, the rest less the modulated train, is the residuals of
+    `track.states` (l2 norms `bound_l2`, read from `track.series`), zero
+    at t=0 whenever the unperturbed state is an exact table train.
     `bound_leading` and `total_leading` are the norms
     ||e^{kappa_1 (n - x_1) / 2} v|| under the rightward-growing weight
     anchored at the slowest crest x_1 (squares weighted by
@@ -499,14 +498,15 @@ class PerturbationSplit:
     different quantity from the two-sided kappa_i norm of "v_w" and M3/M4.
     """
 
-    times: np.ndarray
     track: ModulationTrack
     free: list
-    bound: list
     free_l2: np.ndarray
-    bound_l2: np.ndarray
     bound_leading: np.ndarray
     total_leading: np.ndarray
+
+    @property
+    def bound_l2(self):
+        return self.track.series["v_l2"]
 
 
 def perturbation_split(u0, v0, model, cfg, guess, table=None):
@@ -519,50 +519,33 @@ def perturbation_split(u0, v0, model, cfg, guess, table=None):
     """
     if u0.offset != v0.offset or len(u0) != len(v0):
         raise ValueError("state and perturbation must share the window")
-    if not cfg.keep_snapshots:
-        raise ValueError("the split needs per-sample snapshots; enable "
-                         "keep_snapshots")
     if table is None:
         table = ProfileTable(model)
     full = evolve_nonlinear(u0, model, cfg)
     free = evolve_nonlinear(v0, model, cfg)
-    localized_fields = [
+    localized = Trajectory(full.times, [
         LatticeField(a.offset, a.r - b.r, a.p - b.p)
         for a, b in zip(full.fields, free.fields)
-    ]
-    localized = Trajectory(
-        times=full.times,
-        fields=localized_fields,
-        observations={},
-        final=localized_fields[-1],
-    )
+    ])
     trk = track(localized, model, guess, table=table)
 
     kappa1 = kappa_of_speed(float(trk.states[0].c[0]))
     n_t = trk.times.size
     free_l2 = np.empty(n_t)
-    bound_l2 = np.empty(n_t)
     bound_leading = np.empty(n_t)
     total_leading = np.empty(n_t)
-    bound = []
-    for i, state in enumerate(trk.states):
+    for i, (state, v1) in enumerate(zip(trk.states, free.fields)):
         v2 = state.residual
-        v1 = free.fields[i]
-        bound.append(v2)
         free_l2[i] = v1.norm()
-        bound_l2[i] = v2.norm()
         weight = WeightSpec(kappa1 / 2.0, center=float(state.x[0]),
                             kind=WeightKind.RIGHT_GROWING)
         bound_leading[i] = weighted_norm(v2, weight)
         total = LatticeField(v2.offset, v2.r + v1.r, v2.p + v1.p)
         total_leading[i] = weighted_norm(total, weight)
     return PerturbationSplit(
-        times=trk.times,
         track=trk,
         free=free.fields,
-        bound=bound,
         free_l2=free_l2,
-        bound_l2=bound_l2,
         bound_leading=bound_leading,
         total_leading=total_leading,
     )

@@ -179,9 +179,12 @@ def test_stability_metrics_ignore_the_site_labels():
                   for s in split.track.states]
         relabelled = replace(
             split, track=replace(split.track, states=states),
-            free=[moved(f, d) for f in split.free],
-            bound=[moved(f, d) for f in split.bound])
+            free=[moved(f, d) for f in split.free])
         got = stability_metrics(relabelled.track, relabelled, eps)
         for key in ("M1", "M2", "M3", "M4", "M5"):
             assert want[key] > 0.0
             assert abs(got[key] - want[key]) <= 1e-12 * want[key]
+        # the bound part is read from the track, so a split measured
+        # against another track is refused
+        with pytest.raises(ValueError, match="track"):
+            stability_metrics(split.track, relabelled, eps)

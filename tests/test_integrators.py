@@ -13,19 +13,18 @@ from scipy.linalg import expm
 
 from fpulab.artifacts import read_series, write_series
 from fpulab.integrators import (
+    BOUNDARY_WIDTH,
     EvolveConfig,
     SampledBackground,
-    crest_observer,
-    energy_observer,
     evolve_linearized,
     evolve_nonlinear,
-    mass_center_observer,
 )
 from fpulab.lattice import (
     LatticeField,
     PotentialModel,
     _shift_backward_diff,
     _shift_forward_diff,
+    hamiltonian,
     zeros_field,
 )
 from fpulab.waves import toda_soliton
@@ -39,6 +38,10 @@ def toda():
 @pytest.fixture(scope="module")
 def soliton():
     return toda_soliton(0.3)
+
+
+def energies(traj, model):
+    return np.array([hamiltonian(f, model) for f in traj.fields])
 
 
 def mirrored_pulse(sol, offset, length, position):
@@ -58,11 +61,18 @@ def test_config_validation():
         EvolveConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         EvolveConfig(dt=0.1, t_end=1.0, stride=0)
+    # NaN would switch the boundary alarm off, a negative value would fire
+    # it on the zero field; inf is the off switch
+    for tol in (np.nan, -1e-8, -np.inf):
+        with pytest.raises(ValueError, match="boundary_tol"):
+            EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=tol)
+    EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=np.inf)
+    EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=0.0)
 
 
 def test_zero_state_stays_zero(toda):
     u0 = zeros_field(-20, 40)
-    cfg = EvolveConfig(dt=0.1, t_end=5.0, keep_snapshots=False)
+    cfg = EvolveConfig(dt=0.1, t_end=5.0)
     traj = evolve_nonlinear(u0, toda, cfg)
     assert np.all(traj.final.r == 0.0)
     assert np.all(traj.final.p == 0.0)
@@ -70,23 +80,14 @@ def test_zero_state_stays_zero(toda):
 
 def test_soliton_drift_and_speed(toda, soliton):
     u0 = soliton.lattice_field(offset=-90, length=270, position=0.0)
-    cfg = EvolveConfig(dt=0.05, t_end=50.0, stride=10, keep_snapshots=False)
-    traj = evolve_nonlinear(
-        u0,
-        toda,
-        cfg,
-        observers={
-            "H": energy_observer(toda),
-            "crest": crest_observer(),
-            "com": mass_center_observer(),
-        },
-    )
-    H = traj.observations["H"]
+    cfg = EvolveConfig(dt=0.05, t_end=50.0, stride=10)
+    traj = evolve_nonlinear(u0, toda, cfg)
+    H = energies(traj, toda)
     rel_drift = np.max(np.abs(H - H[0])) / abs(H[0])
     assert rel_drift <= 1e-8  # measured 2.8e-9
     pred = soliton.c * traj.times
-    assert np.max(np.abs(traj.observations["crest"] - pred)) <= 0.01
-    assert np.max(np.abs(traj.observations["com"] - pred)) <= 1e-10
+    com = np.array([np.sum(f.sites * f.r) / np.sum(f.r) for f in traj.fields])
+    assert np.max(np.abs(com - pred)) <= 1e-10
 
 
 def test_energy_error_halves_like_dt_squared(toda, soliton):
@@ -101,11 +102,9 @@ def test_energy_error_halves_like_dt_squared(toda, soliton):
             dt=dt,
             t_end=20.0,
             stride=max(1, int(round(1.0 / dt))),
-            keep_snapshots=False,
             boundary_tol=1e-5,
         )
-        traj = evolve_nonlinear(u0, toda, cfg, observers={"H": energy_observer(toda)})
-        H = traj.observations["H"]
+        H = energies(evolve_nonlinear(u0, toda, cfg), toda)
         drifts[dt] = np.max(np.abs(H - H[0]))
     assert 3.5 <= drifts[0.1] / drifts[0.05] <= 4.5  # measured 3.997
     assert 3.5 <= drifts[0.05] / drifts[0.025] <= 4.5  # measured 3.999
@@ -118,17 +117,16 @@ def test_energy_error_is_quartic_on_exact_traveling_wave(toda, soliton):
     u0 = soliton.lattice_field(offset=-90, length=270, position=0.0)
     drifts = {}
     for dt, stride in ((0.1, 5), (0.05, 10)):
-        cfg = EvolveConfig(dt=dt, t_end=50.0, stride=stride, keep_snapshots=False)
-        traj = evolve_nonlinear(u0, toda, cfg, observers={"H": energy_observer(toda)})
-        H = traj.observations["H"]
+        cfg = EvolveConfig(dt=dt, t_end=50.0, stride=stride)
+        H = energies(evolve_nonlinear(u0, toda, cfg), toda)
         drifts[dt] = np.max(np.abs(H - H[0]))
     assert 10.0 <= drifts[0.1] / drifts[0.05] <= 25.0  # measured 16.0
 
 
 def two_evaluation_verlet(u0, model, cfg):
     """Kick-drift-kick evaluating the force at the start and at the end of
-    every step, observed like evolve_nonlinear: the reference for the
-    carried end-of-step force."""
+    every step, recorded like evolve_nonlinear: the reference for the
+    carried end-of-step force and for the recording rule."""
     force = lambda r: _shift_backward_diff(model(r, order=1))
     r, p, dt = u0.r.copy(), u0.p.copy(), cfg.dt
     times, fields = [0.0], [(r.copy(), p.copy())]
@@ -142,7 +140,7 @@ def two_evaluation_verlet(u0, model, cfg):
     return times, fields
 
 
-# 203 steps observed every 10: the last observation is the final step's own
+# 203 steps recorded every 10: the last frame is the final step's own
 CARRY_CFG = dict(dt=0.05, t_end=10.15, stride=10)
 
 
@@ -163,8 +161,21 @@ def test_verlet_evaluates_the_force_once_per_step():
     assert len(calls) == cfg.n_steps + 1
 
 
-@pytest.mark.parametrize("case", ["toda_soliton", "alpha_fpu_bump"])
-def test_carried_force_matches_two_evaluation_verlet(case, soliton):
+# a stride past the last step records t = 0 and t_end only; t_end = 0
+# records the initial frame alone
+PAST_END_CFG = dict(dt=0.05, t_end=10.15, stride=1000)
+AT_START_CFG = dict(dt=0.05, t_end=0.0, stride=10)
+
+
+@pytest.mark.parametrize("case,config,frames", [
+    pytest.param(case, config, frames, id=case + label)
+    for case in ("toda_soliton", "alpha_fpu_bump")
+    for label, config, frames in (("", CARRY_CFG, 22),
+                                  ("-past_end", PAST_END_CFG, 2),
+                                  ("-at_start", AT_START_CFG, 1))
+])
+def test_carried_force_matches_two_evaluation_verlet(case, config, frames,
+                                                    soliton):
     if case == "toda_soliton":
         model = PotentialModel.toda()
         u0 = soliton.lattice_field(offset=-90, length=200, position=0.0)
@@ -173,11 +184,12 @@ def test_carried_force_matches_two_evaluation_verlet(case, soliton):
         u0 = zeros_field(-100, 200)
         u0.r[:] = 0.1 * np.exp(-u0.sites**2 / 18.0)
         u0.p[:] = 0.05 * np.exp(-(u0.sites - 5.0) ** 2 / 8.0)
-    cfg = EvolveConfig(**CARRY_CFG)
+    cfg = EvolveConfig(**config)
     traj = evolve_nonlinear(u0, model, cfg)
     times, fields = two_evaluation_verlet(u0, model, cfg)
     assert traj.times.tolist() == times
-    assert len(traj.fields) == len(fields) == 22
+    assert times[-1] == cfg.n_steps * cfg.dt
+    assert len(traj.fields) == len(fields) == frames
     for got, (r, p) in zip(traj.fields, fields):
         assert np.array_equal(got.r, r) and np.array_equal(got.p, p)
     assert np.array_equal(traj.final.r, fields[-1][0])
@@ -186,7 +198,7 @@ def test_carried_force_matches_two_evaluation_verlet(case, soliton):
 
 def test_time_reversal(toda, soliton):
     u0 = soliton.lattice_field(offset=-60, length=160, position=0.0)
-    cfg = EvolveConfig(dt=0.05, t_end=10.0, stride=100, keep_snapshots=False)
+    cfg = EvolveConfig(dt=0.05, t_end=10.0, stride=100)
     fwd = evolve_nonlinear(u0, toda, cfg)
     mid = fwd.final
     back = evolve_nonlinear(
@@ -205,7 +217,7 @@ def test_time_reversal_random_data(seed, amp):
     u0.r[8:-8] = amp * rng.normal(size=32)
     u0.p[8:-8] = amp * rng.normal(size=32)
     cfg = EvolveConfig(
-        dt=0.1, t_end=2.0, stride=100, keep_snapshots=False, boundary_tol=1.0
+        dt=0.1, t_end=2.0, stride=100, boundary_tol=1.0
     )
     fwd = evolve_nonlinear(u0, model, cfg)
     mid = fwd.final
@@ -223,9 +235,8 @@ def test_head_on_collision_conserves_energy(toda):
     u1 = main.lattice_field(offset=off, length=L, position=-60.0)
     u2 = mirrored_pulse(small, off, L, 40.0)
     u0 = LatticeField(off, u1.r + u2.r, u1.p + u2.p)
-    cfg = EvolveConfig(dt=0.025, t_end=100.0, stride=40, keep_snapshots=False)
-    traj = evolve_nonlinear(u0, toda, cfg, observers={"H": energy_observer(toda)})
-    H = traj.observations["H"]
+    cfg = EvolveConfig(dt=0.025, t_end=100.0, stride=40)
+    H = energies(evolve_nonlinear(u0, toda, cfg), toda)
     assert np.max(np.abs(H - H[0])) <= 1e-8  # measured 2.5e-9
 
 
@@ -241,13 +252,11 @@ def test_free_linear_flow_conserves_norm(toda):
         dt=0.02,
         t_end=50.0,
         stride=250,
-        keep_snapshots=False,
         boundary_tol=np.inf,
     )
-    traj = evolve_linearized(
-        w0, None, toda, cfg, observers={"nrm": lambda t, f: f.norm()}
-    )
-    rel = np.abs(traj.observations["nrm"] - nrm0) / nrm0
+    traj = evolve_linearized(w0, None, toda, cfg)
+    nrm = np.array([f.norm() for f in traj.fields])
+    rel = np.abs(nrm - nrm0) / nrm0
     assert rel.max() <= 1e-6  # measured 1.6e-8
 
 
@@ -282,7 +291,6 @@ def test_duhamel_matches_quadrature(toda):
         dt=0.01,
         t_end=T,
         stride=10**9,
-        keep_snapshots=False,
         boundary_tol=np.inf,
     )
     traj = evolve_linearized(zeros_field(off, L), None, toda, cfg, forcing_f1=f1)
@@ -310,7 +318,6 @@ def test_linearized_response_is_linear(toda):
         dt=0.05,
         t_end=5.0,
         stride=10**9,
-        keep_snapshots=False,
         boundary_tol=np.inf,
     )
     a = evolve_linearized(w0, None, toda, cfg)
@@ -336,7 +343,6 @@ def test_linearized_matches_nonlinear_difference(toda, soliton):
         dt=0.001,
         t_end=T,
         stride=10**9,
-        keep_snapshots=False,
         boundary_tol=1e-4,
     )
     up = LatticeField(off, U0.r + eta * w0.r, U0.p + eta * w0.p)
@@ -352,7 +358,6 @@ def test_linearized_matches_nonlinear_difference(toda, soliton):
         dt=0.01,
         t_end=T,
         stride=10**9,
-        keep_snapshots=False,
         boundary_tol=np.inf,
     )
     lin = evolve_linearized(w0, background, toda, cfg_lin)
@@ -385,7 +390,7 @@ def test_background_is_evaluated_once_per_stage_time(toda, soliton):
     # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1) per step
     dt, n = 2.0**-6, 40
     cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
-                       keep_snapshots=False, boundary_tol=np.inf)
+                       boundary_tol=np.inf)
     evolve_linearized(w0, background, toda, cfg)
     assert times == [j * dt / 2.0 for j in range(2 * n + 1)]
     # with dt = 0.01 the k4 time of a step must still be the next step's
@@ -393,7 +398,7 @@ def test_background_is_evaluated_once_per_stage_time(toda, soliton):
     dt, n = 0.01, 300
     times.clear()
     cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
-                       keep_snapshots=False, boundary_tol=np.inf)
+                       boundary_tol=np.inf)
     evolve_linearized(w0, background, toda, cfg)
     assert len(times) == len(set(times)) == 2 * n + 1
 
@@ -414,15 +419,15 @@ def test_sampled_background_interpolation():
 
 def test_boundary_alarm(toda, soliton):
     u0 = soliton.lattice_field(offset=-15, length=30, position=0.0)
-    cfg = EvolveConfig(dt=0.1, t_end=20.0, keep_snapshots=False)
+    cfg = EvolveConfig(dt=0.1, t_end=20.0)
     with pytest.raises(RuntimeError, match="enlarge the window"):
         evolve_nonlinear(u0, toda, cfg)
 
 
 def test_boundary_alarm_reads_boundary_mass(toda, soliton):
     u0 = soliton.lattice_field(offset=-8, length=16, position=0.0)
-    mass = max(u0.boundary_mass(3))
-    cfg = EvolveConfig(dt=0.1, t_end=0.0, boundary_width=3, boundary_tol=mass)
+    mass = max(u0.boundary_mass(BOUNDARY_WIDTH))
+    cfg = EvolveConfig(dt=0.1, t_end=0.0, boundary_tol=mass)
     evolve_nonlinear(u0, toda, cfg)  # at the tolerance: no alarm
     cfg.boundary_tol = mass * (1.0 - 1e-12)
     with pytest.raises(RuntimeError, match="boundary mass %.3e" % mass):
@@ -433,36 +438,21 @@ def test_nonfinite_abort():
     model = PotentialModel.by_name("alpha_fpu")
     u0 = zeros_field(-20, 40)
     u0.r[18:22] = -1e4
-    cfg = EvolveConfig(dt=0.25, t_end=50.0, keep_snapshots=False, boundary_tol=np.inf)
+    cfg = EvolveConfig(dt=0.25, t_end=50.0, boundary_tol=np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             evolve_nonlinear(u0, model, cfg)
 
 
-@pytest.mark.parametrize("kappa,bound", [(0.2, 2e-3), (0.3, 4e-3), (0.5, 7e-3)])
-def test_crest_observer_systematic_error(kappa, bound):
-    sol = toda_soliton(kappa)
-    obs = crest_observer()
-    errs = []
-    for pos in np.linspace(0.0, 1.0, 9):
-        fld = sol.lattice_field(offset=-40, length=80, position=pos)
-        errs.append(abs(obs(0.0, fld) - pos))
-    assert max(errs) <= bound
-
-
 def test_trajectory_csv(tmp_path, toda, soliton):
     u0 = soliton.lattice_field(offset=-30, length=80, position=0.0)
-    cfg = EvolveConfig(
-        dt=0.1, t_end=1.0, stride=5, keep_snapshots=False, boundary_tol=1e-3
-    )
-    traj = evolve_nonlinear(
-        u0, toda, cfg, observers={"H": energy_observer(toda), "crest": crest_observer()}
-    )
-    path = tmp_path / "obs.csv"
-    write_series(path, {"t": traj.times, **traj.observations})
-    assert path.read_text().splitlines()[0] == "t,H,crest"
+    cfg = EvolveConfig(dt=0.1, t_end=1.0, stride=5, boundary_tol=1e-3)
+    traj = evolve_nonlinear(u0, toda, cfg)
+    H = energies(traj, toda)
+    path = tmp_path / "energy.csv"
+    write_series(path, {"t": traj.times, "H": H})
+    assert path.read_text().splitlines()[0] == "t,H"
     back = read_series(path)
     assert np.array_equal(back["t"], traj.times)
-    for name in ("H", "crest"):
-        assert np.array_equal(back[name], traj.observations[name])
+    assert np.array_equal(back["H"], H)
 

@@ -123,6 +123,11 @@ def test_field_window_and_boundary_mass():
     lo, hi = u.boundary_mass(width=2)
     assert lo == pytest.approx(np.sqrt(0 + 1 + 1 + 1))
     assert hi == pytest.approx(np.sqrt(4 + 9 + 1 + 1))
+    # r[-0:] is the whole array: width 0 would read the full norm at the
+    # high edge, a negative width the interior
+    for width in (0, -1, -3):
+        with pytest.raises(ValueError, match="width"):
+            u.boundary_mass(width)
     with pytest.raises(ValueError):
         LatticeField(0, np.zeros(3), np.zeros(4))
 

@@ -606,7 +606,7 @@ class TestTrack:
         fields[mid] = LatticeField(u0.offset,
                                    5.0 * rng.standard_normal(len(u0)),
                                    np.zeros(len(u0)))
-        bad = Trajectory(traj.times, fields, traj.observations, traj.final)
+        bad = Trajectory(traj.times, fields)
         with pytest.raises(RuntimeError, match="decomposition failed at t="):
             track(bad, MODEL, (C_PAIR.copy(), X_PAIR.copy()), table=TABLE)
 
