@@ -11,7 +11,9 @@ supplied either as a closed form or as a sampled trajectory.
 Windows use zero extension.  A run records the frames at t = 0, every
 `stride` steps and t_end (`Trajectory.final`), and a boundary alarm aborts
 it when a frame has l2 mass above `boundary_tol` on the outer
-BOUNDARY_WIDTH sites of an edge.
+BOUNDARY_WIDTH sites of an edge.  Between records the alarm also reads the
+live state every BOUNDARY_WIDTH / 4 time units, so a run with a long
+stride cannot cross the edge unnoticed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .lattice import (
 )
 
 BOUNDARY_WIDTH = 10
+# Time between two boundary checks of the live state: a disturbance slower
+# than 4 sites per time unit cannot cross the edge band between checks.
+BOUNDARY_CHECK_TIME = BOUNDARY_WIDTH / 4.0
 
 
 @dataclass
@@ -90,6 +95,10 @@ class SampledBackground:
 def _check_state(t, snap, cfg):
     if not (np.all(np.isfinite(snap.r)) and np.all(np.isfinite(snap.p))):
         raise RuntimeError(f"state became non-finite at t={t:.6g}")
+    _check_edges(t, snap, cfg)
+
+
+def _check_edges(t, snap, cfg):
     lo, hi = snap.boundary_mass(BOUNDARY_WIDTH)
     if max(lo, hi) > cfg.boundary_tol:
         raise RuntimeError(
@@ -103,10 +112,15 @@ def _run(step, u0, cfg):
 
     step(k, r, p) advances the arrays r, p in place from k dt to
     (k + 1) dt, k the step index.  Records and checks a copy of the state
-    at t = 0, after every `stride`-th step and after the last step.
+    at t = 0, after every `stride`-th step and after the last step, and
+    checks the edges of the live state every BOUNDARY_CHECK_TIME between
+    records.  Finiteness is checked on records only: a non-finite value
+    never leaves the state.
     """
     r = u0.r.copy()
     p = u0.p.copy()
+    live = LatticeField(u0.offset, r, p)  # views of the stepped arrays
+    check_every = int(np.ceil(BOUNDARY_CHECK_TIME / cfg.dt))
     times, fields = [], []
 
     def record(t):
@@ -121,6 +135,8 @@ def _run(step, u0, cfg):
         step(k, r, p)
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
             record((k + 1) * cfg.dt)
+        elif (k + 1) % check_every == 0:
+            _check_edges((k + 1) * cfg.dt, live, cfg)
     return Trajectory(times=np.asarray(times), fields=fields)
 
 

@@ -12,7 +12,10 @@ moments, so neither carries differencing error.  A TauLadder keeps the
 moments of its last evaluation point (t, x), compared by value, so asking
 for log Delta, v, its slope and the parameter gradients at one point
 builds the subset table once; the table itself is dropped when
-parameter_gradients has used it or the point changes.  The linearized
+parameter_gradients has used it or the point changes.  The table is
+built and reduced one x-slab of at most _SLAB entries at a time, small
+enough to stay in cache, so an evaluation holds the one table it keeps
+and slab-sized work arrays, never a second whole table.  The linearized
 flows ask for the profile at every stage time on a moving frame, where
 that memo would miss each time; they evaluate through a frame table
 instead (TauLadder.frame_profile), one exponential table per anchor time
@@ -48,6 +51,11 @@ MAX_SOLITONS = 8
 # it is rebuilt: the weights then stay within e^{+-FRAME_REACH} of their
 # anchor values, so none overflows and none that matters underflows.
 FRAME_REACH = 20.0
+# Table entries in one x-slab of a TauLadder evaluation: 2^16 doubles
+# (512 KB), small enough to stay in cache while the slab is exponentiated,
+# normalised and reduced, so no pass over the subset table runs from
+# memory and no whole-table temporary is made.
+_SLAB = 2**16
 
 
 @dataclass(frozen=True)
@@ -177,14 +185,20 @@ class TauLadder:
 
     Every evaluation goes through a one-entry memo keyed on (t, x), both
     compared by value.  A miss builds the (2^m, len(x)) subset table once,
-    turns it into softmax weights in place and keeps the len(x)-long
-    results: the prefactor with the shift and sum of log Delta_m, and the
-    mean and variance of the subset slopes.  The weights table itself is
-    kept only until parameter_gradients takes it at that key, or until the
-    next miss, so a ladder holds at most one.  Callers get fresh arrays,
-    never the memo's own.  The flows, whose every stage time is a new key,
-    do not go through this memo but through frame_profile, which keeps its
-    own table per anchor time.
+    sweeping x in slabs of at most _SLAB / 2^m points: each slab's
+    exponents are formed, shifted, exponentiated and normalised into
+    softmax weights while the slab is in cache, its share of the
+    len(x)-long results is taken (the prefactor with the shift and sum of
+    log Delta_m, and the mean and variance of the subset slopes), and its
+    weights are written into the table.  The weights table itself is kept
+    only until parameter_gradients takes it at that key,
+    walking the same slabs, or until the next miss, so a ladder holds at
+    most one.  A table of at most _SLAB entries (up to 4096 points at
+    m = 4) is one slab, and its results have the bits of a single
+    whole-table pass.  Callers get fresh arrays, never the memo's own.
+    The flows, whose every stage time is a new key, do not go through this
+    memo but through frame_profile, which keeps its own whole table per
+    anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -204,11 +218,27 @@ class TauLadder:
         k = self.family.k[:, None]
         return k * (x[None, :] - 4.0 * k**2 * t - self._gamma_m[:, None])
 
-    def _terms(self, t, x):
+    def _phases(self, t, x):
+        """The prefactor exponent -sum_{i>m} theta_i and the active phases
+        theta_1..m at (t, x).  Every subset table build, whole or slab by
+        slab, starts with one call, so these calls count table builds."""
         theta = self._theta(t, x)
-        pre = -np.sum(theta[self.m :], axis=0)
-        terms = self._log_a[:, None] - 2.0 * (self._B @ theta[: self.m])
-        return pre, terms
+        return -np.sum(theta[self.m :], axis=0), theta[: self.m]
+
+    def _terms(self, theta):
+        """Subset exponents log_a - 2 B theta of the active phases theta
+        (m rows, one column per point), formed in place: the bits of that
+        expression without its two temporary tables."""
+        terms = self._B @ theta
+        terms *= -2.0
+        terms += self._log_a[:, None]
+        return terms
+
+    def _slabs(self, size):
+        """Slices of [0, size) into x-slabs of at most _SLAB table
+        entries."""
+        width = max(1, _SLAB >> self.m)
+        return [slice(a, a + width) for a in range(0, size, width)]
 
     def _eval(self, t, x, weights=False):
         """Bring the memo to (t, x): refill it on a miss, or when weights
@@ -219,14 +249,22 @@ class TauLadder:
         if (key is None or t != key[0] or not np.array_equal(x, key[1])
                 or (weights and self._weights is None)):
             self._weights = None  # drop the old table before the next
-            pre, w = self._terms(t, x)
-            top, total = _shift_exp(w)
-            w /= total
-            mean = w.T @ self._slope
+            pre, theta = self._phases(t, x)
+            w = np.empty((self._slope.size, x.size))
+            top, total, mean, var = np.empty((4, x.size))
+            for sl in self._slabs(x.size):
+                # a contiguous slab: BLAS and the ufuncs run on it in
+                # cache, and only its weights go out to the table
+                terms = self._terms(theta[:, sl])
+                top[sl], total[sl] = _shift_exp(terms)
+                terms /= total[sl]
+                mean[sl] = terms.T @ self._slope
+                var[sl] = terms.T @ self._slope**2 - mean[sl] ** 2
+                w[:, sl] = terms
             self._key = (t, x.copy())
             self._lse = (pre, top, total)  # the log waits for log_delta
             self._mean = mean
-            self._var = w.T @ self._slope**2 - mean**2
+            self._var = var
             self._weights = w
         return x
 
@@ -267,19 +305,22 @@ class TauLadder:
         gap = k[:, None] ** 2 - k[None, :] ** 2
         np.fill_diagonal(gap, np.inf)
         columns = np.hstack([B, B * (B @ (4.0 * k[None, :] / gap).T - 1.0 / k)])
-        # every (2^m, len(x)) array is reused in place: w, then w (s - mu),
-        # and the centered slopes, then w (s - mu)^2
-        mu = self._mean
-        mean = w.T @ columns
-        centered = self._slope[:, None] - mu[None, :]
-        w *= centered
-        tilt = w.T @ columns[:, :m]
-        centered *= w
-        cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
-        lever = x[:, None] - 12.0 * k**2 * t - self._gamma_m[:m]
-        d_gamma = 2.0 * k * cov[:, :m]
-        d_k = cov[:, m:] - 2.0 * lever * cov[:, :m] - 4.0 * tilt
-        return np.ascontiguousarray(np.hstack([d_gamma, d_k]).T)
+        grads = np.empty((2 * m, x.size))
+        for sl in self._slabs(x.size):
+            # every slab of the table is reused in place: w, then
+            # w (s - mu), and the centered slopes, then w (s - mu)^2
+            ws = w[:, sl]
+            mean = ws.T @ columns
+            centered = self._slope[:, None] - self._mean[None, sl]
+            ws *= centered
+            tilt = ws.T @ columns[:, :m]
+            centered *= ws
+            cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
+            lever = x[sl, None] - 12.0 * k**2 * t - self._gamma_m[:m]
+            grads[:m, sl] = (2.0 * k * cov[:, :m]).T
+            grads[m:, sl] = (cov[:, m:] - 2.0 * lever * cov[:, :m]
+                             - 4.0 * tilt).T
+        return grads
 
     def frame_profile(self, x, speed, t0):
         """The profile on a moving frame, tau -> second_derivative(tau,
@@ -304,7 +345,7 @@ class TauLadder:
         def phi(tau):
             nonlocal anchor, table
             if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
-                _, table = self._terms(tau, x + speed * (tau - t0))
+                table = self._terms(self._phases(tau, x + speed * (tau - t0))[1])
                 _shift_exp(table)
                 anchor = tau
             m0, m1, m2 = (powers * np.exp(rate * (tau - anchor))) @ table

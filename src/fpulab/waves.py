@@ -20,7 +20,7 @@ sonic limit of Friesecke and Pego (1999).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -54,10 +54,25 @@ def kappa_of_speed(c):
     """Invert c = sinh(kappa)/kappa by safeguarded Newton.
 
     The initial guess kappa0 = eps_of_speed(c) is the KdV-regime expansion.
+    The solutions of the last _KAPPA_MEMO distinct speeds are kept, so a
+    speed asked for again (a tracked wave's window span, its modes and its
+    weights) is solved once.  The guess is taken on every call, kept or
+    not, so the public calls one call makes do not depend on what earlier
+    calls left in the memo.
     """
     if c <= 1.0:
         raise ValueError("wave speed must exceed the sound speed 1")
-    k = eps_of_speed(c)
+    return _kappa_newton(float(c), eps_of_speed(c))
+
+
+# distinct speeds whose kappa is kept: a tracked train asks for a few
+# hundred per run
+_KAPPA_MEMO = 1024
+
+
+@lru_cache(maxsize=_KAPPA_MEMO)
+def _kappa_newton(c, k):
+    """Newton from the guess k; see kappa_of_speed."""
     lo, hi = 0.0, max(2.0 * k, 2.0 * np.arcsinh(2.0 * c) + 2.0)
     for _ in range(100):
         f = np.sinh(k) - c * k

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from fpulab import backlund
+from fpulab import backlund, kdv
 from fpulab.artifacts import read_series, write_series
 from fpulab.kdv import (
     FRAME_REACH,
@@ -493,19 +493,22 @@ class TestEvolution:
 
     def test_flow_builds_one_subset_table_per_anchor(self, monkeypatch):
         tables, bases = [], []
-        terms = TauLadder._terms
+        phases = TauLadder._phases
         basis = backlund.secular_basis
 
-        def counting_terms(self, t, x):
+        def counting_phases(self, t, x):
+            # one call per subset table build, however many slabs it fills
             tables.append(t)
-            return terms(self, t, x)
+            return phases(self, t, x)
 
         def counting_basis(family, t, x):
             bases.append(t)
             return basis(family, t, x)
 
-        monkeypatch.setattr(TauLadder, "_terms", counting_terms)
+        monkeypatch.setattr(TauLadder, "_phases", counting_phases)
         monkeypatch.setattr(backlund, "secular_basis", counting_basis)
+        # slabs of 256 points: each basis table spans 7 of them
+        monkeypatch.setattr(kdv, "_SLAB", 2**2 * 256)
         x = uniform_grid(-45.0, 35.0, 0.05)
         g = field(x, np.exp(-x**2 / 8.0))
         dt, n = 2e-3, 500
@@ -699,13 +702,17 @@ class TestLadderConjugation:
         raw = np.exp(-(x + 4.0)**2 / 8.0) * np.cos(0.6 * x)
         y4 = field(x, project_against(raw, list(modes), self.DX))
         tables = []
-        terms = TauLadder._terms
+        phases = TauLadder._phases
 
         def counting(self, t, x):
+            # one call per subset table build, however many slabs it fills
             tables.append(self.m)
-            return terms(self, t, x)
+            return phases(self, t, x)
 
-        monkeypatch.setattr(TauLadder, "_terms", counting)
+        monkeypatch.setattr(TauLadder, "_phases", counting)
+        # slabs of 2^12 entries: a level-m table on 4001 points spans
+        # ceil(4001 / 2^(12 - m)) of them, 16 at m = 4
+        monkeypatch.setattr(kdv, "_SLAB", 2**12)
         down = ladder_conjugate(y4, fam, 0.0, 0.4, direction="down")
         ladder_conjugate(down.field, fam, 0.0, 0.4, direction="up")
         # each walk evaluates every level at one (t, x): one table apiece

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 
 from fpulab.artifacts import read_series, write_series
 from fpulab.integrators import (
+    BOUNDARY_CHECK_TIME,
     BOUNDARY_WIDTH,
     EvolveConfig,
     SampledBackground,
@@ -421,6 +422,19 @@ def test_boundary_alarm(toda, soliton):
     u0 = soliton.lattice_field(offset=-15, length=30, position=0.0)
     cfg = EvolveConfig(dt=0.1, t_end=20.0)
     with pytest.raises(RuntimeError, match="enlarge the window"):
+        evolve_nonlinear(u0, toda, cfg)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.25])
+def test_boundary_alarm_fires_between_records(toda, dt):
+    # a kappa = 0.5 soliton leaves [-40, 40) and its reflection is back
+    # inside by t_end; with no frame recorded in between, the edge checks
+    # of the live state every BOUNDARY_CHECK_TIME must still fire, and
+    # name the time of the check that fired
+    u0 = toda_soliton(0.5).lattice_field(offset=-40, length=80, position=0.0)
+    cfg = EvolveConfig(dt=dt, t_end=90.0, stride=10**9, boundary_tol=1e-3)
+    assert BOUNDARY_CHECK_TIME == 2.5
+    with pytest.raises(RuntimeError, match=r"at t=22\.5; enlarge the window"):
         evolve_nonlinear(u0, toda, cfg)
 
 

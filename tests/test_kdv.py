@@ -7,6 +7,7 @@ as the oracle for the log-domain expansion at moderate phases, and
 mpmath differentiation of the subset sum for the parameter gradients.
 """
 
+import tracemalloc
 from itertools import permutations
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from fpulab import kdv
 from fpulab.artifacts import write_series
 from fpulab.kdv import (
     GridField,
@@ -297,13 +299,14 @@ def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
     t0 = 3.0
     ladder = TauLadder(fam, n)
     builds = []
-    terms = ladder._terms
+    phases = ladder._phases
 
     def counting(t, xs):
+        # one call per anchor table, whole or in slabs
         builds.append(t)
-        return terms(t, xs)
+        return phases(t, xs)
 
-    ladder._terms = counting
+    ladder._phases = counting
     phi = ladder.frame_profile(x, speed, t0)
     worst = sup = 0.0
     for tau in np.linspace(0.0, 20.0, 81):
@@ -315,6 +318,106 @@ def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
     assert worst <= 1e-12 * sup  # measured 9.3e-15 (N = 2), 1.7e-13 (N = 8)
     # the exponents drift far enough over [0, 20] for at least 3 re-anchors
     assert len(builds) >= 4
+
+
+def log_delta_mp(family, t, x):
+    """log Delta_N at one point: the log of the subset sum in mpmath."""
+    n = family.n
+    k = [mp.mpf(v) for v in family.k]
+    theta = [k[i] * (x - 4 * k[i] ** 2 * t - mp.mpf(family.gamma[i]))
+             for i in range(n)]
+    total = mp.mpf(0)
+    for s in range(2**n):
+        idx = [i for i in range(n) if (s >> i) & 1]
+        coef = mp.fprod(1 / (2 * k[i]) for i in idx)
+        for a, i in enumerate(idx):
+            for j in idx[a + 1 :]:
+                coef *= ((k[i] - k[j]) / (k[i] + k[j])) ** 2
+        total += coef * mp.exp(-2 * mp.fsum(theta[i] for i in idx))
+    return mp.log(total)
+
+
+SLAB_METHODS = ("log_delta", "v", "second_derivative", "parameter_gradients")
+
+
+def test_slab_sweep_matches_one_whole_table(monkeypatch):
+    # a 2^8-subset table on 1001 points is swept in slabs of 256 points,
+    # the last one partial; the reference builds it as one table
+    fam = walk_family(8)
+    x = uniform_grid(-30.0, 20.0, 0.05)
+    t = 0.3
+    ladder = TauLadder(fam, 8)
+    slabs = ladder._slabs(x.size)
+    assert [sl.start for sl in slabs] == [0, 256, 512, 768]
+    got = {name: getattr(ladder, name)(t, x) for name in SLAB_METHODS}
+    monkeypatch.setattr(kdv, "_SLAB", 2**8 * x.size)
+    whole = TauLadder(fam, 8)
+    assert len(whole._slabs(x.size)) == 1
+    for name in SLAB_METHODS:
+        want = getattr(whole, name)(t, x)
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        # measured bit-identical with OpenBLAS; a BLAS may reduce a slab
+        # in another order than the whole table
+        assert np.all(np.abs(got[name] - want) <= 1e-13 * scale), name
+
+
+def test_slab_sweep_matches_evaluation_point_by_point():
+    fam = walk_family(8)
+    x = uniform_grid(-30.0, 20.0, 0.05)
+    t = 0.3
+    ladder = TauLadder(fam, 8)
+    single = TauLadder(fam, 8)
+    # measured 4e-16, 2e-15, 1.1e-13 and 8e-14 of each row's largest
+    # value; a point alone takes other BLAS reductions than a slab, and the
+    # last two are differences of moments of slopes up to |s| = 12
+    # (phi = E_w s^2 - (E_w s)^2 ~ 0.2), the same with one whole table
+    bounds = dict(zip(SLAB_METHODS, (1e-13, 1e-13, 1e-12, 1e-12)))
+    for name in SLAB_METHODS:
+        got = getattr(ladder, name)(t, x)
+        want = np.column_stack([getattr(single, name)(t, x[i : i + 1])
+                                for i in range(x.size)])
+        want = want.reshape(got.shape)
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bounds[name] * scale), name
+
+
+def test_slab_edges_match_extended_precision():
+    # the points on both sides of each slab boundary, against the subset
+    # sums in mpmath
+    fam = walk_family(8)
+    x = uniform_grid(-30.0, 20.0, 0.05)
+    ladder = TauLadder(fam, 8)
+    t = 0.3
+    phi = ladder.second_derivative(t, x)
+    log_delta = ladder.log_delta(t, x)
+    edges = [sl.start + side for sl in ladder._slabs(x.size)[1:]
+             for side in (-1, 0)]
+    with mp.workdps(30):
+        for i in edges:
+            want = float(log_delta_mp(fam, mp.mpf(t), mp.mpf(x[i])))
+            # measured 1.5e-16
+            assert abs(log_delta[i] - want) <= 1e-14 * abs(want)
+            want = float(_phi_mp(fam, mp.mpf(t), mp.mpf(x[i])))
+            # measured 2.3e-13: phi is a difference of slope moments
+            assert abs(phi[i] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
+def test_evaluation_holds_one_subset_table(name):
+    # the weights table of the memo plus slab-sized work arrays: an
+    # N = 8 evaluation on 4001 points peaks below 1.5 whole tables
+    fam = walk_family(8)
+    x = uniform_grid(-45.0, 35.0, 0.02)
+    assert x.size == 4001
+    ladder = TauLadder(fam, 8)
+    table = 2**8 * x.size * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        getattr(ladder, name)(0.0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table
 
 
 def test_phase_covariance():

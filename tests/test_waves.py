@@ -48,6 +48,25 @@ def test_speed_kappa_inversion():
         kappa_of_speed(0.99)
 
 
+def test_kappa_of_speed_solves_a_speed_once(monkeypatch):
+    # count the Newton iterations through the sinh of each
+    sinh_args = []
+    sinh = np.sinh
+    monkeypatch.setattr(waves.np, "sinh",
+                        lambda k: sinh_args.append(k) or sinh(k))
+    c = 1.0 + 1.0 / 7919.0  # a speed no other test asks for
+    kappa = kappa_of_speed(c)
+    iterations = len(sinh_args)
+    assert iterations > 1
+    for again in (c, np.float64(c), np.array(c)):
+        assert kappa_of_speed(again) == kappa
+    assert len(sinh_args) == iterations
+    # bit for bit the solve a fresh memo gives
+    waves._kappa_newton.cache_clear()
+    assert kappa_of_speed(c) == kappa
+    assert len(sinh_args) == 2 * iterations
+
+
 def test_kdv_scale_pair():
     # the pair is one map and its inverse, and near the sonic limit the
     # Toda kappa of the speed is eps
