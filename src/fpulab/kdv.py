@@ -358,8 +358,12 @@ class TauLadder:
         """Cauchy matrix C_m with entries e^{-theta_i-theta_j}/(k_i+k_j).
 
         det(I + C_m) equals Delta_m without the tail prefactor; overflows
-        for phases beyond ~350, which is what the expansion avoids.
+        for phases beyond ~350, which is what the expansion avoids.  x
+        holds one point; raises ValueError otherwise.
         """
+        if np.size(x) != 1:
+            raise ValueError("dense_matrix takes one point x, got %d"
+                             % np.size(x))
         theta = self._theta(t, x)[: self.m, 0]
         k = self.family.k[: self.m]
         e = np.exp(-theta)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import PPoly
 
 from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
@@ -43,13 +44,14 @@ from .lattice import (
     hamiltonian,
 )
 from .waves import (
-    _profile_grid,
+    _grid_size,
+    _identity_residual,
     eps_of_speed,
     kappa_of_speed,
     profile_spline,
     solve_profile,
     toda_forms,
-    traveling_wave_residual,
+    toda_speed_forms,
 )
 
 # Scaled separation kappa_1 * min(x_{i+1} - x_i) below which neighbouring
@@ -92,46 +94,101 @@ class WaveModes:
 
 def _span(kappa):
     # the window solve_profile and toda_soliton pick, so nodes are reusable
-    return _profile_grid(kappa, None)[1]
+    return _grid_size(kappa, None)[1]
+
+
+def _stacked_sampler(poly, w, dw):
+    """WaveModes.sample of a stacked bracket: one evaluation of its 16
+    spline columns (node k's r, p, dx r, dx p in columns 4k..4k+3) at the
+    points inside the grid, mapped by the weights w to the wave and the
+    x-direction and by dw to the c-direction; zero off the grid."""
+    # weights[i, k, j]: output row i from column j of node k
+    weights = np.zeros((6, 4, 4))
+    j = np.arange(4)
+    weights[j, :, j] = w
+    weights[4 + j[:2], :, j[:2]] = dw
+    weights = weights.reshape(6, 16)
+    lo, hi = poly.x[0], poly.x[-1]
+
+    def sample(rel):
+        inside = (rel >= lo) & (rel <= hi)
+        out = np.zeros((6, rel.size))
+        out[:, inside] = weights @ poly(rel[inside]).T
+        return out[0:2], out[2:4], out[4:6]
+
+    return sample
 
 
 class ProfileTable:
     """Solitary waves and their parameter directions, indexed by speed.
 
     Non-integrable models are solved on a geometric grid in c - 1 with 64
-    nodes per decade.  Each node is solved once per profile window and
-    keeps one cubic spline through its columns (r, p, dx r, dx p).  A
-    query at speed c samples the four nodes around it (solved on the
-    query's own window, so the arrays are commensurable) and combines the
-    samples with the cubic Lagrange weights w in c: w gives the wave and
-    the x-direction, and dw = dw/dc gives the c-direction, the exact
-    derivative of the interpolant.  The interpolant is linear in the node
-    data, so this is the interpolated profile sampled.  The Toda model
-    samples its closed form instead.
+    nodes per decade.  A query at speed c combines the four nodes around
+    it with the cubic Lagrange weights w in c: w gives the wave and the
+    x-direction, and dw = dw/dc gives the c-direction, the exact
+    derivative of the interpolant.  The nodes are solved on the query's
+    own profile window, so their grids coincide, and the table keeps one
+    stacked entry per bracket (four nodes on one window):
+
+    * the nodes' grid columns from profile_spline (r, p, dx r, dx p and
+      the spectral dx^2 r, dx^2 p), one row of 6 x grid values per node;
+    * one piecewise polynomial holding the four nodes' cubic splines as
+      16 columns on the shared breakpoints.
+
+    Each node is solved, differentiated and splined once; a later bracket
+    that shares it copies its row and spline columns from the bracket
+    that holds it.
+
+    A query then takes one weighted sum of the rows, the input of the
+    traveling-wave identity check (the interpolant is linear in the node
+    data, so this checks the interpolated profile), and each sample one
+    polynomial evaluation at the points inside the grid.  The Toda model
+    samples its closed forms instead.
     """
 
     def __init__(self, model):
         self.model = model
         self._exact = model.name == "toda"
-        self._nodes = {}  # (node speed, span) -> (grid columns, sampler)
-
-    def _node(self, speed, span):
-        node = self._nodes.get((speed, span))
-        if node is None:
-            prof = solve_profile(self.model, speed, span=span)
-            node = self._nodes[(speed, span)] = profile_spline(prof, self.model)
-        return node
+        # (node speed, span) -> (bracket key, index of the node in it):
+        # a node is solved once and stored in the first bracket holding it
+        self._nodes = {}
+        self._brackets = {}  # (first node index, span) -> (columns, poly)
 
     def _bracket(self, c, span):
-        """Four table nodes surrounding c on a common grid, and the
-        Lagrange weights w and dw/dc that combine them."""
+        """The stacked bracket of the four table nodes surrounding c on a
+        common grid, and the Lagrange weights w and dw/dc that combine
+        them."""
         s = c - 1.0
         j = int(np.floor(np.log10(s) * _TABLE_NODES_PER_DECADE))
         speeds = [1.0 + 10.0 ** (k / _TABLE_NODES_PER_DECADE)
                   for k in range(j - 1, j + 3)]
-        nodes = [self._node(ck, span) for ck in speeds]
+        key = (j, span)
+        if key not in self._brackets:
+            self._brackets[key] = self._stack(speeds, span)
+            for k, ck in enumerate(speeds):
+                self._nodes.setdefault((ck, span), (key, k))
         w, dw = self._lagrange_weights(s, [ck - 1.0 for ck in speeds])
-        return nodes, w, dw
+        return self._brackets[key], w, dw
+
+    def _stack(self, speeds, span):
+        """Columns and piecewise polynomial of a bracket's four nodes,
+        solved or read from the bracket that already holds them."""
+        cols, coefs = [], []
+        for ck in speeds:
+            home = self._nodes.get((ck, span))
+            if home is None:
+                prof = solve_profile(self.model, ck, span=span)
+                col, spline = profile_spline(prof, self.model)
+                cols.append(col.T.ravel())
+                coefs.append(spline.c)
+                x = spline.x
+            else:
+                key, k = home
+                held, poly = self._brackets[key]
+                cols.append(held[k])
+                coefs.append(poly.c[:, :, 4 * k:4 * k + 4])
+                x = poly.x
+        return np.stack(cols), PPoly(np.concatenate(coefs, axis=2), x)
 
     @staticmethod
     def _lagrange_weights(s, nodes_s):
@@ -149,8 +206,8 @@ class ProfileTable:
 
     def wave(self, c, offset=None, length=None, position=0.0):
         """The wave at speed c, crest at position, on a site window (by
-        default the profile window around the crest).  Samples the wave
-        column only; no directions and no identity check."""
+        default the profile window around the crest).  No identity
+        check."""
         c = float(c)
         kappa = kappa_of_speed(c)
         span = _span(kappa)
@@ -160,9 +217,9 @@ class ProfileTable:
         if self._exact:
             r, p, _, _ = toda_forms(kappa)
             return LatticeField(offset, r(rel), p(rel))
-        nodes, w, _ = self._bracket(c, span)
-        wave = sum(wk * at(rel)[:, :2] for wk, (_, at) in zip(w, nodes))
-        return LatticeField(offset, wave[:, 0], wave[:, 1])
+        (_, poly), w, dw = self._bracket(c, span)
+        (r, p), _, _ = _stacked_sampler(poly, w, dw)(rel)
+        return LatticeField(offset, r, p)
 
     def modes(self, c, position=0.0):
         """The wave at speed c with its x- and c-directions, crest at
@@ -172,24 +229,15 @@ class ProfileTable:
         kappa = kappa_of_speed(c)
         span = _span(kappa)
         if self._exact:
-            h_c = 1e-4 * (c - 1.0)
             r, p, dr, dp = toda_forms(kappa)
-            hi, lo = (toda_forms(kappa_of_speed(ci))[:2]
-                      for ci in (c + h_c, c - h_c))
+            dcr, dcp = toda_speed_forms(kappa)
 
             def sample(rel):
-                ddc = [(f(rel) - g(rel)) / (2.0 * h_c) for f, g in zip(hi, lo)]
-                return (r(rel), p(rel)), (dr(rel), dp(rel)), ddc
+                return (r(rel), p(rel)), (dr(rel), dp(rel)), (dcr(rel), dcp(rel))
         else:
-            nodes, w, dw = self._bracket(c, span)
-            grid = sum(wk * cols for wk, (cols, _) in zip(w, nodes))
-            traveling_wave_residual(c, *grid.T, self.model)
-
-            def sample(rel):
-                vals = [at(rel) for _, at in nodes]
-                wave = sum(wk * v for wk, v in zip(w, vals))
-                ddc = sum(wk * v[:, :2] for wk, v in zip(dw, vals))
-                return wave[:, :2].T, wave[:, 2:].T, ddc.T
+            (cols, poly), w, dw = self._bracket(c, span)
+            _identity_residual(c, *np.dot(w, cols).reshape(6, -1), self.model)
+            sample = _stacked_sampler(poly, w, dw)
         return WaveModes(c=c, position=float(position), span=span, sample=sample)
 
 

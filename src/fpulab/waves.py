@@ -20,7 +20,7 @@ sonic limit of Friesecke and Pego (1999).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -95,9 +95,10 @@ def _next_pow2(n):
     return 1 << int(np.ceil(np.log2(max(2, n))))
 
 
-def _profile_grid(kappa, span):
-    """Uniform grid covering [-span, span) with STEPS_PER_SITE points per
-    site, and its half-width span in sites."""
+def _grid_size(kappa, span):
+    """Point count and half-width in sites of the profile grid on
+    [-span, span); the default span resolves the profile down to
+    e^{-_SECH2_SEED_TAIL} at the edge."""
     if span is None:
         span = _SECH2_SEED_TAIL / (2.0 * kappa)
     n = _next_pow2(int(np.ceil(2 * span * STEPS_PER_SITE)))
@@ -105,6 +106,13 @@ def _profile_grid(kappa, span):
     if 2 * span * STEPS_PER_SITE != n:
         # keep integer sites on the grid: bump to the next multiple
         n = 2 * span * STEPS_PER_SITE
+    return n, span
+
+
+def _profile_grid(kappa, span):
+    """Uniform grid covering [-span, span) with STEPS_PER_SITE points per
+    site, and its half-width span in sites."""
+    n, span = _grid_size(kappa, span)
     x = (np.arange(n) - n // 2) * _H
     return x, span
 
@@ -268,6 +276,30 @@ def toda_forms(kappa):
     return r_exact, p_exact, dr_exact, dp_exact
 
 
+def toda_speed_forms(kappa):
+    """Closed forms (dc r, dc p) of the c-direction of the Toda soliton:
+    the c-derivatives of toda_forms' r and p at fixed crest-relative y,
+    (dkappa/dc) d/dkappa with dc/dkappa = (kappa cosh kappa - sinh kappa)
+    / kappa^2.
+    """
+    sh, ch = np.sinh(kappa), np.cosh(kappa)
+    s2 = sh**2
+    dkappa_dc = kappa**2 / (kappa * ch - sh)
+
+    def dcr_exact(y):
+        sech2 = _sech2(kappa * y)
+        dr_dkappa = (np.sinh(2.0 * kappa) - 2.0 * s2 * y * np.tanh(kappa * y)) * sech2
+        return dkappa_dc * dr_dkappa / (1.0 + s2 * sech2)
+
+    def dcp_exact(y):
+        return -dkappa_dc * (
+            ch * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
+            + sh * (y * _sech2(kappa * y) - (y - 1.0) * _sech2(kappa * (y - 1.0)))
+        )
+
+    return dcr_exact, dcp_exact
+
+
 def toda_soliton(kappa, span=None):
     """Closed-form Toda lattice soliton with parameter kappa > 0 (see
     toda_forms): a single positive hump with tail rate 2 kappa, traveling
@@ -418,8 +450,12 @@ def traveling_wave_residual(c, r, p, dr, dp, model):
     dx^2 u is spectral.  Raises RuntimeError above 1e-6: dx u is then not
     the x-direction of a traveling wave of speed c.
     """
-    d2r = _spectral_dx(r, _H, order=2)
-    d2p = _spectral_dx(p, _H, order=2)
+    return _identity_residual(c, r, p, dr, dp, _spectral_dx(r, _H, order=2),
+                              _spectral_dx(p, _H, order=2), model)
+
+
+def _identity_residual(c, r, p, dr, dp, d2r, d2p, model):
+    """traveling_wave_residual with the spectral dx^2 u = (d2r, d2p) given."""
     v2 = model(r, order=2)
     shift = lambda a, k: np.roll(a, -k * STEPS_PER_SITE)
     res_r = c * d2r + (shift(dp, 1) - dp)
@@ -465,15 +501,21 @@ def speed_derivative(profile, model):
 
 
 def profile_spline(profile, model):
-    """Grid columns (r, p, dx r, dx p) of a profile, shape (grid, 4), and a
-    function sampling one cubic spline through them, zero off the grid.
+    """Grid columns (r, p, dx r, dx p, dx^2 r, dx^2 p) of a profile, shape
+    (grid, 6), and the cubic spline through the first four.
 
     The x-direction is profile_derivative's, so it has passed the
-    traveling-wave identity check.
+    traveling-wave identity check; dx^2 r and dx^2 p are spectral, the
+    derivatives that check takes.  ProfileTable stacks the columns and
+    the spline coefficients of the four nodes of a bracket, so that one
+    weighted sum gives the identity check's input at an interpolated
+    speed and one piecewise-polynomial evaluation samples all four.
     """
     ddx = profile_derivative(profile, model)
-    cols = np.column_stack([profile.r, profile.p, ddx.r, ddx.p])
-    return cols, partial(_spline_at, CubicSpline(profile.x, cols))
+    cols = np.column_stack([profile.r, profile.p, ddx.r, ddx.p,
+                            _spectral_dx(profile.r, _H, order=2),
+                            _spectral_dx(profile.p, _H, order=2)])
+    return cols, CubicSpline(profile.x, cols[:, :4])
 
 
 def rho_symbol(c, z):

@@ -97,6 +97,13 @@ def test_tau_two_soliton_matches_dense():
     assert abs(val - dense) <= 1e-12
 
 
+def test_dense_matrix_rejects_several_points():
+    # the Cauchy matrix is one point's; a second point would be dropped
+    ladder = TauLadder(SolitonFamily([1.0, 2.0], [0.0, 0.0]), 2)
+    with pytest.raises(ValueError, match="one point"):
+        ladder.dense_matrix(0.0, np.array([0.0, 1.0]))
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_subset_tables_match_a_loop_over_subsets_and_pairs(m):
     k = np.array([0.3, 0.45, 0.5, 0.9, 1.2, 1.25, 2.0, 3.1])

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import least_squares
 
-from fpulab import modulation
+from fpulab import modulation, waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
 from fpulab.lattice import (
@@ -43,6 +44,7 @@ from fpulab.modulation import (
     _scaled_misfit,
 )
 from fpulab.waves import (
+    STEPS_PER_SITE,
     kappa_of_speed,
     profile_derivative,
     solve_profile,
@@ -50,6 +52,7 @@ from fpulab.waves import (
     speed_of_eps,
     speed_of_kappa,
     toda_soliton,
+    traveling_wave_residual,
 )
 
 MODEL = PotentialModel.toda()
@@ -165,9 +168,11 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("c", [1.005, 1.02, 1.05, 1.2])
     def test_toda_speed_direction_is_the_closed_form(self, c):
-        # the c-direction of the Toda table is a central difference in c;
         # the oracle is (dkappa/dc) d/dkappa of toda_forms, differentiated
-        # by hand, with dc/dkappa = (kappa cosh kappa - sinh kappa)/kappa^2
+        # by hand with cosh^-2 for sech^2, with dc/dkappa =
+        # (kappa cosh kappa - sinh kappa)/kappa^2; the table's
+        # toda_speed_forms is that closed form, so it is also checked
+        # against a central difference of the table's waves
         kappa = kappa_of_speed(c)
         y = np.linspace(-8.0, 8.0, 161) / kappa + 0.3
         sh, ch = np.sinh(kappa), np.cosh(kappa)
@@ -180,8 +185,29 @@ class TestProfileTable:
         _, _, ddc = TABLE.modes(c).sample(y)
         for got, want in zip(ddc, (dr, dp)):
             want = dkappa_dc * want
-            # measured 9.6e-10 relative at most
-            assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+            # measured 6.6e-16 relative at most
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        h = 1e-5 * (c - 1.0)
+        plus, minus = (TABLE.wave(ci, -40, 81, position=0.4)
+                       for ci in (c + h, c - h))
+        ddc = TABLE.modes(c, 0.4).sampled(-40, 81)[2]
+        for got, hi, lo in ((ddc.r, plus.r, minus.r), (ddc.p, plus.p, minus.p)):
+            fd = (hi - lo) / (2.0 * h)
+            # measured 1.8e-9 relative at c = 1.005
+            assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
+
+    def test_adjacent_brackets_share_their_nodes(self):
+        # brackets j and j + 1 share three nodes: the second solves one
+        # and reads the others from the first
+        model = PotentialModel.alpha_fpu()
+        table = ProfileTable(model)
+        c1, c2 = (1.0 + 10.0 ** ((k + 0.5) / 64) for k in (-100, -99))
+        xs = np.linspace(-12.0, 12.0, 97) + 0.3
+        assert table.modes(c1).span == table.modes(c2).span
+        assert len(table._nodes) == 5
+        fresh = ProfileTable(model).modes(c2).sample(xs)
+        for got, want in zip(table.modes(c2).sample(xs), fresh):
+            assert np.array_equal(got, want)
 
     def test_node_speed_samples_the_node(self):
         model = PotentialModel.alpha_fpu()
@@ -218,6 +244,48 @@ class TestProfileTable:
             terms = [dk * sk**p for dk, sk in zip(dw, nodes)]
             want = p * s ** (p - 1) if p else 0.0
             assert abs(sum(terms) - want) <= 1e-12 * sum(map(abs, terms))
+
+    @pytest.mark.parametrize("c", [1.02, 1.0213, 1.05])
+    def test_stacked_bracket_matches_per_node_splines(self, c):
+        # the oracle is per-node sampling: each node's own cubic spline
+        # through (r, p, dx r, dx p), zero off its grid, summed with the
+        # Lagrange weights w (wave, x-direction) and dw (c-direction)
+        model = PotentialModel.alpha_fpu()
+        table = ProfileTable(model)
+        modes = table.modes(c)
+        span = modes.span
+        s = c - 1.0
+        j = int(np.floor(np.log10(s) * 64))
+        speeds = [1.0 + 10.0 ** (k / 64) for k in range(j - 1, j + 3)]
+        w, dw = ProfileTable._lagrange_weights(s, [ck - 1.0 for ck in speeds])
+        lo, hi = -span, span - 1.0 / STEPS_PER_SITE  # the grid's ends
+        inside = np.random.default_rng(3).uniform(lo, hi, 200)
+        pts = np.concatenate([inside, [lo, hi, -span, span, span + 1e-9,
+                                       lo - 1e-9, -span - 7.5, span + 80.0]])
+        want = np.zeros((6, pts.size))
+        for ck, wk, dwk in zip(speeds, w, dw):
+            prof = solve_profile(model, ck, span=span)
+            ddx = profile_derivative(prof, model)
+            at = CubicSpline(prof.x, np.column_stack([prof.r, prof.p,
+                                                      ddx.r, ddx.p]))
+            on = (pts >= prof.x[0]) & (pts <= prof.x[-1])
+            vals = np.zeros((4, pts.size))
+            vals[:, on] = at(pts[on]).T
+            want[:4] += wk * vals
+            want[4:] += dwk * vals[:2]
+        got = np.concatenate(modes.sample(pts))
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
+        off = (pts < lo) | (pts > hi)
+        assert off.sum() == 5  # +span and the four points past the ends
+        assert np.all(got[:, off] == 0.0)
+        # the identity check on the bracket's cached dx^2 columns is the
+        # check on spectral derivatives of the combined columns
+        (cols, _), w_table, _ = table._bracket(c, span)
+        assert w_table == w
+        combined = np.dot(w, cols).reshape(6, -1)
+        cached = waves._identity_residual(c, *combined, model)
+        assert abs(cached - traveling_wave_residual(c, *combined[:4], model)) <= 1e-12
 
     def test_identity_alarm_fires_on_a_coarse_table(self, monkeypatch):
         monkeypatch.setattr(modulation, "_TABLE_NODES_PER_DECADE", 4)
@@ -432,6 +500,32 @@ class TestDecompose:
         # J^{-1} of the x- and c-direction of each of the two waves
         assert calls == [JDirection.INVERSE] * (4 * (state.iterations + 1))
         assert not hasattr(modulation, "weighted_pairing")
+
+    def test_warm_table_takes_no_spectral_derivative_and_builds_no_spline(
+            self, monkeypatch):
+        model = PotentialModel.alpha_fpu()
+        c = np.array([1.02, 1.05])
+        x = np.array([-30.0, 30.0])
+        frame = train_field(ProfileTable(model), c, x, -100, 201)
+        guess = (c * (1.0 + 5e-4), x + np.array([0.3, -0.2]))
+        calls = {"_spectral_dx": 0, "CubicSpline": 0}
+        for name in calls:
+            original = getattr(waves, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(waves, name, counting)
+        table = ProfileTable(model)
+        cold = decompose(frame, model, guess, table=table)
+        assert cold.iterations >= 2
+        assert calls["_spectral_dx"] > 0 and calls["CubicSpline"] > 0
+        calls.update(dict.fromkeys(calls, 0))
+        warm = decompose(frame, model, guess, table=table)
+        assert calls == {"_spectral_dx": 0, "CubicSpline": 0}
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.c, cold.c) and np.array_equal(warm.x, cold.x)
 
     def test_rejects_colliding_guess(self):
         u = pair_train()
