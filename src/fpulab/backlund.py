@@ -234,8 +234,10 @@ def _secular_coeffs(values, xi, eta, dx):
     eta match those of values."""
     gram = np.array([[simpson_pairing(g, e, dx) for g in xi] for e in eta])
     rhs = np.array([simpson_pairing(values, e, dx) for e in eta])
-    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
-        raise ValueError("secular Gram matrix is ill-conditioned; "
+    condition = np.linalg.cond(gram)
+    if condition > GRAM_COND_LIMIT:
+        raise ValueError(f"secular Gram matrix is ill-conditioned (condition "
+                         f"number {condition:.3e} exceeds {GRAM_COND_LIMIT:.0e}); "
                          "the parameter modes are numerically degenerate")
     return np.linalg.solve(gram, rhs) @ xi
 
@@ -432,12 +434,12 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     def record(tau, vhat, projected=None):
         vals = np.fft.irfft(vhat, n=flow.n)
         if not np.all(np.isfinite(vals)):
-            raise RuntimeError("evolution diverged (NaN)")
+            raise RuntimeError(f"evolution diverged (NaN) at t={tau:.6g}")
         frac = _alias_fraction(vhat, flow.xi)
         if frac > 1e-6:
             raise RuntimeError(
-                f"aliasing alarm: {frac:.2e} of the energy sits above the "
-                "dealiasing cutoff; refine dx or shrink dt"
+                f"aliasing alarm at t={tau:.6g}: {frac:.2e} of the energy sits "
+                "above the dealiasing cutoff; refine dx or shrink dt"
             )
         times.append(tau)
         norms.append(exp_weighted_norm(vals[sel], x[sel], dx, a))

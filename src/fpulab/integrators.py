@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    LatticeField,
-    _shift_backward_diff,
-    _shift_forward_diff,
-    potential_eval,
-)
+from .lattice import LatticeField, _shift_backward_diff, _shift_forward_diff
 
 BOUNDARY_WIDTH = 10
 # Time between two boundary checks of the live state: a disturbance slower
@@ -149,7 +144,7 @@ def evolve_nonlinear(u0, model, cfg):
     Returns the frames at t = 0, every `stride` steps and t_end, each
     checked by the boundary alarm.
     """
-    dv = model._dv
+    dv = model.dv
     dt = cfg.dt
     force = _shift_backward_diff(dv(u0.r))
 
@@ -177,12 +172,10 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
     checks frames like evolve_nonlinear.
     """
     dt = cfg.dt
-    flat = (potential_eval(model, np.zeros_like(w0.r), 2)
-            if background is None else None)
+    flat = model.d2v(np.zeros_like(w0.r)) if background is None else None
 
     def coefficient(t):
-        return (flat if background is None
-                else potential_eval(model, background(t).r, 2))
+        return flat if background is None else model.d2v(background(t).r)
 
     def deriv(t, coeff, r, p):
         dr = _shift_forward_diff(p)

@@ -1,6 +1,6 @@
 """Core lattice objects: fields on a site window, interaction potentials,
-exponential weight specifications, the symplectic shift operator J and
-its inverse, and the pairings built from it.
+exponential weight specifications, the symplectic operator J, its inverse
+and the J^{-1} pairing.
 
 The state variable is u = (r, p) where r(n) is the relative displacement
 between neighbouring sites and p(n) the momentum.  The evolution is
@@ -10,26 +10,22 @@ du/dt = J H'(u) with
 
 and H(u) = sum_n p(n)^2/2 + V(r(n)).  Fields live on a finite window of
 consecutive sites and are extended by zero outside it.
+
+Each operator has one entry point: a PotentialModel's public fields v, dv
+and d2v are V, V' and V''; apply_j applies J and apply_j_inverse its
+prefix-sum inverse; j_inverse_pairing evaluates <u, J^{-1} v> in a split
+form that never calls apply_j_inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .artifacts import read_series, write_series
-
-
-class JDirection(Enum):
-    FORWARD = "forward"
-    INVERSE = "inverse"
-
-
-class PairingKind(Enum):
-    PLAIN = "plain"
-    J_INVERSE = "j_inverse"
 
 
 class WeightKind(Enum):
@@ -94,19 +90,21 @@ def zeros_field(offset, length):
     return LatticeField(int(offset), np.zeros(length), np.zeros(length))
 
 
+@dataclass(frozen=True)
 class PotentialModel:
     """Interaction potential V with V(0)=V'(0)=0 and V''(0)=1.
 
-    Built-ins: alpha-FPU V(r)=r^2/2+r^3/6 and the Toda potential
-    V(r)=e^r-1-r.  Custom potentials supply callables for V and V'; their
-    V'' is a central difference of V'.
+    The public fields v, dv and d2v are V, V' and V'' as callables on
+    floats and arrays; they are the only way the package evaluates a
+    potential.  Built-ins: alpha-FPU V(r)=r^2/2+r^3/6 and the Toda
+    potential V(r)=e^r-1-r.  custom(v, dv) takes callables for V and V'
+    and builds V'' once, as a central difference of V'.
     """
 
-    def __init__(self, name, v, dv, d2v=None):
-        self.name = name
-        self._v = v
-        self._dv = dv
-        self._d2v = d2v
+    name: str
+    v: Callable
+    dv: Callable
+    d2v: Callable
 
     @classmethod
     def alpha_fpu(cls):
@@ -128,19 +126,14 @@ class PotentialModel:
 
     @classmethod
     def custom(cls, v, dv):
-        model = cls("custom", v, dv)
+        h = 1e-6
+
+        def d2v(r):
+            return (dv(r + h) - dv(r - h)) / (2 * h)
+
+        model = cls("custom", v, dv, d2v)
         model.check_normalization()
         return model
-
-    @classmethod
-    def by_name(cls, name):
-        table = {"alpha_fpu": cls.alpha_fpu, "toda": cls.toda}
-        if name not in table:
-            raise ValueError(f"unknown potential model '{name}'")
-        return table[name]()
-
-    def __call__(self, r, order=0):
-        return potential_eval(self, r, order)
 
     def check_normalization(self):
         """Verify V(0)=0, V'(0)=0, V''(0)=1 and a cubic Taylor
@@ -148,13 +141,13 @@ class PotentialModel:
         origin."""
         h = 1e-2
         r = h * np.arange(-3, 4)
-        v = self._v(r)
+        v = self.v(r)
         # fourth-order stencils for the second and third derivatives at 0
         d2 = (-v[5] + 16 * v[4] - 30 * v[3] + 16 * v[2] - v[1]) / (12 * h**2)
         d3 = (-v[6] + 8 * v[5] - 13 * v[4] + 13 * v[2] - 8 * v[1] + v[0]) / (8 * h**3)
         checks = {
-            "V(0)": abs(float(self._v(0.0))),
-            "V'(0)": abs(float(self._dv(0.0))),
+            "V(0)": abs(float(self.v(0.0))),
+            "V'(0)": abs(float(self.dv(0.0))),
             "V''(0)-1": abs(d2 - 1.0),
             "cubic-1/6": abs(d3 / 6.0 - 1.0 / 6.0),
         }
@@ -164,34 +157,9 @@ class PotentialModel:
         return checks
 
 
-def potential_eval(model, r, order=0):
-    """Evaluate V, V' or V'' of a potential model.
-
-    Parameters
-    ----------
-    model : PotentialModel
-    r : float or array
-    order : int, 0 for V, 1 for V', 2 for V''
-    """
-    r = np.asarray(r, dtype=float)
-    if order == 0:
-        out = model._v(r)
-    elif order == 1:
-        out = model._dv(r)
-    elif order == 2:
-        if model._d2v is not None:
-            out = model._d2v(r)
-        else:
-            h = 1e-6
-            out = (model._dv(r + h) - model._dv(r - h)) / (2 * h)
-    else:
-        raise ValueError("order must be 0, 1 or 2")
-    return out if np.ndim(r) else float(out)
-
-
 def hamiltonian_density(field, model):
     """Lattice energy density p^2/2 + V(r) per site."""
-    return 0.5 * field.p**2 + model._v(field.r)
+    return 0.5 * field.p**2 + model.v(field.r)
 
 
 def hamiltonian(field, model):
@@ -201,14 +169,14 @@ def hamiltonian(field, model):
 
 def grad_hamiltonian(field, model):
     """H'(u) = (V'(r), p) as a LatticeField on the same window."""
-    return LatticeField(field.offset, model._dv(field.r), field.p.copy())
+    return LatticeField(field.offset, model.dv(field.r), field.p.copy())
 
 
 def hessian_apply(field, model, w):
     """H''(u) w = (V''(r) w_r, w_p) for a direction field w."""
     if w.offset != field.offset or len(w) != len(field):
         raise ValueError("direction field must share the window")
-    return LatticeField(field.offset, model(field.r, order=2) * w.r, w.p.copy())
+    return LatticeField(field.offset, model.d2v(field.r) * w.r, w.p.copy())
 
 
 def _shift_forward_diff(x):
@@ -227,42 +195,37 @@ def _shift_backward_diff(x):
     return out
 
 
-def apply_j(v, direction=JDirection.FORWARD):
-    """Apply J or J^{-1} to a field with zero extension.
+def apply_j(v):
+    """J v = ((S-1) v_p, (1-S^{-1}) v_r) with zero extension."""
+    return LatticeField(v.offset, _shift_forward_diff(v.p), _shift_backward_diff(v.r))
 
-    J v = ((S-1) v_p, (1-S^{-1}) v_r), and the inverse is built from
-    prefix sums over the window:
+
+def apply_j_inverse(v):
+    """J^{-1} v from prefix sums over the window:
 
         (J^{-1} v)_1(n) = sum_{m <= n} v_2(m),
         (J^{-1} v)_2(n) = sum_{m <= n-1} v_1(m).
 
     Applying J after J^{-1} telescopes these sums back to v exactly.
     """
-    if direction is JDirection.FORWARD:
-        return LatticeField(
-            v.offset, _shift_forward_diff(v.p), _shift_backward_diff(v.r)
-        )
     first = np.cumsum(v.p)
     second = np.concatenate(([0.0], np.cumsum(v.r)[:-1]))
     return LatticeField(v.offset, first, second)
 
 
-def weighted_pairing(u, v, kind=PairingKind.PLAIN):
-    """Pairing <u, v> or <u, J^{-1} v>.
-
-    The J^{-1} pairing is evaluated through the rearranged split form
+def j_inverse_pairing(u, v):
+    """The pairing <u, J^{-1} v>, evaluated through the rearranged split
+    form
 
         <u, J^{-1} v> = <u_1, sum_{k<=0} S^k v_2> + <v_1, sum_{k>=1} S^k u_2>,
 
-    which agrees term by term with pairing u against apply_j(v, INVERSE)
+    which agrees term by term with pairing u against apply_j_inverse(v)
     but moves the second prefix sum onto u.  The library builds the
-    conditions with apply_j (modulation's condition matrix); this
+    conditions with apply_j_inverse (modulation's condition matrix); this
     independent form is the oracle the tests hold that convention to.
     """
     if u.offset != v.offset or len(u) != len(v):
         raise ValueError("fields must share the window")
-    if kind is PairingKind.PLAIN:
-        return float(np.sum(u.r * v.r + u.p * v.p))
     left = np.cumsum(v.p)  # sum_{m <= n} v_p(m)
     right = np.cumsum(u.p[::-1])[::-1] - u.p  # sum_{m > n} u_p(m)
     return float(np.sum(u.r * left + v.r * right))

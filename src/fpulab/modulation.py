@@ -36,11 +36,10 @@ from scipy.interpolate import PPoly
 from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
 from .lattice import (
-    JDirection,
     LatticeField,
     WeightKind,
     WeightSpec,
-    apply_j,
+    apply_j_inverse,
     hamiltonian,
 )
 from .waves import (
@@ -62,6 +61,10 @@ MIN_SCALED_SEPARATION = 7.0
 # Sites.  Below this the Gram matrix is numerically rank-deficient and the
 # parametrization by ordered single waves has broken down.
 COLLISION_GAP = 2.0
+
+# Condition number of the wave-direction pairing matrix above which it is
+# singular to working precision.
+GRAM_COND_LIMIT = 1e12
 
 _TABLE_NODES_PER_DECADE = 64
 
@@ -248,7 +251,9 @@ def _flat(f):
 def _conditions(sampled, eps):
     """The condition matrix C and the direction matrix D of a train (see
     the module docstring), from one (wave, x-direction, c-direction)
-    triple of fields per wave, all on one site window."""
+    triple of fields per wave, all on one site window.  The rows of C
+    are apply_j_inverse of the directions, so C v pairs v against them
+    as lattice.j_inverse_pairing(v, direction) does."""
     if not sampled:
         raise ValueError("need at least one wave")
     if eps <= 0.0:
@@ -256,8 +261,8 @@ def _conditions(sampled, eps):
     cond = np.empty((2 * len(sampled), 2 * len(sampled[0][0])))
     dirs = np.empty_like(cond)
     for i, (_, dx_i, dc_i) in enumerate(sampled):
-        cond[2 * i] = _flat(apply_j(dx_i, JDirection.INVERSE)) / eps**4
-        cond[2 * i + 1] = _flat(apply_j(dc_i, JDirection.INVERSE)) / eps
+        cond[2 * i] = _flat(apply_j_inverse(dx_i)) / eps**4
+        cond[2 * i + 1] = _flat(apply_j_inverse(dc_i)) / eps
         dirs[2 * i] = eps**3 * _flat(dc_i)
         dirs[2 * i + 1] = _flat(dx_i)
     return cond, dirs
@@ -265,9 +270,11 @@ def _conditions(sampled, eps):
 
 def _checked_gram(cond, dirs):
     gram = cond @ dirs.T
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
-        raise ValueError("wave-direction pairing matrix is singular to "
-                         "working precision")
+    condition = np.linalg.cond(gram) if np.all(np.isfinite(gram)) else np.inf
+    if condition > GRAM_COND_LIMIT:
+        raise ValueError("wave-direction pairing matrix is singular to working "
+                         f"precision: condition number {condition:.3e} exceeds "
+                         f"{GRAM_COND_LIMIT:.0e}")
     return gram
 
 

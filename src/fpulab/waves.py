@@ -335,7 +335,7 @@ def _petviashvili(model, c, seed, tol, max_iter):
     last 25 iterations, checked from iteration 30 on) or when max_iter
     iterations end above tol.
     """
-    dv = model._dv
+    dv = model.dv
     where = f"(model {model.name}, c={c:g})"
     n = seed.size
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
@@ -428,7 +428,7 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
     r = _even_part(r)
 
     probe = np.linspace(float(np.min(r)), float(np.max(r)), 65)
-    if np.min(model(probe, order=2)) <= 0.0:
+    if np.min(model.d2v(probe)) <= 0.0:
         raise ValueError("profile leaves the convexity region of the potential")
 
     p = _momentum_from_r(r, c)
@@ -456,14 +456,15 @@ def traveling_wave_residual(c, r, p, dr, dp, model):
 
 def _identity_residual(c, r, p, dr, dp, d2r, d2p, model):
     """traveling_wave_residual with the spectral dx^2 u = (d2r, d2p) given."""
-    v2 = model(r, order=2)
+    v2 = model.d2v(r)
     shift = lambda a, k: np.roll(a, -k * STEPS_PER_SITE)
     res_r = c * d2r + (shift(dp, 1) - dp)
     res_p = c * d2p + (v2 * dr - shift(v2 * dr, -1))
     res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
     if res > 1e-6:
         raise RuntimeError(
-            f"x-derivative violates the traveling-wave identity: {res:.3e}"
+            f"x-derivative violates the traveling-wave identity: {res:.3e} "
+            f"(model {model.name}, c={c:g})"
         )
     return res
 
@@ -483,18 +484,22 @@ def profile_derivative(profile, model):
 
 
 def speed_derivative(profile, model):
-    """c-derivative of the wave profile, as a new profile object: the
+    """c-derivative of the wave profile, as a new profile object.
+
+    A closed-form (Toda) profile takes toda_speed_forms on its grid, the
+    c-direction ProfileTable.modes uses.  Any other profile takes the
     central difference of profiles re-solved at c +- h_c on the same
-    window.  The family is smooth in c near the sonic limit, so the step
+    window, the oracle for the table's interpolated c-direction; the
+    family is smooth in c near the sonic limit, so the step
     h_c = 1e-4 (c-1) keeps truncation and cancellation balanced.
     """
-    h_c = 1e-4 * (profile.c - 1.0)
     if profile.exact is not None:
-        plus, minus = (toda_soliton(kappa_of_speed(ci), span=profile.span)
-                       for ci in (profile.c + h_c, profile.c - h_c))
-    else:
-        plus, minus = (solve_profile(model, ci, span=profile.span, seed=profile.r)
-                       for ci in (profile.c + h_c, profile.c - h_c))
+        dcr, dcp = toda_speed_forms(profile.kappa)
+        return WaveProfile(profile.model_name, profile.c, profile.x,
+                           dcr(profile.x), dcp(profile.x), method="ddc")
+    h_c = 1e-4 * (profile.c - 1.0)
+    plus, minus = (solve_profile(model, ci, span=profile.span, seed=profile.r)
+                   for ci in (profile.c + h_c, profile.c - h_c))
     return WaveProfile(profile.model_name, profile.c, profile.x,
                        (plus.r - minus.r) / (2.0 * h_c),
                        (plus.p - minus.p) / (2.0 * h_c), method="ddc")
@@ -542,7 +547,7 @@ def rho_profile(profile, model):
         raise ValueError("requires a supersonic profile")
     c = profile.c
     n = profile.x.size
-    f = model._dv(profile.r) - profile.r
+    f = model.dv(profile.r) - profile.r
     fhat = np.fft.rfft(f)
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
     denom = c**2 * xi**2 - 4.0 * np.sin(xi / 2.0) ** 2

@@ -8,6 +8,8 @@ numbers are measured values of this implementation with margin; decay
 slopes additionally have to clear the analytic rate bounds.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,8 +365,10 @@ class TestSecularProjection:
         x = uniform_grid(-5.0, 5.0, 0.1)
         f = np.exp(-x**2)
         degenerate = np.array([f] * 4)
-        with pytest.raises(ValueError, match="condition"):
+        with pytest.raises(ValueError, match="condition") as alarm:
             _secular_coeffs(f, degenerate, degenerate, 0.1)
+        found = re.search(r"condition number (\S+) exceeds 1e\+12", str(alarm.value))
+        assert float(found.group(1)) > 1e12
 
 
 class TestEvolution:
@@ -532,9 +536,23 @@ class TestEvolution:
     def test_aliasing_alarm_fires_on_marginal_steps(self):
         x = uniform_grid(-45.0, 35.0, 0.01)
         g = field(x, np.exp(-x**2 / 8.0))
-        with pytest.raises(RuntimeError, match="alias"):
+        with pytest.raises(RuntimeError, match="alias") as alarm:
             linearized_kdv_evolve(g, TRAIN, 0.0, 0.3, 0.4, 2e-3,
                                   reproject_every=0, record_every=10)
+        # records fall every 10 dt = 0.02; the one at t = 0.1 is the first
+        # above the 1e-6 threshold (6.9e-5 measured)
+        assert "aliasing alarm at t=0.1:" in str(alarm.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_alarm_names_the_time(self):
+        # dt = 0.2 is far past the step the potential term allows; with no
+        # record between t0 and t1 = 40 the field first shows NaN at t1
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        g = field(x, np.exp(-x**2 / 8.0))
+        with pytest.raises(RuntimeError, match="diverged") as alarm:
+            linearized_kdv_evolve(g, TRAIN, 0.0, 40.0, 0.4, 0.2,
+                                  reproject_every=0, record_every=1000)
+        assert str(alarm.value).endswith("at t=40")
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_level_flow_divergence_raises(self):

@@ -69,6 +69,35 @@ def test_fourier_tail_slope_is_the_sech_pole_rate():
     assert abs(rep.tail_slope + np.pi**2 / 2.0) < 1e-8  # measured 6.0e-10
 
 
+@pytest.mark.parametrize("a, gap", [(0.5, 0.29), (1.0, 0.41)])
+def test_symbol_sup_tends_to_the_kdv_limit(a, gap):
+    # 4 sin^2(z/2) = z^2 - z^4/12 + O(z^6) and c^2 - 1 = eps^2/3 + O(eps^4),
+    # so eps^2 m(eps (eta + i a)) -> 12 / (4 + (eta + i a)^2), largest at
+    # eta = 0: 12 / (4 - a^2).  The sup approaches it from below by
+    # gap * eps^2; measured (limit - sup) / eps^2 = 0.279 to 0.283 at
+    # a = 0.5 and 0.394 to 0.400 at a = 1 for eps from 0.4 to 0.05
+    eps_values = (0.4, 0.2, 0.1, 0.05)
+    rep = symbol_and_tail_check(eps_values, a, tail_eps_values=(0.6, 0.5))
+    limit = 12.0 / (4.0 - a**2)
+    scaled = [(limit - rep.symbol_sup[eps]) / eps**2 for eps in eps_values]
+    assert all(0.0 < s < gap for s in scaled)
+    # an O(eps^2) gap: its scaled size moves by 1.6% at most, measured
+    assert max(scaled) < 1.03 * min(scaled)
+
+
+def test_cubic_error_falls_at_fifth_order():
+    # lambda_+ minus its cubic polynomial is O(eps^5 <eta>^5) on |eta| <= 2K:
+    # halving eps divides cubic_error by 31.6, 32.0 and 32.0 (measured,
+    # 0.4 -> 0.2 -> 0.1 -> 0.05), and cubic_scale, the error over
+    # eps^5 <eta>^5, stays at 4.58e-4 to 4.65e-4
+    reps = [dispersion_check(eps, 0.5) for eps in (0.4, 0.2, 0.1, 0.05)]
+    for coarse, fine in zip(reps, reps[1:]):
+        assert abs(np.log2(coarse.cubic_error / fine.cubic_error) - 5.0) < 0.05
+    for rep in reps:
+        assert 4.5e-4 < rep.cubic_scale < 4.7e-4
+        assert rep.holds
+
+
 @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
 def test_train_profile_peaks_at_the_lattice_wave_amplitude(eps):
     # a lattice wave at speed_of_eps(eps) peaks at eps^2 (1 + O(eps^2)), and

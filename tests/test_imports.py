@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used,
-every private module-level name of the package is read, and the package
-has one log-sum-exp.
+every private module-level name of the package is read, no package
+module reads a private attribute of another object, and the package has
+one log-sum-exp.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
@@ -75,6 +76,28 @@ def test_no_orphaned_private_names():
             if reads[name] == Counter(_reads(node))[name]:
                 orphans.append("%s: %s" % (path.name, name))
     assert orphans == []
+
+
+def _foreign_private_reads(tree):
+    """(line, expression) of each read of a private attribute (one
+    underscore, not a dunder) of an object other than self or cls."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_private_attribute_reads_across_objects():
+    # a module reads another object's state through its public fields:
+    # model.dv, not model._dv
+    found = []
+    for path in sorted(SOURCES[0].glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s:%d %s" % (path.name, line, expr)
+                  for line, expr in _foreign_private_reads(tree)]
+    assert found == []
 
 
 def _names_logsumexp(node):

@@ -33,7 +33,7 @@ from fpulab.waves import toda_soliton
 
 @pytest.fixture(scope="module")
 def toda():
-    return PotentialModel.by_name("toda")
+    return PotentialModel.toda()
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def two_evaluation_verlet(u0, model, cfg):
     """Kick-drift-kick evaluating the force at the start and at the end of
     every step, recorded like evolve_nonlinear: the reference for the
     carried end-of-step force and for the recording rule."""
-    force = lambda r: _shift_backward_diff(model(r, order=1))
+    force = lambda r: _shift_backward_diff(model.dv(r))
     r, p, dt = u0.r.copy(), u0.p.copy(), cfg.dt
     times, fields = [0.0], [(r.copy(), p.copy())]
     for k in range(cfg.n_steps):
@@ -212,7 +212,7 @@ def test_time_reversal(toda, soliton):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.01, 0.2))
 def test_time_reversal_random_data(seed, amp):
-    model = PotentialModel.by_name("toda")
+    model = PotentialModel.toda()
     rng = np.random.default_rng(seed)
     u0 = zeros_field(-24, 48)
     u0.r[8:-8] = amp * rng.normal(size=32)
@@ -449,7 +449,7 @@ def test_boundary_alarm_reads_boundary_mass(toda, soliton):
 
 
 def test_nonfinite_abort():
-    model = PotentialModel.by_name("alpha_fpu")
+    model = PotentialModel.alpha_fpu()
     u0 = zeros_field(-20, 40)
     u0.r[18:22] = -1e4
     cfg = EvolveConfig(dt=0.25, t_end=50.0, boundary_tol=np.inf)

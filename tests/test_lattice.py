@@ -5,23 +5,23 @@ from hypothesis import strategies as st
 
 from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
-    JDirection,
     LatticeField,
-    PairingKind,
     PotentialModel,
     WeightKind,
     WeightSpec,
     apply_j,
+    apply_j_inverse,
     field_from_csv,
     field_to_csv,
     grad_hamiltonian,
     hamiltonian,
     hamiltonian_density,
     hessian_apply,
-    potential_eval,
-    weighted_pairing,
+    j_inverse_pairing,
     zeros_field,
 )
+
+MODELS = {"alpha_fpu": PotentialModel.alpha_fpu, "toda": PotentialModel.toda}
 
 
 def random_field(rng, length=64, offset=-7, pad=3):
@@ -46,23 +46,21 @@ POTENTIAL_VALUES = {
 
 @pytest.mark.parametrize("name,r,order", sorted(POTENTIAL_VALUES, key=str))
 def test_potential_eval_frozen(name, r, order):
-    model = PotentialModel.by_name(name)
+    model = MODELS[name]()
     expected = POTENTIAL_VALUES[(name, r, order)]
-    assert potential_eval(model, r, order) == pytest.approx(expected, rel=1e-14)
-    assert model(r, order) == pytest.approx(expected, rel=1e-14)
+    value = (model.v, model.dv, model.d2v)[order](r)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_potential_eval_vectorized():
     model = PotentialModel.alpha_fpu()
     r = np.array([-0.2, 0.0, 0.3])
-    assert np.allclose(potential_eval(model, r, 1), r + 0.5 * r**2)
-    with pytest.raises(ValueError):
-        potential_eval(model, 0.1, order=3)
+    assert np.allclose(model.dv(r), r + 0.5 * r**2)
 
 
 @pytest.mark.parametrize("name", ["alpha_fpu", "toda"])
 def test_builtin_normalization(name):
-    checks = PotentialModel.by_name(name).check_normalization()
+    checks = MODELS[name]().check_normalization()
     assert max(checks.values()) < 1e-8
 
 
@@ -75,13 +73,11 @@ def test_custom_potential_checked():
     # harmonic potential has no cubic term: rejected
     with pytest.raises(ValueError, match="normalization"):
         PotentialModel.custom(lambda r: 0.5 * r**2, lambda r: r)
-    with pytest.raises(ValueError, match="unknown"):
-        PotentialModel.by_name("beta_fpu")
 
 
 def test_custom_d2v_fallback():
-    model = PotentialModel("c", lambda r: np.expm1(r) - r, lambda r: np.expm1(r))
-    assert potential_eval(model, 0.3, 2) == pytest.approx(np.exp(0.3), abs=1e-9)
+    model = PotentialModel.custom(lambda r: np.expm1(r) - r, lambda r: np.expm1(r))
+    assert model.d2v(0.3) == pytest.approx(np.exp(0.3), abs=1e-9)
 
 
 def test_hamiltonian_single_site():
@@ -160,8 +156,9 @@ def test_j_forward_matches_shifts():
 def test_j_skew_symmetry():
     rng = np.random.default_rng(4)
     u, v = random_field(rng), random_field(rng)
-    uv = weighted_pairing(u, apply_j(v))
-    vu = weighted_pairing(apply_j(u), v)
+    ju, jv = apply_j(u), apply_j(v)
+    uv = np.sum(u.r * jv.r + u.p * jv.p)
+    vu = np.sum(ju.r * v.r + ju.p * v.p)
     assert abs(uv + vu) < 1e-12 * u.norm() * v.norm()
 
 
@@ -172,10 +169,10 @@ def test_j_inverse_roundtrip():
     # remove the mean on the interior so the edge pads stay zero
     v.r[3:-3] -= v.r[3:-3].mean()
     v.p[3:-3] -= v.p[3:-3].mean()
-    back = apply_j(apply_j(v, JDirection.INVERSE), JDirection.FORWARD)
+    back = apply_j(apply_j_inverse(v))
     assert np.allclose(back.r, v.r, atol=1e-12)
     assert np.allclose(back.p, v.p, atol=1e-12)
-    forth = apply_j(apply_j(v, JDirection.FORWARD), JDirection.INVERSE)
+    forth = apply_j_inverse(apply_j(v))
     assert np.allclose(forth.r, v.r, atol=1e-12)
     assert np.allclose(forth.p, v.p, atol=1e-12)
 
@@ -186,7 +183,7 @@ def test_j_inverse_self_pairing_identity(seed):
     # <u, J^{-1} u> collapses to the product of the component masses
     rng = np.random.default_rng(seed)
     u = random_field(rng, length=rng.integers(8, 96))
-    got = weighted_pairing(u, u, PairingKind.J_INVERSE)
+    got = j_inverse_pairing(u, u)
     want = u.r.sum() * u.p.sum()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -194,8 +191,9 @@ def test_j_inverse_self_pairing_identity(seed):
 def test_j_inverse_pairing_matches_direct():
     rng = np.random.default_rng(6)
     u, v = random_field(rng), random_field(rng)
-    split = weighted_pairing(u, v, PairingKind.J_INVERSE)
-    direct = weighted_pairing(u, apply_j(v, JDirection.INVERSE))
+    split = j_inverse_pairing(u, v)
+    jv = apply_j_inverse(v)
+    direct = np.sum(u.r * jv.r + u.p * jv.p)
     assert split == pytest.approx(direct, rel=1e-12)
 
 

@@ -11,6 +11,7 @@ bound for the wave tails.
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,13 +23,7 @@ from scipy.optimize import least_squares
 from fpulab import modulation, waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
-from fpulab.lattice import (
-    JDirection,
-    LatticeField,
-    PairingKind,
-    PotentialModel,
-    weighted_pairing,
-)
+from fpulab.lattice import LatticeField, PotentialModel, j_inverse_pairing
 from fpulab.modulation import (
     ModulationState,
     ModulationTrack,
@@ -290,8 +285,9 @@ class TestProfileTable:
     def test_identity_alarm_fires_on_a_coarse_table(self, monkeypatch):
         monkeypatch.setattr(modulation, "_TABLE_NODES_PER_DECADE", 4)
         table = ProfileTable(PotentialModel.alpha_fpu())
-        with pytest.raises(RuntimeError, match="traveling-wave identity"):
+        with pytest.raises(RuntimeError, match="traveling-wave identity") as alarm:
             table.modes(1.05)
+        assert "(model alpha_fpu, c=1.05)" in str(alarm.value)
 
     def test_sampled_window_and_kappa(self):
         m = TABLE.modes(C_PAIR[0], 2.0)
@@ -315,22 +311,19 @@ def localized_field():
 class TestSecularGram:
     @pytest.mark.parametrize("name", ["toda", "alpha_fpu"])
     def test_entries_are_split_form_pairings(self, name):
-        """C D^T and C v against lattice.weighted_pairing, the split form
-        of <u, J^{-1} v> that never calls apply_j, with the scalings of
-        the secular_gram docstring: every entry to 1e-12 of the largest
-        (the x,x self-pairings cancel to ~1e-19 of it, so not entrywise
-        relative)."""
-        model = PotentialModel.by_name(name)
-        table = TABLE if name == "toda" else ProfileTable(model)
+        """C D^T and C v against lattice.j_inverse_pairing, the split
+        form of <u, J^{-1} v> that never calls apply_j_inverse, with the
+        scalings of the secular_gram docstring: every entry to 1e-12 of
+        the largest (the x,x self-pairings cancel to ~1e-19 of it, so not
+        entrywise relative)."""
+        table = (TABLE if name == "toda"
+                 else ProfileTable(PotentialModel.alpha_fpu()))
         c = C_PAIR if name == "toda" else np.array([1.0067, 1.0267])
         eps = _default_eps(c)
         sampled = [table.modes(ci, xi).sampled(OFFSET, LENGTH)
                    for ci, xi in zip(c, X_PAIR)]
         v = localized_field()
-
-        def pair(a, b):
-            return weighted_pairing(a, b, PairingKind.J_INVERSE)
-
+        pair = j_inverse_pairing
         gram = np.empty((4, 4))
         misfit = np.empty(4)
         for i, (_, dx_i, dc_i) in enumerate(sampled):
@@ -425,8 +418,10 @@ class TestSecularGram:
 
     def test_degenerate_directions_rejected(self):
         m = TABLE.modes(C_PAIR[0], 0.0)
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="singular") as alarm:
             gram_of([m, m], 0.3)
+        found = re.search(r"condition number (\S+) exceeds 1e\+12$", str(alarm.value))
+        assert float(found.group(1)) > 1e12
 
 
 class TestDecompose:
@@ -486,20 +481,20 @@ class TestDecompose:
     def test_newton_iteration_applies_j_inverse_once_per_direction(
             self, monkeypatch):
         calls = []
-        apply_j = modulation.apply_j
+        apply_j_inverse = modulation.apply_j_inverse
 
-        def counting(v, direction=JDirection.FORWARD):
-            calls.append(direction)
-            return apply_j(v, direction)
+        def counting(v):
+            calls.append(v)
+            return apply_j_inverse(v)
 
-        monkeypatch.setattr(modulation, "apply_j", counting)
+        monkeypatch.setattr(modulation, "apply_j_inverse", counting)
         guess = (C_PAIR * (1.0 + 1e-3), X_PAIR + np.array([0.3, -0.2]))
         state = decompose(pair_train(), MODEL, guess, table=TABLE)
         assert state.iterations >= 2
         # one condition matrix per iteration, the converged one included:
         # J^{-1} of the x- and c-direction of each of the two waves
-        assert calls == [JDirection.INVERSE] * (4 * (state.iterations + 1))
-        assert not hasattr(modulation, "weighted_pairing")
+        assert len(calls) == 4 * (state.iterations + 1)
+        assert not hasattr(modulation, "j_inverse_pairing")
 
     def test_warm_table_takes_no_spectral_derivative_and_builds_no_spline(
             self, monkeypatch):
@@ -629,8 +624,8 @@ class TestModeProjection:
         modes = pair_modes()
         proj, _, _ = mode_projection(w, modes)
         ddc = modes[0].sampled(OFFSET, LENGTH)[2]
-        left = weighted_pairing(proj, ddc, PairingKind.J_INVERSE)
-        flipped = weighted_pairing(ddc, proj, PairingKind.J_INVERSE)
+        left = j_inverse_pairing(proj, ddc)
+        flipped = j_inverse_pairing(ddc, proj)
         assert abs(left) < 1e-12
         assert abs(flipped) > 1e-4  # measured 8.9e-2
 

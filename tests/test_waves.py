@@ -8,15 +8,13 @@ from fpulab import waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.diagnostics import weighted_norm
 from fpulab.lattice import (
-    JDirection,
     LatticeField,
-    PairingKind,
     PotentialModel,
     WeightSpec,
-    apply_j,
+    apply_j_inverse,
     hamiltonian,
     hessian_apply,
-    weighted_pairing,
+    j_inverse_pairing,
 )
 from fpulab.waves import (
     STEPS_PER_SITE,
@@ -83,7 +81,7 @@ def test_toda_closed_form_is_a_traveling_wave():
     r, p, dr, dp = prof.exact
     pts = np.linspace(-20, 20, 2001) + 0.123
     res_r = -c * dr(pts) - (p(pts + 1) - p(pts))
-    res_p = -c * dp(pts) - (TODA._dv(r(pts)) - TODA._dv(r(pts - 1)))
+    res_p = -c * dp(pts) - (TODA.dv(r(pts)) - TODA.dv(r(pts - 1)))
     assert np.max(np.abs(res_r)) < 1e-14
     assert np.max(np.abs(res_p)) < 1e-14
 
@@ -193,8 +191,8 @@ def test_solve_profile_errors():
         solve_profile(ALPHA, 1.01, max_iter=3)
     lying = PotentialModel(
         "bad",
-        ALPHA._v,
-        ALPHA._dv,
+        ALPHA.v,
+        ALPHA.dv,
         lambda r: -np.ones_like(np.asarray(r, dtype=float)),
     )
     with pytest.raises(ValueError, match="convexity"):
@@ -244,8 +242,9 @@ def test_derivative_x_identity():
         r=prof.r,
         p=prof.p,
     )
-    with pytest.raises(RuntimeError, match="identity"):
+    with pytest.raises(RuntimeError, match="identity") as alarm:
         profile_derivative(broken, TODA)
+    assert f"(model toda, c={broken.c:g})" in str(alarm.value)
 
 
 @pytest.mark.parametrize(
@@ -256,9 +255,9 @@ def test_secular_pairings(make, model):
     prof = make()
     ddx = profile_derivative(prof, model).lattice_field()
     ddc = speed_derivative(prof, model).lattice_field()
-    self_pair = weighted_pairing(ddx, ddx, PairingKind.J_INVERSE)
+    self_pair = j_inverse_pairing(ddx, ddx)
     assert abs(self_pair) < 1e-8 * ddx.norm() ** 2
-    cross = prof.c * weighted_pairing(ddx, ddc, PairingKind.J_INVERSE)
+    cross = prof.c * j_inverse_pairing(ddx, ddc)
     assert cross > 0
     # cross pairing equals dH/dc computed from re-solved energies
     h_c = 1e-4 * (prof.c - 1)
@@ -274,6 +273,22 @@ def test_secular_pairings(make, model):
         ]
     dhdc = (energies[0] - energies[1]) / (2 * h_c)
     assert cross == pytest.approx(dhdc, rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [1.005, 1.02, 1.05, 1.2])
+def test_toda_speed_derivative_matches_resolved_solitons(c):
+    # the oracle is the central difference of toda_solitons re-solved at
+    # c +- h_c on the same window, h_c = 1e-4 (c - 1); measured 9.6e-10
+    # relative at most (its truncation and rounding error)
+    prof = toda_soliton(kappa_of_speed(c))
+    ddc = speed_derivative(prof, TODA)
+    assert ddc.method == "ddc" and np.array_equal(ddc.x, prof.x)
+    h_c = 1e-4 * (c - 1.0)
+    plus, minus = (toda_soliton(kappa_of_speed(ci), span=prof.span)
+                   for ci in (c + h_c, c - h_c))
+    for got, hi, lo in ((ddc.r, plus.r, minus.r), (ddc.p, plus.p, minus.p)):
+        fd = (hi - lo) / (2.0 * h_c)
+        assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
 
 
 def test_rho_profile_quadratic_potential_vanishes():
@@ -319,8 +334,7 @@ def test_adjoint_direction_comparison():
         prof = solve_profile(ALPHA, speed_of_eps(eps))
         idx = np.arange(0, prof.x.size, STEPS_PER_SITE)  # the integer sites
         ddx = profile_derivative(prof, ALPHA)
-        ji = apply_j(LatticeField(-prof.span, ddx.r[idx], ddx.p[idx]),
-                     JDirection.INVERSE)
+        ji = apply_j_inverse(LatticeField(-prof.span, ddx.r[idx], ddx.p[idx]))
         phi = eps**2 / np.cosh(eps * ji.sites) ** 2
         dev = LatticeField(ji.offset, ji.r + phi, ji.p - phi)
         ratios.append(weighted_norm(dev, WeightSpec(-eps / 2.0)) / eps**2.5)
