@@ -503,10 +503,12 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
     for step in range(nsteps):
         vhat = flow.step(vhat, step, term)
         if step % 50 == 0 and not np.all(np.isfinite(vhat)):
-            raise RuntimeError("evolution diverged (NaN)")
+            # step advanced the field to t0 + (step + 1) dt
+            raise RuntimeError("evolution diverged (NaN) at "
+                               f"t={t0 + (step + 1) * dt:.6g}")
     vals = np.fft.irfft(vhat, n=flow.n)
     if not np.all(np.isfinite(vals)):
-        raise RuntimeError("evolution diverged (NaN)")
+        raise RuntimeError(f"evolution diverged (NaN) at t={t0 + nsteps * dt:.6g}")
     return GridField(w0.x0, dx, vals)
 
 

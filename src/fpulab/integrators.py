@@ -4,7 +4,10 @@ The nonlinear flow du/dt = J H'(u) is integrated by Stormer-Verlet on the
 second-order form (kick-drift-kick on p and r), which is symplectic and
 time-reversible.  Verlet makes one force evaluation per step: the force
 at the end of a step is the force of the next step's first half kick, so
-it is carried over, not evaluated again.  Linear nonautonomous equations
+it is carried over, not evaluated again.  The step writes into two
+preallocated buffers with out= ufuncs, so it allocates nothing besides
+the array V' returns, and each float operation keeps the order of the
+textbook kick-drift-kick step.  Linear nonautonomous equations
 dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background
 supplied either as a closed form or as a sampled trajectory.
 
@@ -139,21 +142,30 @@ def evolve_nonlinear(u0, model, cfg):
     """Integrate du/dt = J H'(u) from u0 by Stormer-Verlet.
 
     V' is evaluated n_steps + 1 times: once at u0, then once per step at
-    the drifted r, whose force ends that step and starts the next.
+    the drifted r, whose force ends that step and starts the next.  The
+    step works in two preallocated buffers; V' itself is the only array
+    it allocates.
 
     Returns the frames at t = 0, every `stride` steps and t_end, each
     checked by the boundary alarm.
     """
     dv = model.dv
     dt = cfg.dt
+    half = 0.5 * dt
+    # the force carried from one step's end to the next, and a scratch row
     force = _shift_backward_diff(dv(u0.r))
+    buf = np.empty_like(force)
+
+    def kick(p):
+        np.multiply(force, half, out=buf)
+        p += buf
 
     def step(k, r, p):
-        nonlocal force
-        p += 0.5 * dt * force
-        r += dt * _shift_forward_diff(p)
-        force = _shift_backward_diff(dv(r))
-        p += 0.5 * dt * force
+        kick(p)
+        np.multiply(_shift_forward_diff(p, out=buf), dt, out=buf)
+        r += buf
+        _shift_backward_diff(dv(r), out=force)
+        kick(p)
 
     return _run(step, u0, cfg)
 

@@ -10,7 +10,7 @@ with the 2N parameters fixed by the symplectic orthogonality conditions
     <v, J^{-1} dx u_{c_i}(. - x_i)> = <v, J^{-1} dc u_{c_i}(. - x_i)> = 0.
 
 On a window of L sites, fields flattened as (r, p), the conditions are
-the rows of one (2N, 2L) condition matrix C: row 2i is J^{-1} of wave
+the rows of a (2N, 2L) condition matrix C: row 2i is J^{-1} of wave
 i's x-direction over eps^4, row 2i + 1 J^{-1} of its c-direction over
 eps.  The direction matrix D has rows eps^3 (c-direction) and
 (x-direction) in the same order.  The scaled misfit of v is C v, the
@@ -22,6 +22,16 @@ by terms of order |v|, which vanish on the manifold of exact trains.
 Tracking a trajectory re-solves the conditions at every sample instead
 of integrating the parameter ODE, so accumulated drift cannot detach
 the parameters from the state they describe.
+
+decompose and mode_projection build C and D on the hull of the waves'
+supports only (WaveModes.support), widened by one site on the right
+because the p-slot of J^{-1} lags the r-slot by one site.  Left of the
+hull every row of C vanishes; right of it each row is constant, the sum
+of its direction's p in the r-slot and of its r in the p-slot.  So C v
+is the product on the hull plus these constants times the sums of v
+right of the hull, read from one suffix-sum table of the state, and a
+Newton iteration costs the same on any window around the train.  The
+Toda closed forms vanish nowhere; their hull is the whole window.
 """
 
 from __future__ import annotations
@@ -77,13 +87,17 @@ class WaveModes:
     `sample(rel)` takes crest-relative points rel = sites - position and
     returns the wave, its x-direction and its c-direction there, each as
     an (r, p) pair of arrays.  `span` is the half-width in sites of the
-    wave's profile window.
+    wave's profile window.  `support` is the crest-relative interval
+    (lo, hi) off which every sample is exactly zero: the profile grid of
+    an interpolated table wave, (-inf, inf) for the Toda closed forms,
+    which vanish nowhere.
     """
 
     c: float
     position: float
     span: int
     sample: Callable
+    support: tuple
 
     @property
     def kappa(self):
@@ -237,11 +251,14 @@ class ProfileTable:
 
             def sample(rel):
                 return (r(rel), p(rel)), (dr(rel), dp(rel)), (dcr(rel), dcp(rel))
+            support = (-np.inf, np.inf)
         else:
             (cols, poly), w, dw = self._bracket(c, span)
             _identity_residual(c, *np.dot(w, cols).reshape(6, -1), self.model)
             sample = _stacked_sampler(poly, w, dw)
-        return WaveModes(c=c, position=float(position), span=span, sample=sample)
+            support = (float(poly.x[0]), float(poly.x[-1]))
+        return WaveModes(c=c, position=float(position), span=span,
+                         sample=sample, support=support)
 
 
 def _flat(f):
@@ -266,6 +283,57 @@ def _conditions(sampled, eps):
         dirs[2 * i] = eps**3 * _flat(dc_i)
         dirs[2 * i + 1] = _flat(dx_i)
     return cond, dirs
+
+
+def _suffix_sums(f):
+    """(2, L + 1) table whose column j holds the sums of f.r and f.p over
+    the last j sites of the window."""
+    out = np.zeros((2, len(f) + 1))
+    np.cumsum(np.stack((f.r[::-1], f.p[::-1])), axis=1, out=out[:, 1:])
+    return out
+
+
+class _Hull:
+    """C and D of a train on the hull of its waves' supports (see the
+    module docstring): window sites start..stop-1, every site where a
+    wave samples nonzero and the site after the last one, clipped to the
+    window and never empty.  `sampled` holds each wave's (wave,
+    x-direction, c-direction) fields on the hull."""
+
+    def __init__(self, modes, offset, length, eps):
+        lo = min(m.position + m.support[0] for m in modes)
+        hi = max(m.position + m.support[1] for m in modes)
+        # floor and ceil keep a site whose crest-relative point rounds
+        # onto an end of the support
+        self.start = int(np.clip(np.floor(lo) - offset, 0, length - 1))
+        self.stop = int(np.clip(np.ceil(hi) - offset + 2, self.start + 1,
+                                length))
+        self.sampled = [m.sampled(offset + self.start, self.stop - self.start)
+                        for m in modes]
+        self.cond, self.dirs = _conditions(self.sampled, eps)
+
+    def cut(self, f):
+        """A window field's values on the hull, flattened as (r, p)."""
+        return np.concatenate((f.r[self.start:self.stop],
+                               f.p[self.start:self.stop]))
+
+    def misfit(self, flat, suffix):
+        """C f of a window field f from its hull values `flat` and its
+        _suffix_sums table: the hull product plus the rows' right-hand
+        constants (their last hull entries) times the sums of f.r and f.p
+        right of the hull."""
+        h = self.stop - self.start
+        tail_r, tail_p = suffix[:, suffix.shape[1] - 1 - self.stop]
+        return (self.cond @ flat + self.cond[:, h - 1] * tail_r
+                + self.cond[:, 2 * h - 1] * tail_p)
+
+    def paste(self, f, flat):
+        """The window field equal to `flat` on the hull and to f off it."""
+        h = self.stop - self.start
+        r, p = f.r.copy(), f.p.copy()
+        r[self.start:self.stop] = flat[:h]
+        p[self.start:self.stop] = flat[h:]
+        return LatticeField(f.offset, r, p)
 
 
 def _checked_gram(cond, dirs):
@@ -375,16 +443,16 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
     eps = _default_eps(c)
 
     offset, length = u.offset, len(u)
+    # right of the hull the rest v is u itself
+    suffix = _suffix_sums(u)
     for it in range(max_iter + 1):
-        sampled = [table.modes(ci, xi).sampled(offset, length)
-                   for ci, xi in zip(c, x)]
-        rest = _flat(u) - sum(_flat(wave) for wave, _, _ in sampled)
-        v = LatticeField(offset, rest[:length], rest[length:])
-        cond, dirs = _conditions(sampled, eps)
-        misfit = cond @ rest
+        hull = _Hull([table.modes(ci, xi) for ci, xi in zip(c, x)],
+                     offset, length, eps)
+        rest = hull.cut(u) - sum(_flat(wave) for wave, _, _ in hull.sampled)
+        misfit = hull.misfit(rest, suffix)
         worst = float(np.max(np.abs(misfit)))
         if worst <= tol:
-            state = ModulationState(c, x, v, misfit, it, eps)
+            state = ModulationState(c, x, hull.paste(u, rest), misfit, it, eps)
             if state.scaled_separation() < MIN_SCALED_SEPARATION:
                 warnings.warn(
                     "wave separation %.3g is below the overlap floor %.3g; "
@@ -398,7 +466,7 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
                 "orthogonality residual %.3e not below %.3e after %d "
                 "iterations" % (worst, tol, max_iter)
             )
-        delta = np.linalg.solve(_checked_gram(cond, dirs), -misfit)
+        delta = np.linalg.solve(_checked_gram(hull.cond, hull.dirs), -misfit)
         c = c - eps**3 * delta[0::2]
         x = x + delta[1::2]
         if np.any(c <= 1.0) or not np.all(np.isfinite(c)):
@@ -431,12 +499,12 @@ def mode_projection(w, modes):
     """
     modes = list(modes)
     eps = _default_eps(np.array([m.c for m in modes]))
-    offset, length = w.offset, len(w)
-    cond, dirs = _conditions([m.sampled(offset, length) for m in modes], eps)
-    flat = _flat(w)
-    delta = np.linalg.solve(_checked_gram(cond, dirs), cond @ flat)
-    out = flat - dirs.T @ delta
-    return (LatticeField(offset, out[:length], out[length:]),
+    hull = _Hull(modes, w.offset, len(w), eps)
+    flat = hull.cut(w)
+    delta = np.linalg.solve(_checked_gram(hull.cond, hull.dirs),
+                            hull.misfit(flat, _suffix_sums(w)))
+    # the directions vanish off the hull, so w is unchanged there
+    return (hull.paste(w, flat - hull.dirs.T @ delta),
             eps**3 * delta[0::2], delta[1::2])
 
 

@@ -456,10 +456,18 @@ def traveling_wave_residual(c, r, p, dr, dp, model):
 
 def _identity_residual(c, r, p, dr, dp, d2r, d2p, model):
     """traveling_wave_residual with the spectral dx^2 u = (d2r, d2p) given."""
-    v2 = model.d2v(r)
-    shift = lambda a, k: np.roll(a, -k * STEPS_PER_SITE)
-    res_r = c * d2r + (shift(dp, 1) - dp)
-    res_p = c * d2p + (v2 * dr - shift(v2 * dr, -1))
+    s = STEPS_PER_SITE
+    # one-site differences on the periodic grid, a(x + 1) - a(x) and
+    # b(x) - b(x - 1), formed by slicing with np.roll's wrap-around
+    ahead = np.empty_like(dp)
+    np.subtract(dp[s:], dp[:-s], out=ahead[:-s])
+    np.subtract(dp[:s], dp[-s:], out=ahead[-s:])
+    flux = model.d2v(r) * dr
+    behind = np.empty_like(flux)
+    np.subtract(flux[s:], flux[:-s], out=behind[s:])
+    np.subtract(flux[:s], flux[-s:], out=behind[:s])
+    res_r = c * d2r + ahead
+    res_p = c * d2p + behind
     res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
     if res > 1e-6:
         raise RuntimeError(

@@ -559,8 +559,13 @@ class TestEvolution:
         lad = phase_ladder(TRAIN)
         x = uniform_grid(-30.0, 30.0, 0.05)
         w = field(x, np.exp(-x**2 / 4.0))
-        with pytest.raises(RuntimeError, match="diverged"):
+        with pytest.raises(RuntimeError, match="diverged") as err:
             ladder_level_evolve(w, lad, 2, 0.0, 40.0, 0.2)
+        # the alarm names the time of the step whose check fired
+        found = re.fullmatch(r"evolution diverged \(NaN\) at t=(\S+)",
+                             str(err.value))
+        assert found is not None
+        assert 0.0 < float(found.group(1)) <= 40.0
 
     def test_argument_validation(self):
         x = uniform_grid(-10.0, 10.0, 0.1)

@@ -127,14 +127,18 @@ def test_energy_error_is_quartic_on_exact_traveling_wave(toda, soliton):
 def two_evaluation_verlet(u0, model, cfg):
     """Kick-drift-kick evaluating the force at the start and at the end of
     every step, recorded like evolve_nonlinear: the reference for the
-    carried end-of-step force and for the recording rule."""
-    force = lambda r: _shift_backward_diff(model.dv(r))
+    carried end-of-step force, for the buffered step (this one allocates
+    a fresh array in every operation) and for the recording rule."""
+    def force(r):
+        d = model.dv(r)
+        return np.concatenate(([d[0]], d[1:] - d[:-1]))
+
     r, p, dt = u0.r.copy(), u0.p.copy(), cfg.dt
     times, fields = [0.0], [(r.copy(), p.copy())]
     for k in range(cfg.n_steps):
-        p += 0.5 * dt * force(r)
-        r += dt * _shift_forward_diff(p)
-        p += 0.5 * dt * force(r)
+        p = p + 0.5 * dt * force(r)
+        r = r + dt * np.concatenate((p[1:] - p[:-1], [-p[-1]]))
+        p = p + 0.5 * dt * force(r)
         if (k + 1) % cfg.stride == 0 or k + 1 == cfg.n_steps:
             times.append((k + 1) * dt)
             fields.append((r.copy(), p.copy()))
@@ -143,6 +147,8 @@ def two_evaluation_verlet(u0, model, cfg):
 
 # 203 steps recorded every 10: the last frame is the final step's own
 CARRY_CFG = dict(dt=0.05, t_end=10.15, stride=10)
+# 200 steps recorded every 7: 28 strides, t = 0 and t_end
+STRIDE7_CFG = dict(dt=0.05, t_end=10.0, stride=7)
 
 
 def test_verlet_evaluates_the_force_once_per_step():
@@ -172,6 +178,7 @@ AT_START_CFG = dict(dt=0.05, t_end=0.0, stride=10)
     pytest.param(case, config, frames, id=case + label)
     for case in ("toda_soliton", "alpha_fpu_bump")
     for label, config, frames in (("", CARRY_CFG, 22),
+                                  ("-stride7", STRIDE7_CFG, 30),
                                   ("-past_end", PAST_END_CFG, 2),
                                   ("-at_start", AT_START_CFG, 1))
 ])

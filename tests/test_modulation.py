@@ -9,6 +9,7 @@ with margin; decay ratios additionally have to clear the analytic rate
 bound for the wave tails.
 """
 
+import dataclasses
 import functools
 import json
 import re
@@ -281,6 +282,24 @@ class TestProfileTable:
         combined = np.dot(w, cols).reshape(6, -1)
         cached = waves._identity_residual(c, *combined, model)
         assert abs(cached - traveling_wave_residual(c, *combined[:4], model)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1.02, 1.0213, 1.05])
+    def test_identity_residual_matches_the_rolled_formula(self, c):
+        # the one-site differences on the periodic grid, formed with
+        # np.roll as the identity's definition reads; on a table bracket,
+        # and on small random columns, where the maximum often falls on
+        # the wrapped sites
+        model = PotentialModel.alpha_fpu()
+        table = ProfileTable(model)
+        (cols, _), w, _ = table._bracket(c, table.modes(c).span)
+        random = 1e-8 * np.random.default_rng(2).standard_normal((20, 6, 64))
+        for columns in (np.dot(w, cols).reshape(6, -1), *random):
+            r, p, dr, dp, d2r, d2p = columns
+            flux = model.d2v(r) * dr
+            res_r = c * d2r + (np.roll(dp, -STEPS_PER_SITE) - dp)
+            res_p = c * d2p + (flux - np.roll(flux, STEPS_PER_SITE))
+            want = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
+            assert waves._identity_residual(c, *columns, model) == want
 
     def test_identity_alarm_fires_on_a_coarse_table(self, monkeypatch):
         monkeypatch.setattr(modulation, "_TABLE_NODES_PER_DECADE", 4)
@@ -570,6 +589,164 @@ class TestDecompose:
         state = decompose(u, MODEL, guess, table=TABLE)
         assert abs(state.c[0] - c) < 1e-8
         assert abs(state.x[0] - shift) < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def fpu_table():
+    return ProfileTable(PotentialModel.alpha_fpu())
+
+
+def kick(offset, length, centre, amplitude=1e-3):
+    sites = offset + np.arange(length)
+    bump = np.exp(-((sites - centre) ** 2) / 12.0)
+    return LatticeField(offset, 0.7 * amplitude * bump, -0.5 * amplitude * bump)
+
+
+def nonzero_sites(modes, offset, length):
+    """Window sites where some wave or direction samples nonzero."""
+    mask = np.zeros(length, dtype=bool)
+    for m in modes:
+        for f in m.sampled(offset, length):
+            mask |= (f.r != 0.0) | (f.p != 0.0)
+    return mask
+
+
+def box_modes(c, position):
+    """A WaveModes whose samples are of order one up to both ends of its
+    support [-3, 3]."""
+    def sample(rel):
+        a = np.where(np.abs(rel) <= 3.0, 1.0 + 0.2 * rel, 0.0)
+        return (a, 0.5 * a), (-a * rel, a), (a * a, -a)
+
+    return modulation.WaveModes(c=c, position=position, span=3,
+                                sample=sample, support=(-3.0, 3.0))
+
+
+# alpha-FPU windows around trains: (speeds, crests, offset, length, kick
+# centre or None).  Spans are 32 sites at these speeds.
+HULL_CASES = {
+    "two_waves": ((1.02, 1.05), (-30.0, 30.0), -200, 500, None),
+    "three_waves": ((1.02, 1.035, 1.05), (-60.0, 0.0, 60.0), -200, 500, None),
+    # the fast wave's support runs 12 sites past the right edge
+    "right_edge": ((1.02, 1.05), (-30.0, 30.0), -200, 251, None),
+    # a kick 40 sites ahead of the train, right of the hull
+    "kick_ahead": ((1.02, 1.05), (-30.0, 30.0), -200, 500, 102.0),
+}
+
+
+class TestHull:
+    """decompose and mode_projection build the conditions on the hull of
+    the waves' supports; the oracle is the full-window condition matrix
+    of _scaled_misfit on full-window samples."""
+
+    @pytest.mark.parametrize("name", ["alpha_fpu", "toda", "box"])
+    @pytest.mark.parametrize("frac", [0.0, 0.0625, 0.5, 0.9375])
+    def test_hull_misfit_is_the_full_window_misfit(self, name, frac):
+        # crests at k + frac put a support end on a site for frac 0 (the
+        # table's left end -32, both box ends) and 0.0625 (the table's
+        # right end 31.9375); a random field is nonzero left and right of
+        # the hull.  Table profiles are e^{-22} small at their ends, box
+        # samples are not, so the box pins the site added right of the
+        # supports.
+        speeds = np.array([1.02, 1.05])
+        offset, length = -200, 500
+        if name == "box":
+            modes = [box_modes(ci, xi + frac) for ci, xi in zip(speeds, (-30, 30))]
+        else:
+            table = fpu_table() if name == "alpha_fpu" else TABLE
+            modes = [table.modes(ci, xi + frac)
+                     for ci, xi in zip(speeds, (-30, 30))]
+        rng = np.random.default_rng(5)
+        f = LatticeField(offset, rng.standard_normal(length),
+                         rng.standard_normal(length))
+        eps = _default_eps(speeds)
+        hull = modulation._Hull(modes, offset, length, eps)
+        got = hull.misfit(hull.cut(f), modulation._suffix_sums(f))
+        full = [m.sampled(offset, length) for m in modes]
+        want = _scaled_misfit(f, full, eps)
+        cond = modulation._conditions(full, eps)[0]
+        scale = np.abs(cond) @ np.abs(modulation._flat(f))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        if name == "toda":
+            assert (hull.start, hull.stop) == (0, length)
+        else:
+            assert hull.stop - hull.start < length / 2
+
+    @pytest.mark.parametrize("case", sorted(HULL_CASES))
+    def test_decompose_meets_the_full_window_conditions(self, case):
+        model, table = PotentialModel.alpha_fpu(), fpu_table()
+        speeds, crests, offset, length, centre = HULL_CASES[case]
+        c, x = np.array(speeds), np.array(crests)
+        u = train_field(table, c, x, offset, length)
+        if centre is not None:
+            k = kick(offset, length, centre)
+            u = LatticeField(offset, u.r + k.r, u.p + k.p)
+        guess = (c * (1.0 + 5e-4), x + 0.2)
+        tol = 1e-10
+        state = decompose(u, model, guess, table=table, tol=tol)
+        modes = [table.modes(ci, xi) for ci, xi in zip(state.c, state.x)]
+        full = [m.sampled(offset, length) for m in modes]
+        assert np.max(np.abs(_scaled_misfit(state.residual, full, state.eps))) <= tol
+        # off the waves' supports the residual is the state itself
+        off = ~nonzero_sites(modes, offset, length)
+        assert np.array_equal(state.residual.r[off], u.r[off])
+        assert np.array_equal(state.residual.p[off], u.p[off])
+        hull = modulation._Hull(modes, offset, length, state.eps)
+        if case == "right_edge":
+            assert hull.stop == length
+        else:
+            assert hull.stop - hull.start < length / 2
+        if centre is not None:
+            # the kick reaches the conditions only through the tail sums
+            beyond = u.r[hull.stop:].sum() + u.p[hull.stop:].sum()
+            assert abs(beyond) > 1e-4
+            assert np.max(np.abs(state.c - c)) > 1e-9
+
+    def test_mode_projection_clears_the_full_window_pairings(self):
+        table = fpu_table()
+        offset, length = -200, 500
+        modes = [table.modes(1.02, -30.0), table.modes(1.05, 30.0)]
+        sites = offset + np.arange(length)
+        w = kick(offset, length, 102.0)
+        w.r += 1e-3 * np.exp(-((sites - 2.0) ** 2) / 40.0) * np.cos(0.3 * sites)
+        proj, alpha, beta = mode_projection(w, modes)
+        full = [m.sampled(offset, length) for m in modes]
+        eps = _default_eps(np.array([1.02, 1.05]))
+        assert np.max(np.abs(_scaled_misfit(w, full, eps))) > 1e-3
+        assert np.max(np.abs(_scaled_misfit(proj, full, eps))) < 1e-12
+        off = ~nonzero_sites(modes, offset, length)
+        assert np.array_equal(proj.r[off], w.r[off])
+        assert np.array_equal(proj.p[off], w.p[off])
+
+    def test_newton_work_does_not_grow_with_the_window(self):
+        model, table = PotentialModel.alpha_fpu(), fpu_table()
+        c, x = np.array([1.02, 1.05]), np.array([-30.0, 30.0])
+        guess = (c * (1.0 + 5e-4), x + 0.2)
+
+        class CountingTable:
+            """table.modes with a sampler that counts its points."""
+
+            def __init__(self):
+                self.points = 0
+
+            def modes(self, ci, xi):
+                m = table.modes(ci, xi)
+
+                def sample(rel, _sample=m.sample):
+                    self.points += rel.size
+                    return _sample(rel)
+
+                return dataclasses.replace(m, sample=sample)
+
+        per_iteration = []
+        for offset, length in ((-200, 500), (-450, 1000)):
+            counting = CountingTable()
+            u = train_field(table, c, x, offset, length)
+            state = decompose(u, model, guess, table=counting)
+            per_iteration.append(counting.points / (state.iterations + 1))
+            assert state.iterations >= 2
+        assert per_iteration[0] == per_iteration[1]
+        assert per_iteration[0] < 500
 
 
 class TestModulationState:
