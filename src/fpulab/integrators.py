@@ -2,21 +2,28 @@
 
 The nonlinear flow du/dt = J H'(u) is integrated by Stormer-Verlet on the
 second-order form (kick-drift-kick on p and r), which is symplectic and
-time-reversible.  Verlet makes one force evaluation per step: the force
-at the end of a step is the force of the next step's first half kick, so
-it is carried over, not evaluated again.  The step writes into two
-preallocated buffers with out= ufuncs, so it allocates nothing besides
-the array V' returns, and each float operation keeps the order of the
-textbook kick-drift-kick step.  Linear nonautonomous equations
-dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background
-supplied either as a closed form or as a sampled trajectory.
+time-reversible.  Several fields on one window run as the rows of one
+(rows, L) state, so each step makes one V' call and one pass of each
+ufunc for all of them; a single field is the one-row case.  Verlet makes
+one force evaluation per step: the half kick (0.5 dt) (1 - S^{-1}) V'
+that ends a step also starts the next, so it is kept in its own buffer
+and added twice, not evaluated or scaled again.  The step writes into
+that buffer and a drift buffer with out= ufuncs through slice views made
+once before the loop, so it allocates nothing besides the array V'
+returns, and each float operation keeps the order of the textbook
+kick-drift-kick step: a row stepped with others is bit-identical to the
+same field stepped alone.  Linear nonautonomous equations
+dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background supplied
+either as a closed form or as a sampled trajectory.
 
 Windows use zero extension.  A run records the frames at t = 0, every
 `stride` steps and t_end (`Trajectory.final`), and a boundary alarm aborts
 it when a frame has l2 mass above `boundary_tol` on the outer
 BOUNDARY_WIDTH sites of an edge.  Between records the alarm also reads the
 live state every BOUNDARY_WIDTH / 4 time units, so a run with a long
-stride cannot cross the edge unnoticed.
+stride cannot cross the edge unnoticed.  Records, finiteness checks and
+alarms are per row; with several rows an alarm names the field that
+fired ("field 2 of 2: ...").
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ class EvolveConfig:
             raise ValueError("stride must be >= 1")
         if not self.boundary_tol >= 0:
             raise ValueError("boundary_tol must be >= 0 (inf: no alarm)")
+        end = self.n_steps * self.dt
+        if abs(end - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError(
+                f"t_end={self.t_end!r} is not a whole number of steps of "
+                f"dt={self.dt!r}: the run would end at n_steps*dt={end!r}"
+            )
 
     @property
     def n_steps(self):
@@ -90,84 +103,114 @@ class SampledBackground:
         )
 
 
-def _check_state(t, snap, cfg):
+def _check_state(t, snap, cfg, name):
     if not (np.all(np.isfinite(snap.r)) and np.all(np.isfinite(snap.p))):
-        raise RuntimeError(f"state became non-finite at t={t:.6g}")
-    _check_edges(t, snap, cfg)
+        raise RuntimeError(f"{name}state became non-finite at t={t:.6g}")
+    _check_edges(t, snap, cfg, name)
 
 
-def _check_edges(t, snap, cfg):
+def _check_edges(t, snap, cfg, name):
     lo, hi = snap.boundary_mass(BOUNDARY_WIDTH)
     if max(lo, hi) > cfg.boundary_tol:
         raise RuntimeError(
-            f"boundary mass {max(lo, hi):.3e} exceeds {cfg.boundary_tol:.3e} "
-            f"at t={t:.6g}; enlarge the window"
+            f"{name}boundary mass {max(lo, hi):.3e} exceeds "
+            f"{cfg.boundary_tol:.3e} at t={t:.6g}; enlarge the window"
         )
 
 
-def _run(step, u0, cfg):
-    """Shared stepping/recording loop.
+def _stack(fields):
+    """The common window offset of `fields` and copies of their r and p
+    stacked into (rows, L) arrays, one row per field."""
+    offset, length = fields[0].offset, len(fields[0])
+    if any(f.offset != offset or len(f) != length for f in fields):
+        raise ValueError("fields must share the window")
+    return offset, np.stack([f.r for f in fields]), np.stack([f.p for f in fields])
 
-    step(k, r, p) advances the arrays r, p in place from k dt to
-    (k + 1) dt, k the step index.  Records and checks a copy of the state
-    at t = 0, after every `stride`-th step and after the last step, and
-    checks the edges of the live state every BOUNDARY_CHECK_TIME between
-    records.  Finiteness is checked on records only: a non-finite value
-    never leaves the state.
+
+def _run(step, offset, r, p, cfg):
+    """Shared stepping/recording loop over a (rows, L) state, one row per
+    field.
+
+    step(k) advances the arrays r, p in place from k dt to (k + 1) dt, k
+    the step index.  Records and checks a copy of each row at t = 0,
+    after every `stride`-th step and after the last step, and checks the
+    edges of each live row every BOUNDARY_CHECK_TIME between records.
+    Finiteness is checked on records only: a non-finite value never
+    leaves the state.  With more than one row an alarm names its field,
+    "field i of rows: ...".  Returns one Trajectory per row.
     """
-    r = u0.r.copy()
-    p = u0.p.copy()
-    live = LatticeField(u0.offset, r, p)  # views of the stepped arrays
+    rows = r.shape[0]
+    names = [""] if rows == 1 else [f"field {i + 1} of {rows}: " for i in range(rows)]
+    live = [LatticeField(offset, r[i], p[i]) for i in range(rows)]  # views
     check_every = int(np.ceil(BOUNDARY_CHECK_TIME / cfg.dt))
-    times, fields = [], []
+    times, fields = [], [[] for _ in range(rows)]
 
     def record(t):
-        snap = LatticeField(u0.offset, r.copy(), p.copy())
-        _check_state(t, snap, cfg)
+        for row, name, out in zip(live, names, fields):
+            snap = row.copy()
+            _check_state(t, snap, cfg, name)
+            out.append(snap)
         times.append(t)
-        fields.append(snap)
 
     record(0.0)
     n_steps = cfg.n_steps
     for k in range(n_steps):
-        step(k, r, p)
+        step(k)
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
             record((k + 1) * cfg.dt)
         elif (k + 1) % check_every == 0:
-            _check_edges((k + 1) * cfg.dt, live, cfg)
-    return Trajectory(times=np.asarray(times), fields=fields)
+            for row, name in zip(live, names):
+                _check_edges((k + 1) * cfg.dt, row, cfg, name)
+    return [Trajectory(times=np.asarray(times), fields=out) for out in fields]
 
 
 def evolve_nonlinear(u0, model, cfg):
     """Integrate du/dt = J H'(u) from u0 by Stormer-Verlet.
 
-    V' is evaluated n_steps + 1 times: once at u0, then once per step at
-    the drifted r, whose force ends that step and starts the next.  The
-    step works in two preallocated buffers; V' itself is the only array
-    it allocates.
+    u0 is one LatticeField, or a tuple of fields on one window (another
+    window raises ValueError), which are stepped together as the rows of
+    one (rows, L) state: one V' call per step covers every row, so V'
+    must act elementwise.  V' is evaluated n_steps + 1 times: once at
+    u0, then once per step at the drifted r, whose force ends that step
+    and starts the next.
 
     Returns the frames at t = 0, every `stride` steps and t_end, each
-    checked by the boundary alarm.
+    checked by the boundary alarm: one Trajectory for a field, a tuple
+    of them, in the order given, for a tuple of fields.
     """
+    fields = (u0,) if isinstance(u0, LatticeField) else tuple(u0)
+    offset, r, p = _stack(fields)
+    length = r.shape[1]
     dv = model.dv
     dt = cfg.dt
     half = 0.5 * dt
-    # the force carried from one step's end to the next, and a scratch row
-    force = _shift_backward_diff(dv(u0.r))
-    buf = np.empty_like(force)
+    # The step works on the rows laid end to end: one difference over the
+    # flat state forms (S - 1) or (1 - S^{-1}) of every row, and the
+    # zero extension at each row's last (drift) or first (kick) site then
+    # overwrites the entry that straddles two rows.  `kick` is the half
+    # kick (0.5 dt) (1 - S^{-1}) V'(r), carried from one step's end to
+    # the next step's start; `drift` is scratch.
+    kick = np.multiply(_shift_backward_diff(dv(r)), half).reshape(-1)
+    drift = np.empty_like(kick)
+    flat_r, flat_p = r.reshape(-1), p.reshape(-1)
+    p_hi, p_lo, p_last = flat_p[1:], flat_p[:-1], flat_p[length - 1::length]
+    drift_lo, drift_last = drift[:-1], drift[length - 1::length]
+    kick_hi, kick_first = kick[1:], kick[::length]
 
-    def kick(p):
-        np.multiply(force, half, out=buf)
-        p += buf
+    def step(k):
+        np.add(flat_p, kick, out=flat_p)
+        np.subtract(p_hi, p_lo, out=drift_lo)
+        np.negative(p_last, out=drift_last)
+        np.multiply(drift, dt, out=drift)
+        np.add(flat_r, drift, out=flat_r)
+        force = dv(r).reshape(-1)
+        np.subtract(force[1:], force[:-1], out=kick_hi)
+        kick_first[...] = force[::length]
+        np.multiply(kick, half, out=kick)
+        np.add(flat_p, kick, out=flat_p)
 
-    def step(k, r, p):
-        kick(p)
-        np.multiply(_shift_forward_diff(p, out=buf), dt, out=buf)
-        r += buf
-        _shift_backward_diff(dv(r), out=force)
-        kick(p)
-
-    return _run(step, u0, cfg)
+    trajs = _run(step, offset, r, p, cfg)
+    return trajs[0] if isinstance(u0, LatticeField) else tuple(trajs)
 
 
 def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
@@ -183,6 +226,7 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
     calls in all (V''(0) once when background is None).  Records and
     checks frames like evolve_nonlinear.
     """
+    offset, r, p = _stack((w0,))
     dt = cfg.dt
     flat = model.d2v(np.zeros_like(w0.r)) if background is None else None
 
@@ -200,7 +244,7 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
 
     start = coefficient(0.0)  # V'' at the start of the next step
 
-    def step(k, r, p):
+    def step(k):
         nonlocal start
         t, mid, end = k * dt, (k + 0.5) * dt, (k + 1) * dt
         c_mid, c_end = coefficient(mid), coefficient(end)
@@ -209,7 +253,7 @@ def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
         k3r, k3p = deriv(mid, c_mid, r + dt / 2 * k2r, p + dt / 2 * k2p)
         k4r, k4p = deriv(end, c_end, r + dt * k3r, p + dt * k3p)
         start = c_end
-        r += dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        np.add(r, dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r), out=r)
+        np.add(p, dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p), out=p)
 
-    return _run(step, w0, cfg)
+    return _run(step, offset, r, p, cfg)[0]

@@ -179,23 +179,21 @@ def hessian_apply(field, model, w):
     return LatticeField(field.offset, model.d2v(field.r) * w.r, w.p.copy())
 
 
-def _shift_forward_diff(x, out=None):
-    """(S - 1) x with zero extension: out(n) = x(n+1) - x(n), written
-    into `out` (an array other than x) when given."""
-    if out is None:
-        out = np.empty_like(x)
-    np.subtract(x[1:], x[:-1], out=out[:-1])
-    out[-1] = -x[-1]
+def _shift_forward_diff(x):
+    """(S - 1) x with zero extension along the last axis:
+    out(n) = x(n+1) - x(n)."""
+    out = np.empty_like(x)
+    np.subtract(x[..., 1:], x[..., :-1], out=out[..., :-1])
+    out[..., -1] = -x[..., -1]
     return out
 
 
-def _shift_backward_diff(x, out=None):
-    """(1 - S^{-1}) x with zero extension: out(n) = x(n) - x(n-1),
-    written into `out` (an array other than x) when given."""
-    if out is None:
-        out = np.empty_like(x)
-    np.subtract(x[1:], x[:-1], out=out[1:])
-    out[0] = x[0]
+def _shift_backward_diff(x):
+    """(1 - S^{-1}) x with zero extension along the last axis:
+    out(n) = x(n) - x(n-1)."""
+    out = np.empty_like(x)
+    np.subtract(x[..., 1:], x[..., :-1], out=out[..., 1:])
+    out[..., 0] = x[..., 0]
     return out
 
 

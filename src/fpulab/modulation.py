@@ -53,6 +53,7 @@ from .lattice import (
     hamiltonian,
 )
 from .waves import (
+    _TodaPoints,
     _grid_size,
     _identity_residual,
     eps_of_speed,
@@ -60,7 +61,6 @@ from .waves import (
     profile_spline,
     solve_profile,
     toda_forms,
-    toda_speed_forms,
 )
 
 # Scaled separation kappa_1 * min(x_{i+1} - x_i) below which neighbouring
@@ -160,7 +160,8 @@ class ProfileTable:
     traveling-wave identity check (the interpolant is linear in the node
     data, so this checks the interpolated profile), and each sample one
     polynomial evaluation at the points inside the grid.  The Toda model
-    samples its closed forms instead.
+    samples its closed forms instead, all six from one evaluation each
+    of sech^2 and tanh at kappa y and kappa (y - 1) (waves._TodaPoints).
     """
 
     def __init__(self, model):
@@ -246,11 +247,9 @@ class ProfileTable:
         kappa = kappa_of_speed(c)
         span = _span(kappa)
         if self._exact:
-            r, p, dr, dp = toda_forms(kappa)
-            dcr, dcp = toda_speed_forms(kappa)
-
             def sample(rel):
-                return (r(rel), p(rel)), (dr(rel), dp(rel)), (dcr(rel), dcp(rel))
+                at = _TodaPoints(kappa, rel)
+                return (at.r(), at.p()), (at.dr(), at.dp()), (at.dcr(), at.dcp())
             support = (-np.inf, np.inf)
         else:
             (cols, poly), w, dw = self._bracket(c, span)
@@ -638,14 +637,14 @@ def perturbation_split(u0, v0, model, cfg, guess, table=None):
     localized remainder tracked through the modulated decomposition.
 
     u0 is the full initial state, v0 its perturbation part on the same
-    window; guess seeds the decomposition of u0 - v0.
+    window; guess seeds the decomposition of u0 - v0.  The two runs are
+    stepped together as one stacked state, field 1 the perturbed train
+    u0 and field 2 the perturbation v0 alone, so a boundary alarm names
+    the run it fired in; fields on different windows raise ValueError.
     """
-    if u0.offset != v0.offset or len(u0) != len(v0):
-        raise ValueError("state and perturbation must share the window")
     if table is None:
         table = ProfileTable(model)
-    full = evolve_nonlinear(u0, model, cfg)
-    free = evolve_nonlinear(v0, model, cfg)
+    full, free = evolve_nonlinear((u0, v0), model, cfg)
     localized = Trajectory(full.times, [
         LatticeField(a.offset, a.r - b.r, a.p - b.p)
         for a, b in zip(full.fields, free.fields)

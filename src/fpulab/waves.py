@@ -20,7 +20,7 @@ sonic limit of Friesecke and Pego (1999).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -249,31 +249,79 @@ def _sech2(z):
     return 4.0 * e / (1.0 + e) ** 2
 
 
+class _TodaPoints:
+    """The Toda closed forms with parameter kappa at the crest-relative
+    points y, one method per form.  sech^2 and tanh at kappa y and at
+    kappa (y - 1) are each evaluated once, on first use, so one object
+    samples all six forms from two sech^2 and two tanh evaluations, and a
+    single form evaluates only what it reads.  sech^2 is taken from
+    e^{-2 |z|} (_sech2), so no intermediate overflows.
+    """
+
+    def __init__(self, kappa, y):
+        self.kappa, self.y = kappa, y
+        self.sh = np.sinh(kappa)
+        self.s2 = self.sh**2
+
+    @cached_property
+    def sech2(self):
+        return _sech2(self.kappa * self.y)
+
+    @cached_property
+    def sech2_back(self):
+        return _sech2(self.kappa * (self.y - 1.0))
+
+    @cached_property
+    def tanh(self):
+        return np.tanh(self.kappa * self.y)
+
+    @cached_property
+    def tanh_back(self):
+        return np.tanh(self.kappa * (self.y - 1.0))
+
+    @cached_property
+    def dkappa_dc(self):
+        kappa = self.kappa
+        return kappa**2 / (kappa * np.cosh(kappa) - self.sh)
+
+    def r(self):
+        return np.log1p(self.s2 * self.sech2)
+
+    def p(self):
+        return -self.sh * (self.tanh - self.tanh_back)
+
+    def dr(self):
+        return (-2.0 * self.kappa * self.s2 * self.sech2 * self.tanh
+                / (1.0 + self.s2 * self.sech2))
+
+    def dp(self):
+        return -self.kappa * self.sh * (self.sech2 - self.sech2_back)
+
+    def dcr(self):
+        y, sech2 = self.y, self.sech2
+        dr_dkappa = (np.sinh(2.0 * self.kappa) - 2.0 * self.s2 * y * self.tanh) * sech2
+        return self.dkappa_dc * dr_dkappa / (1.0 + self.s2 * sech2)
+
+    def dcp(self):
+        y = self.y
+        return -self.dkappa_dc * (
+            np.cosh(self.kappa) * (self.tanh - self.tanh_back)
+            + self.sh * (y * self.sech2 - (y - 1.0) * self.sech2_back)
+        )
+
+
+def _one_form(kappa, form):
+    return lambda y: form(_TodaPoints(kappa, y))
+
+
 def toda_forms(kappa):
     """Closed forms (r, p, dx r, dx p) of the Toda soliton with parameter
     kappa, as functions of the crest-relative position y:
     r(y) = log(1 + sinh(kappa)^2 sech(kappa y)^2) and
-    p(y) = -sinh(kappa) (tanh kappa y - tanh kappa(y-1)).  sech^2 is taken
-    from e^{-2 |kappa y|}, so no intermediate overflows.
+    p(y) = -sinh(kappa) (tanh kappa y - tanh kappa(y-1)).
     """
-    s2 = np.sinh(kappa) ** 2
-
-    def r_exact(y):
-        return np.log1p(s2 * _sech2(kappa * y))
-
-    def p_exact(y):
-        return -np.sinh(kappa) * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
-
-    def dr_exact(y):
-        sech2 = _sech2(kappa * y)
-        return -2.0 * kappa * s2 * sech2 * np.tanh(kappa * y) / (1.0 + s2 * sech2)
-
-    def dp_exact(y):
-        return -kappa * np.sinh(kappa) * (
-            _sech2(kappa * y) - _sech2(kappa * (y - 1.0))
-        )
-
-    return r_exact, p_exact, dr_exact, dp_exact
+    return tuple(_one_form(kappa, form) for form in (
+        _TodaPoints.r, _TodaPoints.p, _TodaPoints.dr, _TodaPoints.dp))
 
 
 def toda_speed_forms(kappa):
@@ -282,22 +330,7 @@ def toda_speed_forms(kappa):
     (dkappa/dc) d/dkappa with dc/dkappa = (kappa cosh kappa - sinh kappa)
     / kappa^2.
     """
-    sh, ch = np.sinh(kappa), np.cosh(kappa)
-    s2 = sh**2
-    dkappa_dc = kappa**2 / (kappa * ch - sh)
-
-    def dcr_exact(y):
-        sech2 = _sech2(kappa * y)
-        dr_dkappa = (np.sinh(2.0 * kappa) - 2.0 * s2 * y * np.tanh(kappa * y)) * sech2
-        return dkappa_dc * dr_dkappa / (1.0 + s2 * sech2)
-
-    def dcp_exact(y):
-        return -dkappa_dc * (
-            ch * (np.tanh(kappa * y) - np.tanh(kappa * (y - 1.0)))
-            + sh * (y * _sech2(kappa * y) - (y - 1.0) * _sech2(kappa * (y - 1.0)))
-        )
-
-    return dcr_exact, dcp_exact
+    return _one_form(kappa, _TodaPoints.dcr), _one_form(kappa, _TodaPoints.dcp)
 
 
 def toda_soliton(kappa, span=None):

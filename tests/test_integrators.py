@@ -69,6 +69,11 @@ def test_config_validation():
             EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=tol)
     EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=np.inf)
     EvolveConfig(dt=0.1, t_end=1.0, boundary_tol=0.0)
+    # 1.0 / 0.15 rounds to 7 steps, which would end the run at t = 1.05
+    with pytest.raises(ValueError, match=r"t_end=1\.0 .* dt=0\.15.*=1\.05"):
+        EvolveConfig(dt=0.15, t_end=1.0)
+    # off the grid by rounding only: 203 steps of 0.05
+    assert EvolveConfig(dt=0.05, t_end=10.15).n_steps == 203
 
 
 def test_zero_state_stays_zero(toda):
@@ -152,20 +157,28 @@ STRIDE7_CFG = dict(dt=0.05, t_end=10.0, stride=7)
 
 
 def test_verlet_evaluates_the_force_once_per_step():
-    calls = []
+    shapes = []
 
     def dv(r):
-        calls.append(1)
+        shapes.append(np.shape(r))
         return r + 0.5 * r**2
 
     model = PotentialModel.custom(lambda r: 0.5 * r**2 + r**3 / 6.0, dv)
-    calls.clear()  # the normalization check evaluates V' too
     u0 = zeros_field(-50, 100)
     u0.r[:] = 0.1 * np.exp(-0.1 * u0.sites**2)
     cfg = EvolveConfig(**CARRY_CFG)
-    evolve_nonlinear(u0, model, cfg)
     assert cfg.n_steps == 203
-    assert len(calls) == cfg.n_steps + 1
+    shapes.clear()  # the normalization check evaluates V' too
+    evolve_nonlinear(u0, model, cfg)
+    assert shapes == [(1, 100)] * (cfg.n_steps + 1)
+    # stacked fields share each call: one per step for all three rows
+    b, c = zeros_field(-50, 100), zeros_field(-50, 100)
+    b.p[:] = 0.05 * np.exp(-0.1 * b.sites**2)
+    shapes.clear()
+    trajs = evolve_nonlinear([u0, b, c], model, cfg)
+    assert len(trajs) == 3
+    assert shapes == [(3, 100)] * (cfg.n_steps + 1)
+    assert np.all(trajs[2].final.r == 0.0)
 
 
 # a stride past the last step records t = 0 and t_end only; t_end = 0
@@ -174,14 +187,18 @@ PAST_END_CFG = dict(dt=0.05, t_end=10.15, stride=1000)
 AT_START_CFG = dict(dt=0.05, t_end=0.0, stride=10)
 
 
-@pytest.mark.parametrize("case,config,frames", [
+# (id suffix, config, frames recorded) of the Verlet bit-parity tests
+VERLET_CASES = [
     pytest.param(case, config, frames, id=case + label)
     for case in ("toda_soliton", "alpha_fpu_bump")
     for label, config, frames in (("", CARRY_CFG, 22),
                                   ("-stride7", STRIDE7_CFG, 30),
                                   ("-past_end", PAST_END_CFG, 2),
                                   ("-at_start", AT_START_CFG, 1))
-])
+]
+
+
+@pytest.mark.parametrize("case,config,frames", VERLET_CASES)
 def test_carried_force_matches_two_evaluation_verlet(case, config, frames,
                                                     soliton):
     if case == "toda_soliton":
@@ -202,6 +219,47 @@ def test_carried_force_matches_two_evaluation_verlet(case, config, frames,
         assert np.array_equal(got.r, r) and np.array_equal(got.p, p)
     assert np.array_equal(traj.final.r, fields[-1][0])
     assert np.array_equal(traj.final.p, fields[-1][1])
+
+
+def stacked_pair(case, soliton):
+    """Two different initial fields on one window for `case`."""
+    if case == "toda_soliton":
+        model = PotentialModel.toda()
+        a = soliton.lattice_field(offset=-90, length=200, position=0.0)
+        b = toda_soliton(0.45).lattice_field(offset=-90, length=200,
+                                             position=-20.0)
+    else:
+        model = PotentialModel.alpha_fpu()
+        a, b = zeros_field(-100, 200), zeros_field(-100, 200)
+        a.r[:] = 0.1 * np.exp(-a.sites**2 / 18.0)
+        a.p[:] = 0.05 * np.exp(-(a.sites - 5.0) ** 2 / 8.0)
+        b.r[:] = -0.07 * np.exp(-(b.sites + 9.0) ** 2 / 10.0)
+    return model, a, b
+
+
+@pytest.mark.parametrize("case,config,frames", VERLET_CASES)
+def test_stacked_run_matches_one_field_runs(case, config, frames, soliton):
+    model, a, b = stacked_pair(case, soliton)
+    cfg = EvolveConfig(**config)
+    both = evolve_nonlinear((a, b), model, cfg)
+    assert isinstance(both, tuple) and len(both) == 2
+    for got, u0 in zip(both, (a, b)):
+        alone = evolve_nonlinear(u0, model, cfg)
+        assert np.array_equal(got.times, alone.times)
+        assert len(got.fields) == len(alone.fields) == frames
+        for f, g in zip(got.fields, alone.fields):
+            assert f.offset == g.offset
+            assert np.array_equal(f.r, g.r) and np.array_equal(f.p, g.p)
+    # the stacked state is stepped in copies: the inputs are untouched
+    for f, g in zip((a, b), stacked_pair(case, soliton)[1:]):
+        assert np.array_equal(f.r, g.r) and np.array_equal(f.p, g.p)
+
+
+def test_stacked_fields_must_share_the_window(toda):
+    a = zeros_field(-20, 40)
+    for b in (zeros_field(-19, 40), zeros_field(-20, 41)):
+        with pytest.raises(ValueError, match="share the window"):
+            evolve_nonlinear((a, b), toda, EvolveConfig(dt=0.1, t_end=1.0))
 
 
 def test_time_reversal(toda, soliton):
@@ -445,6 +503,25 @@ def test_boundary_alarm_fires_between_records(toda, dt):
         evolve_nonlinear(u0, toda, cfg)
 
 
+def test_stacked_alarm_names_the_field_that_fired(toda):
+    # only the second field reaches the edge: the alarm fires at the time
+    # it fires when that field runs alone, and names it
+    u0 = toda_soliton(0.5).lattice_field(offset=-40, length=80, position=0.0)
+    quiet = zeros_field(-40, 80)
+    cfg = EvolveConfig(dt=0.1, t_end=90.0, stride=10**9, boundary_tol=1e-3)
+    with pytest.raises(RuntimeError) as alone:
+        evolve_nonlinear(u0, toda, cfg)
+    with pytest.raises(RuntimeError) as stacked:
+        evolve_nonlinear((quiet, u0), toda, cfg)
+    assert str(stacked.value) == "field 2 of 2: " + str(alone.value)
+    assert "at t=22.5; enlarge the window" in str(stacked.value)
+    # the same on a record: the first frame of a field at the edge
+    edge = toda_soliton(0.3).lattice_field(offset=-8, length=16, position=0.0)
+    fields = (zeros_field(-8, 16), zeros_field(-8, 16), edge)
+    with pytest.raises(RuntimeError, match=r"^field 3 of 3: boundary mass "):
+        evolve_nonlinear(fields, toda, EvolveConfig(dt=0.1, t_end=0.0))
+
+
 def test_boundary_alarm_reads_boundary_mass(toda, soliton):
     u0 = soliton.lattice_field(offset=-8, length=16, position=0.0)
     mass = max(u0.boundary_mass(BOUNDARY_WIDTH))
@@ -461,8 +538,11 @@ def test_nonfinite_abort():
     u0.r[18:22] = -1e4
     cfg = EvolveConfig(dt=0.25, t_end=50.0, boundary_tol=np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(RuntimeError, match="^state became non-finite") as alone:
             evolve_nonlinear(u0, model, cfg)
+        with pytest.raises(RuntimeError) as stacked:
+            evolve_nonlinear((zeros_field(-20, 40), u0), model, cfg)
+    assert str(stacked.value) == "field 2 of 2: " + str(alone.value)
 
 
 def test_trajectory_csv(tmp_path, toda, soliton):

@@ -136,6 +136,55 @@ class TestProfileTable:
         assert np.array_equal(wave.p, exact.p)
         assert not TABLE._nodes  # no node was solved
 
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.45, 1.0])
+    def test_toda_modes_sample_the_closed_forms_in_one_pass(self, kappa,
+                                                            monkeypatch):
+        c = speed_of_kappa(kappa)
+        k = kappa_of_speed(c)
+        # the crest, the next site, half-integers, a fine span, and the
+        # far tails where sech^2 is subnormal (|k y| = 360) or 0 (400)
+        y = np.concatenate((
+            [0.0, 1.0, -2.5, -0.5, 0.5, 1.5, 3.5],
+            np.linspace(-30.0, 30.0, 241) / k + 0.3,
+            np.array([-1e4, -400.0, -360.0, 360.0, 400.0, 1e4]) / k,
+        ))
+        assert 0.0 < waves._sech2(360.0) < np.finfo(float).tiny
+        assert waves._sech2(400.0) == 0.0
+
+        # the six forms as separate closed forms, each evaluating its own
+        # sech^2 and tanh, with the float operations in the same order
+        sh, ch = np.sinh(k), np.cosh(k)
+        s2 = np.sinh(k) ** 2
+        dkappa_dc = k**2 / (k * ch - sh)
+        sech2 = waves._sech2
+
+        def dcr(y):
+            dr_dkappa = (np.sinh(2.0 * k) - 2.0 * s2 * y * np.tanh(k * y)) * sech2(k * y)
+            return dkappa_dc * dr_dkappa / (1.0 + s2 * sech2(k * y))
+
+        want = (
+            np.log1p(s2 * sech2(k * y)),
+            -np.sinh(k) * (np.tanh(k * y) - np.tanh(k * (y - 1.0))),
+            -2.0 * k * s2 * sech2(k * y) * np.tanh(k * y) / (1.0 + s2 * sech2(k * y)),
+            -k * np.sinh(k) * (sech2(k * y) - sech2(k * (y - 1.0))),
+            dcr(y),
+            -dkappa_dc * (ch * (np.tanh(k * y) - np.tanh(k * (y - 1.0)))
+                          + sh * (y * sech2(k * y) - (y - 1.0) * sech2(k * (y - 1.0)))),
+        )
+        calls = []
+
+        def counting(z):
+            calls.append(1)
+            return sech2(z)
+
+        monkeypatch.setattr(waves, "_sech2", counting)
+        (r, p), (dr, dp), (dcr_got, dcp) = TABLE.modes(c).sample(y)
+        assert len(calls) == 2
+        got = (r, p, dr, dp, dcr_got, dcp)
+        singles = [f(y) for f in waves.toda_forms(k) + waves.toda_speed_forms(k)]
+        for g, w, s in zip(got, want, singles):
+            assert g.tobytes() == w.tobytes() == s.tobytes()
+
     def test_interpolation_matches_direct_solve(self):
         # speed chosen strictly between geometric nodes
         model = PotentialModel.alpha_fpu()
@@ -906,3 +955,27 @@ class TestPerturbationSplit:
         # weighted norms ahead of the leading wave stay bounded
         assert np.max(split.bound_leading) < 0.1  # measured 4.5e-2
         assert np.all(np.isfinite(split.total_leading))
+
+    def test_runs_are_stepped_as_one_stacked_state(self):
+        # V' sees both runs at once, n_steps + 1 times in all
+        shapes = []
+
+        def dv(r):
+            shapes.append(np.shape(r))
+            return np.expm1(r)
+
+        model = dataclasses.replace(MODEL, dv=dv)
+        u0, v0, _ = perturbed_setup()
+        cfg = EvolveConfig(dt=0.05, t_end=10.0, stride=20)
+        split = perturbation_split(u0, v0, model, cfg,
+                                   (C_PAIR.copy(), X_PAIR.copy()), table=TABLE)
+        assert shapes == [(2, len(u0))] * (cfg.n_steps + 1)
+        # row 2 is the perturbation alone, as a one-field run steps it
+        alone = evolve_nonlinear(v0, MODEL, cfg)
+        assert len(split.free) == len(alone.fields) == 11
+        for got, want in zip(split.free, alone.fields):
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.p, want.p)
+        short = LatticeField(v0.offset, v0.r[:-1], v0.p[:-1])
+        with pytest.raises(ValueError, match="share the window"):
+            perturbation_split(u0, short, MODEL, cfg,
+                               (C_PAIR.copy(), X_PAIR.copy()), table=TABLE)
