@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .kdv import (
+    GRAM_COND_LIMIT,
     GridField,
     LadderPhases,
     SolitonFamily,
@@ -46,26 +47,15 @@ from .kdv import (
 MISMATCH_TOL = 1e-5
 ORTHOGONALITY_TOL = 1e-6
 LADDER_ORTHOGONALITY_TOL = 1e-4  # level-mode overlap a descent accepts
-GRAM_COND_LIMIT = 1e12
 SECULAR_RESIDUAL_TOL = 1e-8
 
 
 # -- level fields ----------------------------------------------------------
-
-def _level_potential(ladder, m, t, x):
-    """v^m with its tail constant, so differences across levels are exact."""
-    tail = -float(ladder.family.k[m:].sum())
-    if m == 0:
-        return np.full_like(x, tail)
-    return ladder.tau(m).v(t, x) + tail
-
-
-def _level_slope(ladder, m, t, x):
-    """d/dx v^m (the level-m KdV profile)."""
-    if m == 0:
-        return np.zeros_like(x)
-    return ladder.tau(m).second_derivative(t, x)
-
+#
+# Level m of a ladder is ladder.tau(m) for every m in 0..N: its potential
+# with the tail constant is ladder.potential(m, ...), its slope d/dx v^m
+# (the level-m KdV profile) is ladder.tau(m).second_derivative(...), and
+# level 0 is the constant -sum k with slope 0.
 
 def _level_modes(ladder, m, t, x):
     """Shift and speed modes of level m: d/d(anchor) and d/dk_m of
@@ -128,11 +118,11 @@ def backlund_residual(ladder: LadderPhases, m, t, x) -> float:
     if not 1 <= m <= ladder.family.n:
         raise ValueError("level must lie in 1..N")
     x = np.asarray(x, dtype=float)
-    _check_grid(ladder.family, x)
+    _check_grid(ladder.family.k, x)
     km = float(ladder.family.k[m - 1])
-    dsum = _level_slope(ladder, m, t, x) + _level_slope(ladder, m - 1, t, x)
-    diff = (_level_potential(ladder, m, t, x)
-            - _level_potential(ladder, m - 1, t, x))
+    dsum = (ladder.tau(m).second_derivative(t, x)
+            + ladder.tau(m - 1).second_derivative(t, x))
+    diff = ladder.potential(m, t, x) - ladder.potential(m - 1, t, x)
     return float(np.max(np.abs(dsum - km**2 + diff**2)))
 
 
@@ -151,8 +141,7 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
     dx = w_prev.dx
     w0 = np.asarray(w_prev.values, dtype=float)
     lp = log_psi(ladder, m, t, x)
-    dv = (_level_potential(ladder, m, t, x)
-          - _level_potential(ladder, m - 1, t, x))
+    dv = ladder.potential(m, t, x) - ladder.potential(m - 1, t, x)
     u = 4.0 * dv * w0
     j0 = _crest_index(x, ladder.crest(m, t))
 
@@ -198,8 +187,7 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
     dx = w_field.dx
     wm = np.asarray(w_field.values, dtype=float)
     lp = log_psi(ladder, m, t, x)
-    dv = (_level_potential(ladder, m, t, x)
-          - _level_potential(ladder, m - 1, t, x))
+    dv = ladder.potential(m, t, x) - ladder.potential(m - 1, t, x)
     u = 4.0 * dv * wm
     n = len(x)
     j0 = _crest_index(x, ladder.crest(m, t))
@@ -483,14 +471,8 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
     x = w0.x
     dx = w0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
-    if m:
-        level = ladder.tau(m)
-        _check_grid(level.family, x)
-        slope_at = level.frame_profile(x, 0.0, t0)
-    else:
-        def slope_at(tau):
-            return np.zeros_like(x)
-
+    _check_grid(ladder.family.k[:m], x)
+    slope_at = ladder.tau(m).frame_profile(x, 0.0, t0)
     flow = _SpectralFlow(len(x), dx, 0.0, slope_at, t0, dt)
     derivative = 1j * flow.xi * flow.mask
     coupling = -12.0 * flow.mask

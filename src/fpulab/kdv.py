@@ -22,11 +22,14 @@ instead (TauLadder.frame_profile), one exponential table per anchor time
 from which every later time is a matrix product.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
-carries the prefactor exp(-sum_{i>m} theta_i).  The 1-soliton crest then
-sits at gamma - log(2k)/(2k), not at gamma.  Inside a level-m tau the
-active solitons i <= m carry the descended phases gamma_i^m (see
-phase_ladder); this is what makes consecutive levels a transform pair,
-and the plain minors of the level-n matrix do not have that property.
+Delta_m = det(I + C_m) is that of the first m solitons alone, with no
+factor from the others.  The 1-soliton crest sits at
+gamma - log(2k)/(2k), not at gamma.  Level m of a family's ladder is
+LadderPhases.tau(m) for every m in 0..N: its m solitons carry the
+descended phases gamma_i^m (see phase_ladder), which is what makes
+consecutive levels a transform pair (the plain minors of the level-n
+matrix do not have that property), and the ladder potential
+LadderPhases.potential adds the tail constant -sum_{i>m} k_i.
 
 The ladder conventions live here and nowhere else: the phase recursion
 (phase_ladder), the normalized tau quotient (log_psi), the parameter
@@ -46,6 +49,9 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from .artifacts import read_series, write_series
 
 MAX_SOLITONS = 8
+# Condition number above which a Gram matrix of modes (the secular
+# projection's, the modulation frame's) is singular to working precision.
+GRAM_COND_LIMIT = 1e12
 # Largest drift max|r_S| |tau - tau_a| of the subset exponents a frame
 # table (TauLadder.frame_profile) takes from its anchor time tau_a before
 # it is rebuilt: the weights then stay within e^{+-FRAME_REACH} of their
@@ -178,22 +184,23 @@ def _subset_tables(k, m):
 class TauLadder:
     """Level-m tau function of a soliton family with its log-domain tables.
 
-    Provides log Delta_m, v^m = d/dx log Delta_m, the second x-derivative,
-    and the dense Cauchy matrix C_m for cross-checking at moderate phases.
-    The active solitons i <= m use the descended phases gamma_i^m, the
-    inactive tail keeps the level-n phases (it only feeds the prefactor).
+    Provides log Delta_m, its x-derivative d/dx log Delta_m, the second
+    x-derivative, and the dense Cauchy matrix C_m for cross-checking at
+    moderate phases.  Delta_m is the tau of the first m solitons at their
+    own phases family.gamma[:m]; the others are never read, and level 0
+    is Delta_0 = 1.  A ladder level at descended phases is
+    LadderPhases.tau(m).
 
     Every evaluation goes through a one-entry memo keyed on (t, x), both
     compared by value.  A miss builds the (2^m, len(x)) subset table once,
     sweeping x in slabs of at most _SLAB / 2^m points: each slab's
     exponents are formed, shifted, exponentiated and normalised into
     softmax weights while the slab is in cache, its share of the
-    len(x)-long results is taken (the prefactor with the shift and sum of
-    log Delta_m, and the mean and variance of the subset slopes), and its
-    weights are written into the table.  The weights table itself is kept
-    only until parameter_gradients takes it at that key,
-    walking the same slabs, or until the next miss, so a ladder holds at
-    most one.  A table of at most _SLAB entries (up to 4096 points at
+    len(x)-long results is taken (the shift and sum of log Delta_m, and
+    the mean and variance of the subset slopes), and its weights are
+    written into the table.  The weights table itself is kept only until
+    parameter_gradients takes it at that key, walking the same slabs, or
+    until the next miss, so a ladder holds at most one.  A table of at most _SLAB entries (up to 4096 points at
     m = 4) is one slab, and its results have the bits of a single
     whole-table pass.  Callers get fresh arrays, never the memo's own.
     The flows, whose every stage time is a new key, do not go through this
@@ -207,23 +214,18 @@ class TauLadder:
         self.family = family
         self.m = m
         self._B, self._log_a, self._slope = _subset_tables(family.k, m)
-        gam = family.gamma.astype(float).copy()
-        gam[:m] = phase_ladder(family).levels[m]
-        self._gamma_m = gam
         self._key = None  # (t, x) of the memo
         self._weights = None
 
-    def _theta(self, t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = self.family.k[:, None]
-        return k * (x[None, :] - 4.0 * k**2 * t - self._gamma_m[:, None])
-
     def _phases(self, t, x):
-        """The prefactor exponent -sum_{i>m} theta_i and the active phases
-        theta_1..m at (t, x).  Every subset table build, whole or slab by
-        slab, starts with one call, so these calls count table builds."""
-        theta = self._theta(t, x)
-        return -np.sum(theta[self.m :], axis=0), theta[: self.m]
+        """The active phases theta_1..m at (t, x), one row per soliton.
+        Every subset table build, whole or slab by slab, starts with one
+        call, so these calls count table builds (dense_matrix, which
+        builds none, makes the one other call)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        k = self.family.k[: self.m, None]
+        gamma = self.family.gamma[: self.m, None]
+        return k * (x[None, :] - 4.0 * k**2 * t - gamma)
 
     def _terms(self, theta):
         """Subset exponents log_a - 2 B theta of the active phases theta
@@ -249,7 +251,7 @@ class TauLadder:
         if (key is None or t != key[0] or not np.array_equal(x, key[1])
                 or (weights and self._weights is None)):
             self._weights = None  # drop the old table before the next
-            pre, theta = self._phases(t, x)
+            theta = self._phases(t, x)
             w = np.empty((self._slope.size, x.size))
             top, total, mean, var = np.empty((4, x.size))
             for sl in self._slabs(x.size):
@@ -262,7 +264,7 @@ class TauLadder:
                 var[sl] = terms.T @ self._slope**2 - mean[sl] ** 2
                 w[:, sl] = terms
             self._key = (t, x.copy())
-            self._lse = (pre, top, total)  # the log waits for log_delta
+            self._lse = (top, total)  # the log waits for log_delta
             self._mean = mean
             self._var = var
             self._weights = w
@@ -270,14 +272,12 @@ class TauLadder:
 
     def log_delta(self, t, x):
         self._eval(t, x)
-        pre, top, total = self._lse
-        return pre + _log_total(top, total)
+        return _log_total(*self._lse)
 
     def v(self, t, x):
-        """d/dx log Delta_m (time-indexed ladder potential)."""
+        """d/dx log Delta_m (the softmax mean of the slopes)."""
         self._eval(t, x)
-        base = -np.sum(self.family.k[self.m :])
-        return base + self._mean
+        return self._mean.copy()
 
     def second_derivative(self, t, x):
         """d^2/dx^2 log Delta_m (the softmax variance of the slopes)."""
@@ -288,10 +288,10 @@ class TauLadder:
         """Derivatives of second_derivative in the active parameters.
 
         Returns a (2m, len(x)) array: rows d/d gamma_1 .. d/d gamma_m, then
-        d/d k_1 .. d/d k_m, with gamma_i the level-m phases this ladder
-        uses (the family's own phases at m = n).  phi is the softmax
-        variance E_w[(s - mu)^2] of the subset slopes s under the weights
-        w of the exponents T, so for every parameter q
+        d/d k_1 .. d/d k_m, with gamma_i the phases family.gamma[:m] this
+        ladder uses.  phi is the softmax variance E_w[(s - mu)^2] of the
+        subset slopes s under the weights w of the exponents T, so for
+        every parameter q
         d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
         - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.
@@ -316,7 +316,7 @@ class TauLadder:
             tilt = ws.T @ columns[:, :m]
             centered *= ws
             cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
-            lever = x[sl, None] - 12.0 * k**2 * t - self._gamma_m[:m]
+            lever = x[sl, None] - 12.0 * k**2 * t - self.family.gamma[:m]
             grads[:m, sl] = (2.0 * k * cov[:, :m]).T
             grads[m:, sl] = (cov[:, m:] - 2.0 * lever * cov[:, :m]
                              - 4.0 * tilt).T
@@ -345,7 +345,7 @@ class TauLadder:
         def phi(tau):
             nonlocal anchor, table
             if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
-                table = self._terms(self._phases(tau, x + speed * (tau - t0))[1])
+                table = self._terms(self._phases(tau, x + speed * (tau - t0)))
                 _shift_exp(table)
                 anchor = tau
             m0, m1, m2 = (powers * np.exp(rate * (tau - anchor))) @ table
@@ -357,40 +357,43 @@ class TauLadder:
     def dense_matrix(self, t, x):
         """Cauchy matrix C_m with entries e^{-theta_i-theta_j}/(k_i+k_j).
 
-        det(I + C_m) equals Delta_m without the tail prefactor; overflows
-        for phases beyond ~350, which is what the expansion avoids.  x
-        holds one point; raises ValueError otherwise.
+        det(I + C_m) equals Delta_m; overflows for phases beyond ~350,
+        which is what the expansion avoids.  x holds one point; raises
+        ValueError otherwise.
         """
         if np.size(x) != 1:
             raise ValueError("dense_matrix takes one point x, got %d"
                              % np.size(x))
-        theta = self._theta(t, x)[: self.m, 0]
+        theta = self._phases(t, x)[:, 0]
         k = self.family.k[: self.m]
         e = np.exp(-theta)
         return np.outer(e, e) / (k[:, None] + k[None, :])
 
 
-def _check_grid(family, x):
+def _check_grid(k, x):
+    """Reject a grid whose spacing exceeds 0.1 / k_max, k_max the largest
+    of the wave numbers k (none are checked when k is empty)."""
     dx = x[1] - x[0]
-    if dx > 0.1 / family.k[-1] * (1.0 + 1e-9):
+    fastest = np.max(k, initial=0.0)
+    if dx * fastest > 0.1 * (1.0 + 1e-9):
         raise ValueError(
-            f"grid too coarse: dx={dx:.4g} does not resolve k={family.k[-1]:.4g}"
+            f"grid too coarse: dx={dx:.4g} does not resolve k={fastest:.4g}"
         )
 
 
 def n_soliton_profile(family: SolitonFamily, t, x, levels=()):
     """Profile phi_N = d^2/dx^2 log Delta_N and ladder potentials v^m.
 
-    x: uniform abscissas (see uniform_grid); levels: iterable of m for
-    which v^m is wanted.  Returns (GridField, dict m -> GridField).
+    x: uniform abscissas (see uniform_grid); levels: iterable of m in
+    0..N for which the ladder potential phase_ladder(family).potential(m)
+    is wanted.  Returns (GridField, dict m -> GridField).
     """
     x = np.asarray(x, dtype=float)
-    _check_grid(family, x)
+    _check_grid(family.k, x)
     dx = x[1] - x[0]
     phi = TauLadder(family, family.n).second_derivative(t, x)
-    pots = {
-        m: GridField(x[0], dx, TauLadder(family, m).v(t, x)) for m in levels
-    }
+    ladder = phase_ladder(family)
+    pots = {m: GridField(x[0], dx, ladder.potential(m, t, x)) for m in levels}
     return GridField(x[0], dx, phi), pots
 
 
@@ -404,7 +407,7 @@ def secular_basis(family: SolitonFamily, t, x):
     in the flat tail of every gradient.
     """
     x = np.asarray(x, dtype=float)
-    _check_grid(family, x)
+    _check_grid(family.k, x)
     xi = TauLadder(family, family.n).parameter_gradients(t, x)
     if np.any(np.abs(xi[:, 0]) > 1e-12):
         raise ValueError(
@@ -450,9 +453,9 @@ def kdv_residual(fields, dt):
 class LadderPhases:
     """Soliton family together with its per-level phase vectors.
 
-    levels[m] holds the m phases of the level-m potential; level N keeps
-    the family's own phases and each step down shifts the surviving
-    phases by the pairwise interaction term (see phase_ladder).
+    levels[m] holds the m phases of level m (tau(m), potential(m)); level
+    N keeps the family's own phases and each step down shifts the
+    surviving phases by the pairwise interaction term (see phase_ladder).
     """
 
     family: SolitonFamily
@@ -468,21 +471,24 @@ class LadderPhases:
                 raise ValueError(f"level {m} must carry {m} phases")
         object.__setattr__(self, "_taus", {})
 
-    def level_family(self, m):
-        """Standalone m-soliton family carrying the level-m phases."""
-        if not 1 <= m <= self.family.n:
-            raise ValueError("level must lie in 1..N")
-        return SolitonFamily(self.family.k[:m], self.levels[m])
-
     def tau(self, m):
-        """The level-m tau function of level_family(m), built on the first
-        call and kept: it depends on the phases alone, so every map and
-        flow on this ladder shares one per level, and with it the memo of
-        that level's last evaluation (see TauLadder): consecutive maps at
-        one (t, x) build each level's subset table once."""
+        """The level-m tau function, m in 0..N: the TauLadder of the first
+        m solitons at the level-m phases levels[m] (the family's own
+        phases fill the inactive slots, which it never reads).  Built on
+        the first call and kept: it depends on the phases alone, so every
+        map and flow on this ladder shares one per level, and with it the
+        memo of that level's last evaluation (see TauLadder): consecutive
+        maps at one (t, x) build each level's subset table once."""
         if m not in self._taus:
-            self._taus[m] = TauLadder(self.level_family(m), m)
+            gamma = np.concatenate([self.levels[m], self.family.gamma[m:]])
+            self._taus[m] = TauLadder(SolitonFamily(self.family.k, gamma), m)
         return self._taus[m]
+
+    def potential(self, m, t, x):
+        """The ladder potential v^m = d/dx log Delta_m - sum_{i>m} k_i of
+        level m: the tail constant makes differences across levels exact,
+        and level 0 is the constant -sum_i k_i."""
+        return self.tau(m).v(t, x) - float(self.family.k[m:].sum())
 
     def anchor(self, m):
         """Phase of the soliton that level m adds on top of level m-1."""
@@ -520,8 +526,7 @@ def log_psi(ladder: LadderPhases, m, t, x):
         raise ValueError("m must lie in 1..n")
     km = float(ladder.family.k[m - 1])
     theta = km * (x - 4.0 * km**2 * t - ladder.anchor(m))
-    low = (np.zeros_like(x) if m == 1
-           else ladder.tau(m - 1).log_delta(t, x))
+    low = ladder.tau(m - 1).log_delta(t, x)
     return -theta + low - ladder.tau(m).log_delta(t, x)
 
 

@@ -45,6 +45,7 @@ from scipy.interpolate import PPoly
 
 from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
+from .kdv import GRAM_COND_LIMIT
 from .lattice import (
     LatticeField,
     WeightKind,
@@ -71,10 +72,6 @@ MIN_SCALED_SEPARATION = 7.0
 # Sites.  Below this the Gram matrix is numerically rank-deficient and the
 # parametrization by ordered single waves has broken down.
 COLLISION_GAP = 2.0
-
-# Condition number of the wave-direction pairing matrix above which it is
-# singular to working precision.
-GRAM_COND_LIMIT = 1e12
 
 _TABLE_NODES_PER_DECADE = 64
 

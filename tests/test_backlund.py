@@ -707,8 +707,8 @@ class TestLadderConjugation:
         monkeypatch.setattr(TauLadder, "__init__", counting)
         ladder_conjugate(y2, TRAIN, self.T, 0.4, direction="down")
         # level 2 for its modes, then level 1 for the inverse map; the
-        # level-1 modes reuse it
-        assert builds == [2, 1]
+        # level-1 modes reuse it, and its inverse map builds level 0
+        assert builds == [2, 1, 0]
 
     def test_walk_builds_one_subset_table_per_level(self, monkeypatch):
         # a 4-soliton family whose level anchors sit on the grid, and a
@@ -738,8 +738,9 @@ class TestLadderConjugation:
         monkeypatch.setattr(kdv, "_SLAB", 2**12)
         down = ladder_conjugate(y4, fam, 0.0, 0.4, direction="down")
         ladder_conjugate(down.field, fam, 0.0, 0.4, direction="up")
-        # each walk evaluates every level at one (t, x): one table apiece
-        assert tables == [4, 3, 2, 1, 1, 2, 3, 4]
+        # each walk evaluates every level 0..4 at one (t, x): one table
+        # apiece, level 0 a one-row table
+        assert tables == [4, 3, 2, 1, 0, 0, 1, 2, 3, 4]
 
     def test_zero_field(self):
         x = uniform_grid(-45.0, 35.0, self.DX)

@@ -81,11 +81,41 @@ def test_tau_one_soliton_value():
     assert val == pytest.approx(dense, abs=1e-13)
 
 
-def test_tau_level_zero_is_plain_phase_sum():
-    k, g = np.array([0.5, 1.3]), np.array([0.2, -0.4])
-    # theta_i = k_i (x - 4 k_i^2 t - gamma_i) at t = 0.7, x = 1.9
-    th = k * (1.9 - 4.0 * k**2 * 0.7 - g)
-    assert tau_logdet(SolitonFamily(k, g), 0.7, 1.9, 0) == -float(th.sum())
+def test_ladder_level_zero_is_an_ordinary_level():
+    # Delta_0 = 1: its one-row table gives log Delta_0, its slopes and the
+    # profile exactly 0, and the potential is the tail constant alone
+    k = np.array([0.5, 1.3, 2.0])
+    ladder = phase_ladder(SolitonFamily(k, [0.2, -0.4, 1.1]))
+    x = uniform_grid(-30.0, 30.0, 0.05)
+    level = ladder.tau(0)
+    assert level.m == 0
+    for name in ("log_delta", "v", "second_derivative"):
+        assert np.all(getattr(level, name)(0.7, x) == 0.0)
+    assert np.all(ladder.potential(0, 0.7, x) == -k.sum())
+
+
+def test_ladder_levels_are_the_standalone_level_families():
+    # level m is the tau of the first m solitons at the descended phases,
+    # bit for bit, whatever the family carries beyond them
+    k = np.array([0.4, 0.7, 1.1, 1.6])
+    fam = SolitonFamily(k, [-3.0, 1.2, 0.4, 2.5])
+    ladder = phase_ladder(fam)
+    x = uniform_grid(-25.0, 25.0, 0.05)
+    t = 0.3
+    for m in range(1, fam.n + 1):
+        got = ladder.tau(m)
+        want = TauLadder(SolitonFamily(k[:m], ladder.levels[m]), m)
+        for name in ("log_delta", "v", "second_derivative",
+                     "parameter_gradients"):
+            a, b = getattr(got, name)(t, x), getattr(want, name)(t, x)
+            assert np.array_equal(a, b), (m, name)
+        a = got.frame_profile(x, 1.5, t)
+        b = want.frame_profile(x, 1.5, t)
+        for tau in (t, t + 0.2, t + 9.0):
+            assert np.array_equal(a(tau), b(tau)), (m, tau)
+        tail = float(k[m:].sum())
+        assert np.array_equal(ladder.potential(m, t, x),
+                              want.v(t, x) - tail)
 
 
 def test_tau_two_soliton_matches_dense():
