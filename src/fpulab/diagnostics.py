@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kdv import SolitonFamily, TauLadder, log_sum_exp
+from .kdv import SolitonFamily, TauLadder, _sech2, log_sum_exp
 from .lattice import LatticeField, WeightKind, WeightSpec, hamiltonian_density
-from .waves import _sech2, kappa_of_speed, rho_symbol, speed_of_eps
+from .waves import kappa_of_speed, rho_symbol, speed_of_eps
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def log_sum_exp(terms):
     return _log_total(*_shift_exp(np.array(terms, dtype=float)))
 
 
+def _sech2(z):
+    """sech(z)^2 as 4 e / (1 + e)^2 with e = exp(-2|z|): finite for every z,
+    where squaring cosh(z) overflows once |z| passes about 355."""
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
 def _pair_terms(k):
     """Pair factors A_ij = 2 log|(k_i - k_j)/(k_i + k_j)| of the KdV
     N-soliton, A_ii = 0: e^{A_ij} is the interaction coefficient of a
@@ -586,7 +593,7 @@ class Resolution:
         out = np.zeros_like(x)
         for i in range(self.family.n):
             arg = k[i] * (x - 4.0 * k[i] ** 2 * t - self.gamma_tilde[i])
-            out += k[i] ** 2 / np.cosh(arg) ** 2
+            out += k[i] ** 2 * _sech2(arg)
         return GridField(x[0], x[1] - x[0], out)
 
     def remainder_sup(self, t, x):

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kdv import _spectral_dx
+from .kdv import _sech2, _spectral_dx
 from .lattice import LatticeField, hamiltonian
 
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
@@ -243,12 +243,6 @@ def _spline_at(spline, pts):
     return out
 
 
-def _sech2(z):
-    """sech(z)^2 as 4 e / (1 + e)^2 with e = exp(-2|z|): finite for every z."""
-    e = np.exp(-2.0 * np.abs(z))
-    return 4.0 * e / (1.0 + e) ** 2
-
-
 class _TodaPoints:
     """The Toda closed forms with parameter kappa at the crest-relative
     points y, one method per form.  sech^2 and tanh at kappa y and at
@@ -454,7 +448,7 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
     x, _ = _profile_grid(kappa_of_speed(c), span)
     eps = eps_of_speed(c)
     if seed is None:
-        seed = eps**2 / np.cosh(eps * x) ** 2
+        seed = eps**2 * _sech2(eps * x)
 
     r, history = _petviashvili(model, c, seed, tol, max_iter)
     r = _recenter(r, x)

@@ -598,6 +598,23 @@ class TestResolution:
         train = res.train(5.0, x)
         assert train.values.max() == pytest.approx(4.0, abs=1e-3)
 
+    def test_train_far_from_a_hump(self):
+        # at t = 100 the k = 1 hump sits near x = 400, so its phase passes
+        # 355 in the window, where cosh squared overflows; the train
+        # matches a 30-digit sum of the humps to rounding
+        fam = SolitonFamily([0.5, 1.0], [0.0, 0.0])
+        res = soliton_resolution(fam)
+        x = uniform_grid(-50.0, 50.0, 0.05)
+        got = res.train(100.0, x).values
+        with mp.workdps(30):
+            for j in range(0, x.size, 250):
+                want = float(mp.fsum(
+                    mp.mpf(k) ** 2 * mp.sech(
+                        mp.mpf(k) * (mp.mpf(x[j]) - 400 * mp.mpf(k) ** 2
+                                     - mp.mpf(g))) ** 2
+                    for k, g in zip(fam.k, res.gamma_tilde)))
+                assert abs(got[j] - want) <= 1e-12 * want
+
 
 class TestPsiRatio:
     def test_one_soliton_value(self):

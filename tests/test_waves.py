@@ -174,6 +174,17 @@ def test_solve_profile_kdv_amplitude(eps):
     assert abs(peak_half - 1) < 0.5 * abs(peak - 1)
 
 
+def test_solve_profile_default_seed_on_a_wide_span():
+    # eps x passes 355 on the wide grid, where the seed's cosh squared
+    # overflows; the profile matches the one on the default span
+    model = PotentialModel.alpha_fpu()
+    wide = solve_profile(model, 1.3, span=300)
+    narrow = solve_profile(model, 1.3)
+    assert wide.span > narrow.span
+    sites = np.arange(-20.0, 21.0)
+    assert np.max(np.abs(wide.r_at(sites) - narrow.r_at(sites))) < 1e-12
+
+
 def test_solve_profile_residual_history():
     sol = solve_profile(ALPHA, 1 + 0.04 / 6)
     hist = sol.residual_history
