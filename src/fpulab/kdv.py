@@ -207,12 +207,12 @@ class TauLadder:
     the mean and variance of the subset slopes), and its weights are
     written into the table.  The weights table itself is kept only until
     parameter_gradients takes it at that key, walking the same slabs, or
-    until the next miss, so a ladder holds at most one.  A table of at most _SLAB entries (up to 4096 points at
-    m = 4) is one slab, and its results have the bits of a single
-    whole-table pass.  Callers get fresh arrays, never the memo's own.
-    The flows, whose every stage time is a new key, do not go through this
-    memo but through frame_profile, which keeps its own whole table per
-    anchor time.
+    until the next miss, so a ladder holds at most one.  A table of at
+    most _SLAB entries (up to 4096 points at m = 4) is one slab, and its
+    results have the bits of a single whole-table pass.  Callers get
+    fresh arrays, never the memo's own.  The flows, whose every stage
+    time is a new key, do not go through this memo but through
+    frame_profile, which keeps its own whole table per anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -486,6 +486,8 @@ class LadderPhases:
         map and flow on this ladder shares one per level, and with it the
         memo of that level's last evaluation (see TauLadder): consecutive
         maps at one (t, x) build each level's subset table once."""
+        if not 0 <= m <= self.family.n:
+            raise ValueError("level must lie in 0..N")
         if m not in self._taus:
             gamma = np.concatenate([self.levels[m], self.family.gamma[m:]])
             self._taus[m] = TauLadder(SolitonFamily(self.family.k, gamma), m)

@@ -173,6 +173,9 @@ def test_tau_level_bounds():
         TauLadder(fam, 2)
     with pytest.raises(ValueError):
         TauLadder(fam, -1)
+    for m in (-1, 2):
+        with pytest.raises(ValueError, match="0..N"):
+            phase_ladder(fam).tau(m)
 
 
 @settings(max_examples=60, deadline=None)
