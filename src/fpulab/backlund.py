@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.linalg.blas import dtbsv
 
 from .kdv import (
@@ -45,6 +46,9 @@ from .kdv import (
 )
 
 MISMATCH_TOL = 1e-5
+# Largest energy fraction near and above the dealiasing cutoff
+# (_alias_fraction) a recorded field of the linearized flow may carry.
+ALIAS_TOL = 1e-6
 ORTHOGONALITY_TOL = 1e-6
 LADDER_ORTHOGONALITY_TOL = 1e-4  # level-mode overlap a descent accepts
 SECULAR_RESIDUAL_TOL = 1e-8
@@ -59,9 +63,10 @@ SECULAR_RESIDUAL_TOL = 1e-8
 
 def _level_modes(ladder, m, t, x):
     """Shift and speed modes of level m: d/d(anchor) and d/dk_m of
-    d/dx v^m, the other level-m parameters held fixed."""
-    grads = ladder.tau(m).parameter_gradients(t, x)
-    return grads[m - 1], grads[2 * m - 1]
+    d/dx v^m, the other level-m parameters held fixed: the two gradient
+    rows of the level's top soliton alone, taken from the weights table
+    of the level's memo as the full 2m-row call would take it."""
+    return ladder.tau(m).parameter_gradients(t, x, solitons=[m - 1])
 
 
 def _overlap(values, mode, dx, scale):
@@ -264,13 +269,16 @@ class Trajectory:
     q_residual is the largest relative secular overlap of the recorded
     field (NaN when no family was supplied); at a reprojection time it is
     that of the field before the projection.  final is the field at t1 on
-    the (possibly comoving) grid.
+    the (possibly comoving) grid.  alias_peak is the largest alias
+    fraction of the recorded fields, how close the run came to the
+    aliasing alarm at ALIAS_TOL.
     """
 
     t: np.ndarray
     weighted_norm: np.ndarray
     q_residual: np.ndarray
     final: GridField
+    alias_peak: float
 
 
 def _dealias_mask(xi):
@@ -308,7 +316,7 @@ class _SpectralFlow:
     """
 
     def __init__(self, n, dx, frame_speed, potential, t0, dt):
-        self.xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+        self.xi = 2.0 * np.pi * fft.rfftfreq(n, d=dx)
         sym = 1j * (self.xi**3 + frame_speed * self.xi)
         self.mask = _dealias_mask(self.xi)
         self.n = n
@@ -351,11 +359,17 @@ def _plan_steps(t0, t1, dt):
     return nsteps, span / nsteps
 
 
+def _window(x):
+    return f"the window [{x[0]:g}, {x[-1]:g}]"
+
+
 def _sponge_profile(x, spec):
-    """Raised-cosine damping rate supported on [lo, hi]."""
+    """Raised-cosine damping rate supported on [lo, hi]; raises ValueError
+    unless lo < hi and a grid point lies inside the strip."""
     lo, hi, strength = spec
-    if not lo < hi:
-        raise ValueError("sponge interval must have lo < hi")
+    if not (lo < hi and np.any((x > lo) & (x < hi))):
+        raise ValueError(f"sponge strip [{lo:g}, {hi:g}] must have lo < hi "
+                         f"and overlap {_window(x)}")
     s = np.zeros_like(x)
     inside = (x >= lo) & (x <= hi)
     s[inside] = strength * np.sin(np.pi * (x[inside] - lo) / (hi - lo)) ** 2
@@ -379,10 +393,13 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
 
     measure_span restricts the weighted-norm integral to [lo, hi] in
     frame coordinates, which keeps the measurement away from window edges
-    where the weight amplifies wrap-around debris.  sponge=(lo, hi,
-    strength) absorbs outgoing radiation in that strip, emulating the
-    whole-line problem on a periodic window; leave it off when measuring
-    conserved quantities.
+    where the weight amplifies wrap-around debris; it must have lo < hi
+    and hold at least 3 grid points.  sponge=(lo, hi, strength) absorbs
+    outgoing radiation in that strip, which must overlap the window,
+    emulating the whole-line problem on a periodic window; leave it off
+    when measuring conserved quantities.  A recorded field with more than
+    ALIAS_TOL of its energy near the dealiasing cutoff raises
+    RuntimeError.
     """
     if family is not None and not 0.0 < a < 2.0 * family.k[0]:
         raise ValueError("weight exponent must lie in (0, 2 k_1)")
@@ -398,6 +415,9 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     else:
         lo, hi = measure_span
         sel = slice(*np.searchsorted(x, [lo, hi + dx / 2.0]))
+        if not (lo < hi and sel.stop - sel.start >= 3):
+            raise ValueError(f"measure_span [{lo:g}, {hi:g}] must have lo < hi "
+                             f"and hold at least 3 points of {_window(x)}")
     profile = None if family is None else TauLadder(family, family.n)
     flow = _SpectralFlow(
         len(x), dx, frame_speed,
@@ -406,11 +426,11 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     coupling = -12j * flow.xi * flow.mask
 
     def term(phi, vhat):
-        vals = np.fft.irfft(vhat * flow.mask, n=flow.n)
-        return coupling * np.fft.rfft(phi * vals)
+        vals = fft.irfft(vhat * flow.mask, n=flow.n)
+        return coupling * fft.rfft(phi * vals)
 
-    vhat = np.fft.rfft(np.asarray(v0.values, dtype=float))
-    times, norms, resid = [], [], []
+    vhat = fft.rfft(np.asarray(v0.values, dtype=float))
+    times, norms, resid, alias = [], [], [], []
 
     def basis_at(tau):
         return secular_basis(family, tau, x + frame_speed * (tau - t0))
@@ -420,16 +440,17 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         return max(_overlap(vals, row, dx, scale) for row in eta)
 
     def record(tau, vhat, projected=None):
-        vals = np.fft.irfft(vhat, n=flow.n)
+        vals = fft.irfft(vhat, n=flow.n)
         if not np.all(np.isfinite(vals)):
             raise RuntimeError(f"evolution diverged (NaN) at t={tau:.6g}")
         frac = _alias_fraction(vhat, flow.xi)
-        if frac > 1e-6:
+        if frac > ALIAS_TOL:
             raise RuntimeError(
                 f"aliasing alarm at t={tau:.6g}: {frac:.2e} of the energy sits "
                 "above the dealiasing cutoff; refine dx or shrink dt"
             )
         times.append(tau)
+        alias.append(frac)
         norms.append(exp_weighted_norm(vals[sel], x[sel], dx, a))
         if family is None:
             resid.append(np.nan)
@@ -444,19 +465,19 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         else:
             vhat = flow.step(vhat, step - 1, term)
         if damp is not None:
-            vhat = np.fft.rfft(damp * np.fft.irfft(vhat, n=flow.n))
+            vhat = fft.rfft(damp * fft.irfft(vhat, n=flow.n))
         projected = None  # (field before the projection, basis rows)
         if family is not None and reproject_every \
                 and step % reproject_every == 0:
-            vals = np.fft.irfft(vhat, n=flow.n)
+            vals = fft.irfft(vhat, n=flow.n)
             xi, eta = basis_at(t0 + step * dt)
             projected = (vals, eta)
-            vhat = np.fft.rfft(vals - _secular_coeffs(vals, xi, eta, dx))
+            vhat = fft.rfft(vals - _secular_coeffs(vals, xi, eta, dx))
         if step % record_every == 0 or step == nsteps:
             vals = record(t0 + step * dt, vhat, projected)
     final = GridField(v0.x0, dx, vals)
     return Trajectory(np.array(times), np.array(norms), np.array(resid),
-                      final)
+                      final, max(alias))
 
 
 def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
@@ -478,17 +499,17 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
     coupling = -12.0 * flow.mask
 
     def term(slope, vhat):
-        dxw = np.fft.irfft(derivative * vhat, n=flow.n)
-        return coupling * np.fft.rfft(slope * dxw)
+        dxw = fft.irfft(derivative * vhat, n=flow.n)
+        return coupling * fft.rfft(slope * dxw)
 
-    vhat = np.fft.rfft(np.asarray(w0.values, dtype=float))
+    vhat = fft.rfft(np.asarray(w0.values, dtype=float))
     for step in range(nsteps):
         vhat = flow.step(vhat, step, term)
         if step % 50 == 0 and not np.all(np.isfinite(vhat)):
             # step advanced the field to t0 + (step + 1) dt
             raise RuntimeError("evolution diverged (NaN) at "
                                f"t={t0 + (step + 1) * dt:.6g}")
-    vals = np.fft.irfft(vhat, n=flow.n)
+    vals = fft.irfft(vhat, n=flow.n)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(f"evolution diverged (NaN) at t={t0 + nsteps * dt:.6g}")
     return GridField(w0.x0, dx, vals)

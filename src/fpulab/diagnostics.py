@@ -11,6 +11,7 @@ through artifacts.write_series, plots through artifacts.svg_series_plot).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .kdv import SolitonFamily, TauLadder, _sech2, log_sum_exp
 from .lattice import LatticeField, WeightKind, WeightSpec, hamiltonian_density
@@ -284,14 +285,14 @@ class BandSplit:
 
     def reconstruct(self):
         """Invert back to the weighted field e^{k1 eps n} w."""
-        xi = np.fft.ifftshift(self.xi)
-        fplus = np.fft.ifftshift(self.fplus)
-        fminus = np.fft.ifftshift(self.fm)
+        xi = fft.ifftshift(self.xi)
+        fplus = fft.ifftshift(self.fplus)
+        fminus = fft.ifftshift(self.fm)
         phase = np.exp(-1j * self.c1eps * self.t * xi)
         fr, fp = _undiag_transform(xi, phase * fplus, phase * fminus)
         ramp = np.exp(1j * xi * self.offset)
-        r = np.fft.ifft(fr * ramp) * np.sqrt(2.0 * np.pi)
-        p = np.fft.ifft(fp * ramp) * np.sqrt(2.0 * np.pi)
+        r = fft.ifft(fr * ramp) * np.sqrt(2.0 * np.pi)
+        p = fft.ifft(fp * ramp) * np.sqrt(2.0 * np.pi)
         return LatticeField(self.offset, r.real[: self.length],
                             p.real[: self.length])
 
@@ -319,17 +320,17 @@ def band_split(w, eps, k1=1.0, t=0.0):
     wp = np.zeros(n_fft)
     wr[:length] = w.r * ramp
     wp[:length] = w.p * ramp
-    xi = 2.0 * np.pi * np.fft.fftfreq(n_fft)
+    xi = 2.0 * np.pi * fft.fftfreq(n_fft)
     shift = np.exp(-1j * xi * w.offset)
-    fr = np.fft.fft(wr) * shift / np.sqrt(2.0 * np.pi)
-    fp = np.fft.fft(wp) * shift / np.sqrt(2.0 * np.pi)
+    fr = fft.fft(wr) * shift / np.sqrt(2.0 * np.pi)
+    fp = fft.fft(wp) * shift / np.sqrt(2.0 * np.pi)
     fplus, fminus = _diag_transform(xi, (fr, fp))
     phase = np.exp(1j * c1eps * t * xi)
     fplus = phase * fplus
     fminus = phase * fminus
-    xi_s = np.fft.fftshift(xi)
-    fplus = np.fft.fftshift(fplus)
-    fminus = np.fft.fftshift(fminus)
+    xi_s = fft.fftshift(xi)
+    fplus = fft.fftshift(fplus)
+    fminus = fft.fftshift(fminus)
     low = smooth_cutoff(xi_s / (K * eps))
     wide = smooth_cutoff(xi_s / delta)
     return BandSplit(

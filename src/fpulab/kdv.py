@@ -8,7 +8,9 @@ built as array expressions, and log Delta takes the shift by the largest
 term and the sum of the package's one log-sum-exp (log_sum_exp).  Spatial
 derivatives of log tau and the derivatives of the profile in every
 gamma_i and k_i come out of the same expansion as softmax-weighted
-moments, so neither carries differencing error.  A TauLadder keeps the
+moments, so neither carries differencing error; the gradients are
+taken for a chosen set of solitons, all of them for the secular basis,
+the top one alone for a ladder level's two modes.  A TauLadder keeps the
 moments of its last evaluation point (t, x), compared by value, so asking
 for log Delta, v, its slope and the parameter gradients at one point
 builds the subset table once; the table itself is dropped when
@@ -36,6 +38,11 @@ The ladder conventions live here and nowhere else: the phase recursion
 gradients of a profile (TauLadder.parameter_gradients), the spectral
 derivative, the Simpson pairing of grid samples (simpson_pairing) and
 the exponentially weighted grid norm (exp_weighted_norm).
+
+Fourier transforms here and in the other modules go through scipy.fft,
+not numpy.fft: scipy's pocketfft keeps the plan of each transform length
+it has seen, where numpy's rebuilds it on every call, and both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy import fft
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .artifacts import read_series, write_series
@@ -207,7 +215,9 @@ class TauLadder:
     the mean and variance of the subset slopes), and its weights are
     written into the table.  The weights table itself is kept only until
     parameter_gradients takes it at that key, walking the same slabs, or
-    until the next miss, so a ladder holds at most one.  A table of at
+    until the next miss, so a ladder holds at most one.  That call builds
+    the gradient rows of the solitons it is asked for, all m by default,
+    and its products grow with their number alone.  A table of at
     most _SLAB entries (up to 4096 points at m = 4) is one slab, and its
     results have the bits of a single whole-table pass.  Callers get
     fresh arrays, never the memo's own.  The flows, whose every stage
@@ -291,28 +301,41 @@ class TauLadder:
         self._eval(t, x)
         return self._var.copy()
 
-    def parameter_gradients(self, t, x):
-        """Derivatives of second_derivative in the active parameters.
+    def parameter_gradients(self, t, x, solitons=None):
+        """Derivatives of second_derivative in the parameters of a chosen
+        set of the active solitons.
 
-        Returns a (2m, len(x)) array: rows d/d gamma_1 .. d/d gamma_m, then
-        d/d k_1 .. d/d k_m, with gamma_i the phases family.gamma[:m] this
-        ladder uses.  phi is the softmax variance E_w[(s - mu)^2] of the
-        subset slopes s under the weights w of the exponents T, so for
-        every parameter q
+        solitons: indices i in 0..m-1 (default: all m, in order).  Returns
+        a (2s, len(x)) array for the s chosen solitons: rows d/d gamma_i,
+        then d/d k_i, each in the order of solitons, with gamma_i the
+        phases family.gamma[:m] this ladder uses; the default gives rows
+        d/d gamma_1 .. d/d gamma_m, d/d k_1 .. d/d k_m.  phi is the softmax
+        variance E_w[(s - mu)^2] of the subset slopes s under the weights
+        w of the exponents T, so for every parameter q
         d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
-        - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.
+        - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.  All
+        solitons share the weights table and the centered slopes, and only
+        the chosen ones' columns B_i and B_i d_k_i log_a enter the column
+        products: the two rows of one soliton (a ladder level's modes) take
+        1/m of the products of all 2m, and match those rows of the full
+        call (the d/d gamma row bit for bit with OpenBLAS).
         """
         x = self._eval(t, x, weights=True)
         w, self._weights = self._weights, None
         m = self.m
+        sel = np.arange(m) if solitons is None else np.asarray(solitons, int)
         k = self.family.k[:m]
         B = self._B
         # d log_a / d k_i: -1/k_i plus 4 k_j / (k_i^2 - k_j^2) per partner j
-        gap = k[:, None] ** 2 - k[None, :] ** 2
-        np.fill_diagonal(gap, np.inf)
-        columns = np.hstack([B, B * (B @ (4.0 * k[None, :] / gap).T - 1.0 / k)])
-        grads = np.empty((2 * m, x.size))
+        gap = k[sel, None] ** 2 - k[None, :] ** 2
+        gap[np.arange(sel.size), sel] = np.inf
+        own = B[:, sel]
+        columns = np.hstack([own, own * (B @ (4.0 * k[None, :] / gap).T
+                                         - 1.0 / k[sel])])
+        k = k[sel]
+        n = sel.size
+        grads = np.empty((2 * n, x.size))
         for sl in self._slabs(x.size):
             # every slab of the table is reused in place: w, then
             # w (s - mu), and the centered slopes, then w (s - mu)^2
@@ -320,12 +343,12 @@ class TauLadder:
             mean = ws.T @ columns
             centered = self._slope[:, None] - self._mean[None, sl]
             ws *= centered
-            tilt = ws.T @ columns[:, :m]
+            tilt = ws.T @ columns[:, :n]
             centered *= ws
             cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
-            lever = x[sl, None] - 12.0 * k**2 * t - self.family.gamma[:m]
-            grads[:m, sl] = (2.0 * k * cov[:, :m]).T
-            grads[m:, sl] = (cov[:, m:] - 2.0 * lever * cov[:, :m]
+            lever = x[sl, None] - 12.0 * k**2 * t - self.family.gamma[sel]
+            grads[:n, sl] = (2.0 * k * cov[:, :n]).T
+            grads[n:, sl] = (cov[:, n:] - 2.0 * lever * cov[:, :n]
                              - 4.0 * tilt).T
         return grads
 
@@ -426,8 +449,8 @@ def secular_basis(family: SolitonFamily, t, x):
 
 def _spectral_dx(values, h, order=1):
     """d^order/dx^order of periodic samples with spacing h (FFT)."""
-    xi = 2.0 * np.pi * np.fft.rfftfreq(values.size, d=h)
-    return np.fft.irfft((1j * xi) ** order * np.fft.rfft(values), n=values.size)
+    xi = 2.0 * np.pi * fft.rfftfreq(values.size, d=h)
+    return fft.irfft((1j * xi) ** order * fft.rfft(values), n=values.size)
 
 
 def kdv_residual(fields, dt):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import CubicSpline
 
 from .kdv import _sech2, _spectral_dx
@@ -131,23 +132,23 @@ def _momentum_from_r(r, c):
     noise and are zeroed.
     """
     n = r.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
     denom = np.exp(1j * xi) - 1.0
     sing = np.abs(denom) < 1e-12
     denom[sing] = 1.0
     mult = -c * (1j * xi) / denom
     mult[sing] = 0.0
     mult[0] = -c
-    return np.fft.irfft(mult * np.fft.rfft(r), n=n)
+    return fft.irfft(mult * fft.rfft(r), n=n)
 
 
 def _scalar_residual(r, dv_r, c):
     """sup |c^2 r'' - (S-2+S^{-1}) V'(r)| on the grid."""
     n = r.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
     sin2 = 4.0 * np.sin(xi / 2.0) ** 2
-    res = np.fft.irfft(
-        -(c**2) * xi**2 * np.fft.rfft(r) + sin2 * np.fft.rfft(dv_r), n=n
+    res = fft.irfft(
+        -(c**2) * xi**2 * fft.rfft(r) + sin2 * fft.rfft(dv_r), n=n
     )
     return float(np.max(np.abs(res)))
 
@@ -365,7 +366,7 @@ def _petviashvili(model, c, seed, tol, max_iter):
     dv = model.dv
     where = f"(model {model.name}, c={c:g})"
     n = seed.size
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
     sin2 = 4.0 * np.sin(xi / 2.0) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = sin2 / (c**2 * xi**2 - sin2)
@@ -378,7 +379,7 @@ def _petviashvili(model, c, seed, tol, max_iter):
     history = []
     r = seed.copy()
     for it in range(1, max_iter + 1):
-        kw = np.fft.irfft(mult * np.fft.rfft(dv(r) - r), n=n)
+        kw = fft.irfft(mult * fft.rfft(dv(r) - r), n=n)
         denom_m = float(np.sum(r * kw))
         if denom_m == 0.0:
             raise RuntimeError(
@@ -387,7 +388,7 @@ def _petviashvili(model, c, seed, tol, max_iter):
         m_fac = float(np.sum(r * r)) / denom_m
         r = m_fac**2 * kw
         r = _even_part(r)
-        r = np.fft.irfft(np.where(keep, np.fft.rfft(r), 0.0), n=n)
+        r = fft.irfft(np.where(keep, fft.rfft(r), 0.0), n=n)
         res = _scalar_residual(r, dv(r), c)
         history.append(res)
         if res < tol:
@@ -414,8 +415,8 @@ def _recenter(r, x):
     shift = x[j] + delta * _H
     if shift == 0.0:
         return r
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
-    return np.fft.irfft(np.exp(1j * xi * shift) * np.fft.rfft(r), n=n)
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
+    return fft.irfft(np.exp(1j * xi * shift) * fft.rfft(r), n=n)
 
 
 def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
@@ -583,16 +584,16 @@ def rho_profile(profile, model):
     c = profile.c
     n = profile.x.size
     f = model.dv(profile.r) - profile.r
-    fhat = np.fft.rfft(f)
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=_H)
+    fhat = fft.rfft(f)
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
     denom = c**2 * xi**2 - 4.0 * np.sin(xi / 2.0) ** 2
     denom[0] = 1.0
     m11 = c * xi**2 / denom
     m21 = -1j * xi * (np.exp(-1j * xi) - 1.0) / denom
     m11[0] = c / (c**2 - 1.0)
     m21[0] = -1.0 / (c**2 - 1.0)
-    comp1 = np.fft.irfft(m11 * fhat, n=n)
-    comp2 = np.fft.irfft(m21 * fhat, n=n)
+    comp1 = fft.irfft(m11 * fhat, n=n)
+    comp2 = fft.irfft(m21 * fhat, n=n)
     return WaveProfile(profile.model_name, c, profile.x, comp1, comp2,
                        method="rho")
 

@@ -579,6 +579,22 @@ class TestEvolution:
         with pytest.raises(ValueError):
             linearized_kdv_evolve(g, None, 0.0, 1.0, 0.4, 1e-3,
                                   sponge=(5.0, -5.0, 1.0))
+        # a span off the window, reversed or of one point, and a sponge
+        # strip off the window, on a grid covering [-40, 40)
+        x = uniform_grid(-40.0, 39.9, 0.1)
+        g = field(x, np.exp(-x**2))
+        for span in ((100.0, 120.0), (10.0, -10.0), (5.0, 5.0)):
+            with pytest.raises(ValueError) as err:
+                linearized_kdv_evolve(g, None, 0.0, 0.1, 0.4, 1e-2,
+                                      measure_span=span)
+            assert str(err.value).startswith(
+                "measure_span [%g, %g] must have lo < hi" % span)
+            assert str(err.value).endswith("of the window [-40, 39.9]")
+        with pytest.raises(ValueError, match=re.escape(
+                "sponge strip [50, 60] must have lo < hi and overlap the "
+                "window [-40, 39.9]")):
+            linearized_kdv_evolve(g, None, 0.0, 0.1, 0.4, 1e-2,
+                                  sponge=(50.0, 60.0, 1.0))
 
     def test_trajectory_csv_round_trip(self, tmp_path):
         x = uniform_grid(-20.0, 20.0, 0.1)
@@ -643,6 +659,9 @@ class TestWeightedDecay:
                                 np.log(traj.weighted_norm[late]), 1)[0]
         # the envelope settles onto the spectral-bound rate a(c - a^2)
         assert 0.25 < tail_rate < 0.45
+        # the aliasing alarm did not fire, and the run reports how close
+        # it came
+        assert 0.0 <= traj.alias_peak < backlund.ALIAS_TOL
 
 
 class TestIntertwining:

@@ -1,7 +1,8 @@
 """Every name a module of the package or of the tests imports is used,
 every private module-level name of the package is read, no package
 module reads a private attribute of another object, and the package has
-one log-sum-exp and one sech^2.
+one log-sum-exp and one sech^2 and takes its Fourier transforms from
+scipy.fft.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
@@ -136,4 +137,29 @@ def test_one_sech2():
         tree = ast.parse(path.read_text())
         found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
                   if _squares_or_divides_by_cosh(node)]
+    assert found == []
+
+
+def _names_numpy_fft(node):
+    """np.fft or numpy.fft, or an import of numpy.fft or from it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return (module.startswith("numpy.fft") or (
+            module == "numpy" and any(a.name == "fft" for a in node.names)))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    return False
+
+
+def test_fft_from_scipy():
+    # scipy.fft keeps the plan of each transform length; numpy.fft (a
+    # ufunc since numpy 2) rebuilds it on every call, with the same bits
+    found = []
+    for path in sorted(SOURCES[0].glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if _names_numpy_fft(node)]
     assert found == []

@@ -19,6 +19,7 @@ from scipy.integrate import simpson
 
 from fpulab import kdv
 from fpulab.artifacts import write_series
+from fpulab.backlund import _level_modes
 from fpulab.kdv import (
     GridField,
     SolitonFamily,
@@ -326,6 +327,45 @@ def walk_family(n):
                               for j in range(i + 1, n))
              for i in range(n)]
     return SolitonFamily(k, gamma)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_level_modes_are_rows_of_the_parameter_gradients(t, monkeypatch):
+    # every level of the N = 8 ladder_walk ladder on its 4001-point grid
+    ladder = phase_ladder(walk_family(8))
+    x = uniform_grid(-45.0, 35.0, 0.02)
+    tables = []
+    phases = TauLadder._phases
+
+    def counting(self, t, x):
+        tables.append(self.m)
+        return phases(self, t, x)
+
+    monkeypatch.setattr(TauLadder, "_phases", counting)
+    for m in range(1, 9):
+        ladder.tau(m).second_derivative(t, x)
+        tables.clear()
+        shift, speed = _level_modes(ladder, m, t, x)
+        # the two rows come from the table of the evaluation just made
+        assert tables == []
+        grads = ladder.tau(m).parameter_gradients(t, x)
+        assert np.array_equal(shift, grads[m - 1])
+        # measured 4.4e-16 at m = 8: d log_a / d k_m is one product
+        # column, which BLAS may sum in another order than the m of them
+        worst = np.max(np.abs(speed - grads[2 * m - 1]))
+        assert worst <= 1e-14 * np.max(np.abs(grads[2 * m - 1]))
+
+
+def test_parameter_gradients_of_chosen_solitons():
+    fam = SolitonFamily([0.5, 0.9, 1.4], [0.3, -0.2, 0.1])
+    x = uniform_grid(-12.0, 12.0, 0.05)
+    full = TauLadder(fam, 3).parameter_gradients(0.2, x)
+    got = TauLadder(fam, 3).parameter_gradients(0.2, x, solitons=[2, 0])
+    # rows d/d gamma_3, d/d gamma_1, d/d k_3, d/d k_1
+    want = full[[2, 0, 5, 3]]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want)
+                  <= 1e-14 * np.max(np.abs(want), axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("n", [2, 8])
