@@ -151,8 +151,8 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
     j0 = _crest_index(x, ladder.crest(m, t))
 
     integral = np.zeros_like(x)
-    _trapezoid_sweep(integral, u, lp, dx, range(j0, len(x)), 2.0, 1.0)
-    _trapezoid_sweep(integral, u, lp, dx, range(j0, -1, -1), 2.0, -1.0)
+    _trapezoid_sweep(integral, u, lp, dx, np.arange(j0, len(x)), 2.0, 1.0)
+    _trapezoid_sweep(integral, u, lp, dx, np.arange(j0, -1, -1), 2.0, -1.0)
     # endpoint correction: psi^2 (u/psi^2)' = u' + 2 u dv stays bounded,
     # and the constant-endpoint part is a psi^2 multiple that the
     # homogeneous solve absorbs anyway
@@ -199,9 +199,9 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
 
     # each tail is swept only up to the crest: past it the kernel grows
     right = np.zeros(n)
-    _trapezoid_sweep(right, u, lp, dx, range(n - 1, j0 - 1, -1), -2.0, 1.0)
+    _trapezoid_sweep(right, u, lp, dx, np.arange(n - 1, j0 - 1, -1), -2.0, 1.0)
     left = np.zeros(n)
-    _trapezoid_sweep(left, u, lp, dx, range(j0 + 1), -2.0, -1.0)
+    _trapezoid_sweep(left, u, lp, dx, np.arange(j0 + 1), -2.0, -1.0)
     correction = dx**2 / 12.0 * (np.gradient(u, dx, edge_order=2) - 2.0 * u * dv)
     right += correction
     left += correction

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy import fft
 from scipy.integrate import cumulative_trapezoid, simpson
@@ -577,33 +576,6 @@ def resolution_phases(family: SolitonFamily):
     return family.gamma - corr / (2.0 * k)
 
 
-def _phi_mp(family, t, x):
-    """phi_N at one point in mpmath arithmetic (for tiny remainders)."""
-    k = [mp.mpf(v) for v in family.k]
-    g = [mp.mpf(v) for v in family.gamma]
-    n = family.n
-    theta = [k[i] * (x - 4 * k[i] ** 2 * t - g[i]) for i in range(n)]
-    total = mp.mpf(0)
-    m1 = mp.mpf(0)
-    m2 = mp.mpf(0)
-    for s in range(2**n):
-        idx = [i for i in range(n) if (s >> i) & 1]
-        coef = mp.mpf(1)
-        for i in idx:
-            coef /= 2 * k[i]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                coef *= ((k[i] - k[j]) / (k[i] + k[j])) ** 2
-        slope = -2 * mp.fsum(k[i] for i in idx)
-        term = coef * mp.e ** (-2 * mp.fsum(theta[i] for i in idx))
-        total += term
-        m1 += slope * term
-        m2 += slope**2 * term
-    mean = m1 / total
-    return m2 / total - mean**2
-
-
 @dataclass(frozen=True)
 class Resolution:
     """Large-time decomposition of an N-soliton into single-soliton humps."""
@@ -621,37 +593,9 @@ class Resolution:
             out += k[i] ** 2 * _sech2(arg)
         return GridField(x[0], x[1] - x[0], out)
 
-    def remainder_sup(self, t, x):
-        """sup |phi_N - train| on the grid, in 300-digit precision.
-
-        At large t the two terms agree far below float64 epsilon, so the
-        difference is formed in mpmath and only then converted back; the
-        train phases are recomputed at working precision because their
-        float64 rounding alone would floor the remainder near 1e-16.
-        """
-        n = self.family.n
-        with mp.workdps(300):
-            k = [mp.mpf(v) for v in self.family.k]
-            gt = []
-            for i in range(n):
-                corr = mp.log(2 * k[i])
-                for j in range(i + 1, n):
-                    corr += 2 * mp.log((k[j] + k[i]) / (k[j] - k[i]))
-                gt.append(mp.mpf(self.family.gamma[i]) - corr / (2 * k[i]))
-            worst = mp.mpf(0)
-            for xv in np.asarray(x, dtype=float):
-                xm = mp.mpf(xv)
-                train = mp.fsum(
-                    k[i] ** 2 / mp.cosh(k[i] * (xm - 4 * k[i] ** 2 * t - gt[i])) ** 2
-                    for i in range(n)
-                )
-                diff = abs(_phi_mp(self.family, mp.mpf(t), xm) - train)
-                worst = max(worst, diff)
-            return float(worst)
-
 
 def soliton_resolution(family: SolitonFamily):
-    """Resolution data: phases gamma~ plus train/remainder evaluators."""
+    """Resolution data: the phases gamma~ and the train they place."""
     return Resolution(family, resolution_phases(family))
 
 

@@ -1,6 +1,6 @@
 """Core lattice objects: fields on a site window, interaction potentials,
-exponential weight specifications, the symplectic operator J, its inverse
-and the J^{-1} pairing.
+exponential weight specifications, the symplectic operator J and its
+inverse.
 
 The state variable is u = (r, p) where r(n) is the relative displacement
 between neighbouring sites and p(n) the momentum.  The evolution is
@@ -13,8 +13,7 @@ consecutive sites and are extended by zero outside it.
 
 Each operator has one entry point: a PotentialModel's public fields v, dv
 and d2v are V, V' and V''; apply_j applies J and apply_j_inverse its
-prefix-sum inverse; j_inverse_pairing evaluates <u, J^{-1} v> in a split
-form that never calls apply_j_inverse.
+prefix-sum inverse.
 """
 
 from __future__ import annotations
@@ -167,18 +166,6 @@ def hamiltonian(field, model):
     return float(np.sum(hamiltonian_density(field, model)))
 
 
-def grad_hamiltonian(field, model):
-    """H'(u) = (V'(r), p) as a LatticeField on the same window."""
-    return LatticeField(field.offset, model.dv(field.r), field.p.copy())
-
-
-def hessian_apply(field, model, w):
-    """H''(u) w = (V''(r) w_r, w_p) for a direction field w."""
-    if w.offset != field.offset or len(w) != len(field):
-        raise ValueError("direction field must share the window")
-    return LatticeField(field.offset, model.d2v(field.r) * w.r, w.p.copy())
-
-
 def _shift_forward_diff(x):
     """(S - 1) x with zero extension along the last axis:
     out(n) = x(n+1) - x(n)."""
@@ -213,24 +200,6 @@ def apply_j_inverse(v):
     first = np.cumsum(v.p)
     second = np.concatenate(([0.0], np.cumsum(v.r)[:-1]))
     return LatticeField(v.offset, first, second)
-
-
-def j_inverse_pairing(u, v):
-    """The pairing <u, J^{-1} v>, evaluated through the rearranged split
-    form
-
-        <u, J^{-1} v> = <u_1, sum_{k<=0} S^k v_2> + <v_1, sum_{k>=1} S^k u_2>,
-
-    which agrees term by term with pairing u against apply_j_inverse(v)
-    but moves the second prefix sum onto u.  The library builds the
-    conditions with apply_j_inverse (modulation's condition matrix); this
-    independent form is the oracle the tests hold that convention to.
-    """
-    if u.offset != v.offset or len(u) != len(v):
-        raise ValueError("fields must share the window")
-    left = np.cumsum(v.p)  # sum_{m <= n} v_p(m)
-    right = np.cumsum(u.p[::-1])[::-1] - u.p  # sum_{m > n} u_p(m)
-    return float(np.sum(u.r * left + v.r * right))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ the rows of a (2N, 2L) condition matrix C: row 2i is J^{-1} of wave
 i's x-direction over eps^4, row 2i + 1 J^{-1} of its c-direction over
 eps.  The direction matrix D has rows eps^3 (c-direction) and
 (x-direction) in the same order.  The scaled misfit of v is C v, the
-scaled pairing matrix of the wave directions (secular_gram) is C D^T,
-and a parameter step delta changes v by D^T delta to first order; the
+scaled pairing matrix of the wave directions is C D^T, and a
+parameter step delta changes v by D^T delta to first order; the
 scalings keep every block of order one near the sonic limit.  Newton's
 method uses C D^T as its Jacobian; the exact Jacobian differs from it
 by terms of order |v|, which vanish on the manifold of exact trains.
@@ -265,8 +265,8 @@ def _conditions(sampled, eps):
     """The condition matrix C and the direction matrix D of a train (see
     the module docstring), from one (wave, x-direction, c-direction)
     triple of fields per wave, all on one site window.  The rows of C
-    are apply_j_inverse of the directions, so C v pairs v against them
-    as lattice.j_inverse_pairing(v, direction) does."""
+    are apply_j_inverse of the directions, so C v holds the pairings
+    <v, J^{-1} direction>."""
     if not sampled:
         raise ValueError("need at least one wave")
     if eps <= 0.0:
@@ -340,27 +340,6 @@ def _checked_gram(cond, dirs):
                          f"precision: condition number {condition:.3e} exceeds "
                          f"{GRAM_COND_LIMIT:.0e}")
     return gram
-
-
-def secular_gram(sampled, eps):
-    """Scaled pairing matrix C D^T of the wave directions of a train.
-
-    sampled holds one (wave, x-direction, c-direction) triple of fields
-    per wave, all on one site window (WaveModes.sampled).  Rows alternate
-    between the two orthogonality conditions of each wave (x-type, then
-    c-type); columns alternate between the parameter directions of each
-    wave (c-direction, then x-direction).  Entries are
-    <direction_j, J^{-1} condition_i> with the scalings 1/eps (x,c and
-    c,x corners), 1/eps^4 (x,x) and eps^2 (c,c).
-
-    Raises ValueError when the matrix is singular to working precision.
-    """
-    return _checked_gram(*_conditions(sampled, eps))
-
-
-def _scaled_misfit(v, sampled, eps):
-    """Orthogonality residuals C v of v, scaled like the Gram rows."""
-    return _conditions(sampled, eps)[0] @ _flat(v)
 
 
 @dataclass

@@ -519,28 +519,6 @@ def profile_derivative(profile, model):
                        residual=res, method="ddx")
 
 
-def speed_derivative(profile, model):
-    """c-derivative of the wave profile, as a new profile object.
-
-    A closed-form (Toda) profile takes toda_speed_forms on its grid, the
-    c-direction ProfileTable.modes uses.  Any other profile takes the
-    central difference of profiles re-solved at c +- h_c on the same
-    window, the oracle for the table's interpolated c-direction; the
-    family is smooth in c near the sonic limit, so the step
-    h_c = 1e-4 (c-1) keeps truncation and cancellation balanced.
-    """
-    if profile.exact is not None:
-        dcr, dcp = toda_speed_forms(profile.kappa)
-        return WaveProfile(profile.model_name, profile.c, profile.x,
-                           dcr(profile.x), dcp(profile.x), method="ddc")
-    h_c = 1e-4 * (profile.c - 1.0)
-    plus, minus = (solve_profile(model, ci, span=profile.span, seed=profile.r)
-                   for ci in (profile.c + h_c, profile.c - h_c))
-    return WaveProfile(profile.model_name, profile.c, profile.x,
-                       (plus.r - minus.r) / (2.0 * h_c),
-                       (plus.p - minus.p) / (2.0 * h_c), method="ddc")
-
-
 def profile_spline(profile, model):
     """Grid columns (r, p, dx r, dx p, dx^2 r, dx^2 p) of a profile, shape
     (grid, 6), and the cubic spline through the first four.

@@ -2,7 +2,8 @@
 every private module-level name of the package is read, no package
 module reads a private attribute of another object, and the package has
 one log-sum-exp and one sech^2 and takes its Fourier transforms from
-scipy.fft.
+scipy.fft.  mpmath is a test dependency only: no package module imports
+it, and the package imports where it cannot be found.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
@@ -14,6 +15,10 @@ __future__` imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -131,7 +136,7 @@ def _squares_or_divides_by_cosh(node):
 
 def test_one_sech2():
     # kdv._sech2 is the package's sech^2: cosh(z)^2 overflows once |z|
-    # passes about 355 (mpmath's cosh at 300 digits does not, and may stay)
+    # passes about 355
     found = []
     for path in sorted(SOURCES[0].glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -163,3 +168,59 @@ def test_fft_from_scipy():
         found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
                   if _names_numpy_fft(node)]
     assert found == []
+
+
+def _names_mpmath(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "mpmath"
+    return False
+
+
+def test_package_does_not_import_mpmath():
+    # the 300-digit references live in tests/oracles.py
+    found = []
+    for path in sorted(SOURCES[0].glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if _names_mpmath(node)]
+    assert found == []
+
+
+BLOCKED_MPMATH = textwrap.dedent("""
+    import importlib
+    import pkgutil
+    import sys
+
+    class BlockMpmath:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "mpmath":
+                raise ImportError("mpmath is blocked")
+            return None
+
+    assert "mpmath" not in sys.modules
+    sys.meta_path.insert(0, BlockMpmath())
+    try:
+        import mpmath
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("the import hook let mpmath through")
+    import fpulab
+    for info in pkgutil.iter_modules(fpulab.__path__, "fpulab."):
+        importlib.import_module(info.name)
+    assert "mpmath" not in sys.modules
+""")
+
+
+def test_package_imports_without_mpmath():
+    # nothing can be uninstalled here, so a meta-path finder that raises
+    # ImportError for mpmath stands in for an environment without it
+    src = str(Path(fpulab.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", BLOCKED_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

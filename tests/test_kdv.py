@@ -35,10 +35,10 @@ from fpulab.kdv import (
     simpson_pairing,
     soliton_resolution,
     uniform_grid,
-    _phi_mp,
     _spectral_dx,
     _subset_tables,
 )
+from oracles import remainder_sup, resolution_phases_mp, subset_sum_mp
 
 
 def tau_logdet(family, t, x, m):
@@ -274,7 +274,7 @@ def test_parameter_gradients_match_extended_precision_derivatives(n):
                       "gamma": [mp.mpf(v) for v in gamma]}
             params[which][i] = q
             fam = type("Family", (), dict(params, n=n))
-            return _phi_mp(fam, mp.mpf(t), mp.mpf(xv))
+            return subset_sum_mp(fam, mp.mpf(t), mp.mpf(xv))[1]
         return at
 
     with mp.workdps(40):
@@ -400,23 +400,6 @@ def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
     assert len(builds) >= 4
 
 
-def log_delta_mp(family, t, x):
-    """log Delta_N at one point: the log of the subset sum in mpmath."""
-    n = family.n
-    k = [mp.mpf(v) for v in family.k]
-    theta = [k[i] * (x - 4 * k[i] ** 2 * t - mp.mpf(family.gamma[i]))
-             for i in range(n)]
-    total = mp.mpf(0)
-    for s in range(2**n):
-        idx = [i for i in range(n) if (s >> i) & 1]
-        coef = mp.fprod(1 / (2 * k[i]) for i in idx)
-        for a, i in enumerate(idx):
-            for j in idx[a + 1 :]:
-                coef *= ((k[i] - k[j]) / (k[i] + k[j])) ** 2
-        total += coef * mp.exp(-2 * mp.fsum(theta[i] for i in idx))
-    return mp.log(total)
-
-
 SLAB_METHODS = ("log_delta", "v", "second_derivative", "parameter_gradients")
 
 
@@ -474,12 +457,12 @@ def test_slab_edges_match_extended_precision():
              for side in (-1, 0)]
     with mp.workdps(30):
         for i in edges:
-            want = float(log_delta_mp(fam, mp.mpf(t), mp.mpf(x[i])))
+            want_log, want_phi = map(float, subset_sum_mp(fam, mp.mpf(t),
+                                                          mp.mpf(x[i])))
             # measured 1.5e-16
-            assert abs(log_delta[i] - want) <= 1e-14 * abs(want)
-            want = float(_phi_mp(fam, mp.mpf(t), mp.mpf(x[i])))
+            assert abs(log_delta[i] - want_log) <= 1e-14 * abs(want_log)
             # measured 2.3e-13: phi is a difference of slope moments
-            assert abs(phi[i] - want) <= 1e-12 * abs(want)
+            assert abs(phi[i] - want_phi) <= 1e-12 * abs(want_phi)
 
 
 @pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
@@ -595,10 +578,11 @@ class TestKdvResidual:
 
 class TestResolution:
     def test_single_soliton_trivial(self):
-        res = soliton_resolution(SolitonFamily([0.5], [0.3]))
+        fam = SolitonFamily([0.5], [0.3])
+        res = soliton_resolution(fam)
         assert res.gamma_tilde[0] == pytest.approx(0.3, abs=1e-14)
         x = uniform_grid(-10.0, 20.0, 0.5)
-        assert res.remainder_sup(2.0, x) <= 1e-250
+        assert remainder_sup(fam, 2.0, x) <= 1e-250
 
     def test_two_soliton_phases(self):
         res = soliton_resolution(SolitonFamily([1.0, 2.0], [0.0, 0.0]))
@@ -623,11 +607,16 @@ class TestResolution:
             )
 
     def test_remainder_decays_exponentially(self):
-        res = soliton_resolution(SolitonFamily([1.0, 2.0], [0.0, 0.0]))
+        fam = SolitonFamily([1.0, 2.0], [0.0, 0.0])
+        # remainder_sup's 300-digit phases are the package's phases
+        with mp.workdps(300):
+            extended = np.array([float(g) for g in resolution_phases_mp(fam)])
+        got = soliton_resolution(fam).gamma_tilde
+        assert np.max(np.abs(got - extended)) <= 1e-14  # measured 2.2e-16
         sups = {}
         for t in (5.0, 10.0, 15.0):
             x = uniform_grid(4 * t - 12.0, 16 * t + 12.0, 0.5)
-            sups[t] = res.remainder_sup(t, x)
+            sups[t] = remainder_sup(fam, t, x)
         assert sups[5.0] > sups[10.0] > sups[15.0] > 0.0
         r1 = np.log(sups[5.0] / sups[10.0]) / 5.0
         r2 = np.log(sups[10.0] / sups[15.0]) / 5.0

@@ -24,7 +24,7 @@ from scipy.optimize import least_squares
 from fpulab import modulation, waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.integrators import EvolveConfig, Trajectory, evolve_nonlinear
-from fpulab.lattice import LatticeField, PotentialModel, j_inverse_pairing
+from fpulab.lattice import LatticeField, PotentialModel
 from fpulab.modulation import (
     ModulationState,
     ModulationTrack,
@@ -32,23 +32,26 @@ from fpulab.modulation import (
     decompose,
     mode_projection,
     perturbation_split,
-    secular_gram,
     track,
     track_summary,
     train_field,
     _default_eps,
-    _scaled_misfit,
 )
 from fpulab.waves import (
     STEPS_PER_SITE,
     kappa_of_speed,
     profile_derivative,
     solve_profile,
-    speed_derivative,
     speed_of_eps,
     speed_of_kappa,
     toda_soliton,
     traveling_wave_residual,
+)
+from oracles import (
+    j_inverse_pairing,
+    scaled_misfit,
+    secular_gram,
+    speed_derivative,
 )
 
 MODEL = PotentialModel.toda()
@@ -379,7 +382,7 @@ def localized_field():
 class TestSecularGram:
     @pytest.mark.parametrize("name", ["toda", "alpha_fpu"])
     def test_entries_are_split_form_pairings(self, name):
-        """C D^T and C v against lattice.j_inverse_pairing, the split
+        """C D^T and C v against oracles.j_inverse_pairing, the split
         form of <u, J^{-1} v> that never calls apply_j_inverse, with the
         scalings of the secular_gram docstring: every entry to 1e-12 of
         the largest (the x,x self-pairings cancel to ~1e-19 of it, so not
@@ -403,7 +406,7 @@ class TestSecularGram:
                 gram[2 * i + 1, 2 * j] = eps**2 * pair(dc_j, dc_i)
                 gram[2 * i + 1, 2 * j + 1] = pair(dx_j, dc_i) / eps
         for got, want in ((secular_gram(sampled, eps), gram),
-                          (_scaled_misfit(v, sampled, eps), misfit)):
+                          (scaled_misfit(v, sampled, eps), misfit)):
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_matches_finite_difference_jacobian(self):
@@ -416,7 +419,7 @@ class TestSecularGram:
             sampled = [m.sampled(OFFSET, LENGTH) for m in modes]
             tr = pair_train(c, x)
             v = LatticeField(OFFSET, u.r - tr.r, u.p - tr.p)
-            return _scaled_misfit(v, sampled, eps)
+            return scaled_misfit(v, sampled, eps)
 
         gram = gram_of(pair_modes(), eps, OFFSET, LENGTH)
         num = np.zeros_like(gram)
@@ -685,8 +688,9 @@ HULL_CASES = {
 
 class TestHull:
     """decompose and mode_projection build the conditions on the hull of
-    the waves' supports; the oracle is the full-window condition matrix
-    of _scaled_misfit on full-window samples."""
+    the waves' supports; the oracles are the full-window condition
+    matrix of scaled_misfit and the Gram matrix of secular_gram on
+    full-window samples."""
 
     @pytest.mark.parametrize("name", ["alpha_fpu", "toda", "box"])
     @pytest.mark.parametrize("frac", [0.0, 0.0625, 0.5, 0.9375])
@@ -712,10 +716,15 @@ class TestHull:
         hull = modulation._Hull(modes, offset, length, eps)
         got = hull.misfit(hull.cut(f), modulation._suffix_sums(f))
         full = [m.sampled(offset, length) for m in modes]
-        want = _scaled_misfit(f, full, eps)
+        want = scaled_misfit(f, full, eps)
         cond = modulation._conditions(full, eps)[0]
         scale = np.abs(cond) @ np.abs(modulation._flat(f))
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        # the Gram matrix decompose and mode_projection solve with;
+        # measured 2.7e-16 of the largest entry
+        gram = secular_gram(full, eps)
+        err = np.abs(modulation._checked_gram(hull.cond, hull.dirs) - gram)
+        assert np.max(err) <= 1e-13 * np.max(np.abs(gram))
         if name == "toda":
             assert (hull.start, hull.stop) == (0, length)
         else:
@@ -735,7 +744,7 @@ class TestHull:
         state = decompose(u, model, guess, table=table, tol=tol)
         modes = [table.modes(ci, xi) for ci, xi in zip(state.c, state.x)]
         full = [m.sampled(offset, length) for m in modes]
-        assert np.max(np.abs(_scaled_misfit(state.residual, full, state.eps))) <= tol
+        assert np.max(np.abs(scaled_misfit(state.residual, full, state.eps))) <= tol
         # off the waves' supports the residual is the state itself
         off = ~nonzero_sites(modes, offset, length)
         assert np.array_equal(state.residual.r[off], u.r[off])
@@ -761,8 +770,8 @@ class TestHull:
         proj, alpha, beta = mode_projection(w, modes)
         full = [m.sampled(offset, length) for m in modes]
         eps = _default_eps(np.array([1.02, 1.05]))
-        assert np.max(np.abs(_scaled_misfit(w, full, eps))) > 1e-3
-        assert np.max(np.abs(_scaled_misfit(proj, full, eps))) < 1e-12
+        assert np.max(np.abs(scaled_misfit(w, full, eps))) > 1e-3
+        assert np.max(np.abs(scaled_misfit(proj, full, eps))) < 1e-12
         off = ~nonzero_sites(modes, offset, length)
         assert np.array_equal(proj.r[off], w.r[off])
         assert np.array_equal(proj.p[off], w.p[off])
@@ -829,7 +838,7 @@ class TestModeProjection:
         proj, alpha, beta = mode_projection(w, modes)
         sampled = [m.sampled(OFFSET, LENGTH) for m in modes]
         eps = _default_eps(C_PAIR)
-        assert np.max(np.abs(_scaled_misfit(proj, sampled, eps))) < 1e-12
+        assert np.max(np.abs(scaled_misfit(proj, sampled, eps))) < 1e-12
         assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
 
     def test_recovers_pure_direction_coefficients(self):
