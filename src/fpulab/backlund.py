@@ -64,8 +64,9 @@ SECULAR_RESIDUAL_TOL = 1e-8
 def _level_modes(ladder, m, t, x):
     """Shift and speed modes of level m: d/d(anchor) and d/dk_m of
     d/dx v^m, the other level-m parameters held fixed: the two gradient
-    rows of the level's top soliton alone, taken from the weights table
-    of the level's memo as the full 2m-row call would take it."""
+    rows of the level's top soliton alone, as the full 2m-row call would
+    take them.  The sweep also fills the level's memo at (t, x): asked for
+    first, the modes need no subset table of their own."""
     return ladder.tau(m).parameter_gradients(t, x, solitons=[m - 1])
 
 
@@ -122,8 +123,7 @@ def backlund_residual(ladder: LadderPhases, m, t, x) -> float:
     """
     if not 1 <= m <= ladder.family.n:
         raise ValueError("level must lie in 1..N")
-    x = np.asarray(x, dtype=float)
-    _check_grid(ladder.family.k, x)
+    x = _check_grid(ladder.family.k, x)
     km = float(ladder.family.k[m - 1])
     dsum = (ladder.tau(m).second_derivative(t, x)
             + ladder.tau(m - 1).second_derivative(t, x))
@@ -145,6 +145,8 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
     x = w_prev.x
     dx = w_prev.dx
     w0 = np.asarray(w_prev.values, dtype=float)
+    # the modes first: see _level_modes
+    shift, speed = _level_modes(ladder, m, t, x)
     lp = log_psi(ladder, m, t, x)
     dv = ladder.potential(m, t, x) - ladder.potential(m - 1, t, x)
     u = 4.0 * dv * w0
@@ -161,7 +163,6 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
 
     raw = -w0 + integral
     mode = np.exp(2.0 * (lp - lp.max()))
-    shift, speed = _level_modes(ladder, m, t, x)
     alpha = (-simpson_pairing(raw, speed, dx)
              / simpson_pairing(mode, speed, dx))
     out = raw + alpha * mode
@@ -562,11 +563,12 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
     cur = field
     if direction == "down":
         norms[family.n] = exp_weighted_norm(cur.values, x, dx, -a)
+        # every level's modes before the maps evaluate it (_level_modes)
+        modes = {m: _level_modes(ladder, m, t, x) for m in range(family.n, 0, -1)}
         for m in range(family.n, 0, -1):
             scale = np.sqrt(simpson_pairing(cur.values, cur.values, dx))
             if scale > 0.0:
-                modes = _level_modes(ladder, m, t, x)
-                for label, mode in zip(("shift", "speed"), modes):
+                for label, mode in zip(("shift", "speed"), modes[m]):
                     rel = _overlap(cur.values, mode, dx, scale)
                     if rel > LADDER_ORTHOGONALITY_TOL:
                         raise ValueError(

@@ -10,14 +10,10 @@ derivatives of log tau and the derivatives of the profile in every
 gamma_i and k_i come out of the same expansion as softmax-weighted
 moments, so neither carries differencing error; the gradients are
 taken for a chosen set of solitons, all of them for the secular basis,
-the top one alone for a ladder level's two modes.  A TauLadder keeps the
-moments of its last evaluation point (t, x), compared by value, so asking
-for log Delta, v, its slope and the parameter gradients at one point
-builds the subset table once; the table itself is dropped when
-parameter_gradients has used it or the point changes.  The table is
-built and reduced one x-slab of at most _SLAB entries at a time, small
-enough to stay in cache, so an evaluation holds the one table it keeps
-and slab-sized work arrays, never a second whole table.  The linearized
+the top one alone for a ladder level's two modes.  A TauLadder keeps log
+Delta, v and its slope at its last evaluation point, and builds and
+reduces the subset table one cache-sized x-slab at a time, never whole
+(see TauLadder).  The linearized
 flows ask for the profile at every stage time on a moving frame, where
 that memo would miss each time; they evaluate through a frame table
 instead (TauLadder.frame_profile), one exponential table per anchor time
@@ -65,9 +61,9 @@ GRAM_COND_LIMIT = 1e12
 # anchor values, so none overflows and none that matters underflows.
 FRAME_REACH = 20.0
 # Table entries in one x-slab of a TauLadder evaluation: 2^16 doubles
-# (512 KB), small enough to stay in cache while the slab is exponentiated,
-# normalised and reduced, so no pass over the subset table runs from
-# memory and no whole-table temporary is made.
+# (512 KB), small enough to stay in cache while the slab is formed,
+# exponentiated and reduced, so no pass over the subset table runs from
+# memory and no whole table is made.
 _SLAB = 2**16
 
 
@@ -140,12 +136,12 @@ def exp_weighted_norm(values, x, dx, b):
 def _shift_exp(terms):
     """Overwrite the float array terms with exp(terms - top), top the
     largest term of each slice along axis 0 (taken as 0 where it is not
-    finite); returns (top, the sums of the shifted exponentials)."""
+    finite); returns top."""
     top = terms.max(axis=0, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     terms -= top
     np.exp(terms, out=terms)
-    return top[0], terms.sum(axis=0)
+    return top[0]
 
 
 def _log_total(top, total):
@@ -158,7 +154,8 @@ def log_sum_exp(terms):
     top + log sum exp(terms - top), top the largest term (taken as 0 where
     it is not finite); a slice whose terms are all -inf gives -inf, one
     with a +inf term gives inf."""
-    return _log_total(*_shift_exp(np.array(terms, dtype=float)))
+    terms = np.array(terms, dtype=float)
+    return _log_total(_shift_exp(terms), terms.sum(axis=0))
 
 
 def _sech2(z):
@@ -206,22 +203,17 @@ class TauLadder:
     LadderPhases.tau(m).
 
     Every evaluation goes through a one-entry memo keyed on (t, x), both
-    compared by value.  A miss builds the (2^m, len(x)) subset table once,
-    sweeping x in slabs of at most _SLAB / 2^m points: each slab's
-    exponents are formed, shifted, exponentiated and normalised into
-    softmax weights while the slab is in cache, its share of the
-    len(x)-long results is taken (the shift and sum of log Delta_m, and
-    the mean and variance of the subset slopes), and its weights are
-    written into the table.  The weights table itself is kept only until
-    parameter_gradients takes it at that key, walking the same slabs, or
-    until the next miss, so a ladder holds at most one.  That call builds
-    the gradient rows of the solitons it is asked for, all m by default,
-    and its products grow with their number alone.  A table of at
-    most _SLAB entries (up to 4096 points at m = 4) is one slab, and its
-    results have the bits of a single whole-table pass.  Callers get
-    fresh arrays, never the memo's own.  The flows, whose every stage
-    time is a new key, do not go through this memo but through
-    frame_profile, which keeps its own whole table per anchor time.
+    compared by value, that holds v, phi and the shift and sum of log
+    Delta_m, all len(x) long.  A miss sweeps the (2^m, len(x)) subset
+    table in x-slabs of at most _SLAB / 2^m points (_sweep), never whole;
+    a table of at most _SLAB entries (up to 4096 points at m = 4) is one
+    slab, with the bits of a whole-table pass.  parameter_gradients makes
+    its own sweep and leaves the memo at its (t, x), so asking for the
+    gradients first builds the table once; its products grow with the
+    number of solitons asked for alone.  Callers get fresh arrays, never
+    the memo's own.  The flows, whose every stage time is a new key, go
+    through frame_profile instead, which keeps a whole exponential table
+    per anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -230,27 +222,31 @@ class TauLadder:
         self.family = family
         self.m = m
         self._B, self._log_a, self._slope = _subset_tables(family.k, m)
+        # the subset exponents log_a - 2 B theta as one product (_phases)
+        self._affine = np.hstack([-2.0 * self._B, self._log_a[:, None]])
+        self._powers = np.vstack([np.ones_like(self._slope), self._slope,
+                                  self._slope**2])
         self._key = None  # (t, x) of the memo
-        self._weights = None
+        self._memo = None  # rows top, m0, v, phi at the key
 
     def _phases(self, t, x):
-        """The active phases theta_1..m at (t, x), one row per soliton.
-        Every subset table build, whole or slab by slab, starts with one
-        call, so these calls count table builds (dense_matrix, which
-        builds none, makes the one other call)."""
+        """[theta; 1]: the active phases theta_1..m at (t, x), one row per
+        soliton, over a row of ones.  Every subset table build, whole or
+        slab by slab, starts with one call, so these calls count table
+        builds (dense_matrix, which builds none, makes the one other
+        call)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = self.family.k[: self.m, None]
         gamma = self.family.gamma[: self.m, None]
-        return k * (x[None, :] - 4.0 * k**2 * t - gamma)
+        phases = np.ones((self.m + 1, x.size))
+        phases[:-1] = k * (x[None, :] - 4.0 * k**2 * t - gamma)
+        return phases
 
-    def _terms(self, theta):
-        """Subset exponents log_a - 2 B theta of the active phases theta
-        (m rows, one column per point), formed in place: the bits of that
-        expression without its two temporary tables."""
-        terms = self._B @ theta
-        terms *= -2.0
-        terms += self._log_a[:, None]
-        return terms
+    def _exp_table(self, phases):
+        """(top, exp(T - top)) of the subset exponents T = [-2B | log_a] @
+        phases, phases columns of _phases and top each column's maximum."""
+        table = self._affine @ phases
+        return _shift_exp(table), table
 
     def _slabs(self, size):
         """Slices of [0, size) into x-slabs of at most _SLAB table
@@ -258,47 +254,44 @@ class TauLadder:
         width = max(1, _SLAB >> self.m)
         return [slice(a, a + width) for a in range(0, size, width)]
 
-    def _eval(self, t, x, weights=False):
-        """Bring the memo to (t, x): refill it on a miss, or when weights
-        are wanted and an earlier parameter_gradients call took them.
-        Returns x as a 1-d float array."""
+    def _sweep(self, t, x):
+        """Walk the subset table at (t, x), x a 1-d float array, slab by
+        slab: the moments m0, m1, m2 of the slopes s under a slab's
+        exponentials (_exp_table) are one product with [1, s, s^2], and
+        give v = m1/m0, phi = m2/m0 - v^2 and log Delta_m = top + log m0.
+        Yields (slab, table, m0, v) while the slab is in cache (the caller
+        may overwrite the table); the memo is at (t, x) after the last."""
+        phases = self._phases(t, x)
+        memo = np.empty((4, x.size))
+        for sl in self._slabs(x.size):
+            memo[0, sl], table = self._exp_table(phases[:, sl])
+            m0, m1, m2 = self._powers @ table
+            memo[1, sl] = m0
+            memo[2, sl] = v = m1 / m0
+            memo[3, sl] = m2 / m0 - v**2
+            yield sl, table, m0, v
+        self._key = (t, x.copy())
+        self._memo = memo
+
+    def _eval(self, t, x):
+        """The memo at (t, x), rows top, m0, v, phi; refilled on a miss."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         key = self._key
-        if (key is None or t != key[0] or not np.array_equal(x, key[1])
-                or (weights and self._weights is None)):
-            self._weights = None  # drop the old table before the next
-            theta = self._phases(t, x)
-            w = np.empty((self._slope.size, x.size))
-            top, total, mean, var = np.empty((4, x.size))
-            for sl in self._slabs(x.size):
-                # a contiguous slab: BLAS and the ufuncs run on it in
-                # cache, and only its weights go out to the table
-                terms = self._terms(theta[:, sl])
-                top[sl], total[sl] = _shift_exp(terms)
-                terms /= total[sl]
-                mean[sl] = terms.T @ self._slope
-                var[sl] = terms.T @ self._slope**2 - mean[sl] ** 2
-                w[:, sl] = terms
-            self._key = (t, x.copy())
-            self._lse = (top, total)  # the log waits for log_delta
-            self._mean = mean
-            self._var = var
-            self._weights = w
-        return x
+        if key is None or t != key[0] or not np.array_equal(x, key[1]):
+            for _ in self._sweep(t, x):
+                pass
+        return self._memo
 
     def log_delta(self, t, x):
-        self._eval(t, x)
-        return _log_total(*self._lse)
+        return _log_total(*self._eval(t, x)[:2])
 
     def v(self, t, x):
         """d/dx log Delta_m (the softmax mean of the slopes)."""
-        self._eval(t, x)
-        return self._mean.copy()
+        return self._eval(t, x)[2].copy()
 
     def second_derivative(self, t, x):
         """d^2/dx^2 log Delta_m (the softmax variance of the slopes)."""
-        self._eval(t, x)
-        return self._var.copy()
+        return self._eval(t, x)[3].copy()
 
     def parameter_gradients(self, t, x, solitons=None):
         """Derivatives of second_derivative in the parameters of a chosen
@@ -313,15 +306,16 @@ class TauLadder:
         w of the exponents T, so for every parameter q
         d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
-        - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.  All
-        solitons share the weights table and the centered slopes, and only
-        the chosen ones' columns B_i and B_i d_k_i log_a enter the column
-        products: the two rows of one soliton (a ladder level's modes) take
-        1/m of the products of all 2m, and match those rows of the full
-        call (the d/d gamma row bit for bit with OpenBLAS).
+        - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.  The sums
+        run over a slab's unnormalised exponentials in cache (_sweep), and
+        only the results are divided by m0.  All solitons share the
+        centered slopes, and only the chosen ones' columns B_i and
+        B_i d_k_i log_a enter the column products: the two rows of one
+        soliton (a ladder level's modes) take 1/m of the products of all
+        2m, and match those rows of the full call (the d/d gamma row bit
+        for bit with OpenBLAS).
         """
-        x = self._eval(t, x, weights=True)
-        w, self._weights = self._weights, None
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         m = self.m
         sel = np.arange(m) if solitons is None else np.asarray(solitons, int)
         k = self.family.k[:m]
@@ -335,20 +329,21 @@ class TauLadder:
         k = k[sel]
         n = sel.size
         grads = np.empty((2 * n, x.size))
-        for sl in self._slabs(x.size):
-            # every slab of the table is reused in place: w, then
-            # w (s - mu), and the centered slopes, then w (s - mu)^2
-            ws = w[:, sl]
-            mean = ws.T @ columns
-            centered = self._slope[:, None] - self._mean[None, sl]
-            ws *= centered
-            tilt = ws.T @ columns[:, :n]
-            centered *= ws
-            cov = centered.T @ columns - centered.sum(axis=0)[:, None] * mean
+        for sl, u, m0, mu in self._sweep(t, x):
+            # the slab's exponentials u are reused in place: u, then
+            # u (s - mu), and the centered slopes, then u (s - mu)^2
+            total = u.T @ columns
+            centered = self._slope[:, None] - mu[None, :]
+            u *= centered
+            tilt = u.T @ own
+            centered *= u
+            phi = centered.sum(axis=0) / m0
+            cov = centered.T @ columns - phi[:, None] * total
             lever = x[sl, None] - 12.0 * k**2 * t - self.family.gamma[sel]
             grads[:n, sl] = (2.0 * k * cov[:, :n]).T
             grads[n:, sl] = (cov[:, n:] - 2.0 * lever * cov[:, :n]
                              - 4.0 * tilt).T
+            grads[:, sl] /= m0
         return grads
 
     def frame_profile(self, x, speed, t0):
@@ -357,27 +352,27 @@ class TauLadder:
 
         Every subset exponent is affine in tau along the frame, T_S(tau) =
         T_S(tau_a) + r_S (tau - tau_a) with r = B (-2 k (speed - 4 k^2)),
-        so the table exp(T(tau_a) - top) is built once at an anchor time
+        so the table of _exp_table is built whole once at an anchor time
         tau_a and each later time costs one (3, 2^m) x (2^m, len(x))
-        product for the moments sum w, sum w s and sum w s^2 of the slopes
-        s.  The table is rebuilt at the asked time once the exponents have
-        drifted by more than FRAME_REACH.  The (t, x) memo is not touched.
+        product for the moments m0, m1, m2 of the slopes s, with [1, s, s^2]
+        weighted by e^{r (tau - tau_a)}; phi = m2/m0 - (m1/m0)^2 as in
+        _sweep.  The table is rebuilt at the asked time once the exponents
+        have drifted by more than FRAME_REACH.  The (t, x) memo is not
+        touched.
         """
         x = np.array(x, dtype=float, ndmin=1)
         k = self.family.k[: self.m]
         rate = self._B @ (-2.0 * k * (speed - 4.0 * k**2))
         fastest = np.abs(rate).max()
-        powers = np.vstack([np.ones_like(self._slope), self._slope,
-                            self._slope**2])
         anchor, table = None, None
 
         def phi(tau):
             nonlocal anchor, table
             if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
-                table = self._terms(self._phases(tau, x + speed * (tau - t0)))
-                _shift_exp(table)
+                _, table = self._exp_table(
+                    self._phases(tau, x + speed * (tau - t0)))
                 anchor = tau
-            m0, m1, m2 = (powers * np.exp(rate * (tau - anchor))) @ table
+            m0, m1, m2 = (self._powers * np.exp(rate * (tau - anchor))) @ table
             mean = m1 / m0
             return m2 / m0 - mean**2
 
@@ -393,21 +388,26 @@ class TauLadder:
         if np.size(x) != 1:
             raise ValueError("dense_matrix takes one point x, got %d"
                              % np.size(x))
-        theta = self._phases(t, x)[:, 0]
+        theta = self._phases(t, x)[:-1, 0]
         k = self.family.k[: self.m]
         e = np.exp(-theta)
         return np.outer(e, e) / (k[:, None] + k[None, :])
 
 
 def _check_grid(k, x):
-    """Reject a grid whose spacing exceeds 0.1 / k_max, k_max the largest
-    of the wave numbers k (none are checked when k is empty)."""
+    """The abscissas x as a float array; rejects fewer than two points, or
+    a spacing above 0.1 / k_max, k_max the largest of the wave numbers k
+    (none are checked when k is empty)."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"a grid needs at least two points, got {x.size}")
     dx = x[1] - x[0]
     fastest = np.max(k, initial=0.0)
     if dx * fastest > 0.1 * (1.0 + 1e-9):
         raise ValueError(
             f"grid too coarse: dx={dx:.4g} does not resolve k={fastest:.4g}"
         )
+    return x
 
 
 def n_soliton_profile(family: SolitonFamily, t, x, levels=()):
@@ -417,8 +417,7 @@ def n_soliton_profile(family: SolitonFamily, t, x, levels=()):
     0..N for which the ladder potential phase_ladder(family).potential(m)
     is wanted.  Returns (GridField, dict m -> GridField).
     """
-    x = np.asarray(x, dtype=float)
-    _check_grid(family.k, x)
+    x = _check_grid(family.k, x)
     dx = x[1] - x[0]
     phi = TauLadder(family, family.n).second_derivative(t, x)
     ladder = phase_ladder(family)
@@ -435,8 +434,7 @@ def secular_basis(family: SolitonFamily, t, x):
     antiderivatives anchored to 0 at the left grid edge, which must sit
     in the flat tail of every gradient.
     """
-    x = np.asarray(x, dtype=float)
-    _check_grid(family.k, x)
+    x = _check_grid(family.k, x)
     xi = TauLadder(family, family.n).parameter_gradients(t, x)
     if np.any(np.abs(xi[:, 0]) > 1e-12):
         raise ValueError(

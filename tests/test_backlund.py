@@ -185,9 +185,9 @@ class TestForward:
         monkeypatch.setattr(TauLadder, "__init__", counting)
         up = linearized_forward(field(x, np.exp(-0.5 * (x - xc - 1.0)**2)),
                                 lad, 2, t)
-        # levels 1 and 2 once each; the shift and speed modes come from
-        # the level-2 ladder already built
-        assert builds == [1, 2]
+        # levels 2 and 1 once each: the shift and speed modes build level
+        # 2 first, and log_psi reuses it
+        assert builds == [2, 1]
         builds.clear()
         # the ladder keeps its levels: the inverse map builds none again
         linearized_inverse(up, lad, 2, t)
@@ -758,8 +758,9 @@ class TestLadderConjugation:
         down = ladder_conjugate(y4, fam, 0.0, 0.4, direction="down")
         ladder_conjugate(down.field, fam, 0.0, 0.4, direction="up")
         # each walk evaluates every level 0..4 at one (t, x): one table
-        # apiece, level 0 a one-row table
-        assert tables == [4, 3, 2, 1, 0, 0, 1, 2, 3, 4]
+        # apiece, level 0 a one-row table; the way up sweeps level m for
+        # its modes before log_psi evaluates level m - 1
+        assert tables == [4, 3, 2, 1, 0, 1, 0, 2, 3, 4]
 
     def test_zero_field(self):
         x = uniform_grid(-45.0, 35.0, self.DX)

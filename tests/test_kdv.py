@@ -19,7 +19,7 @@ from scipy.integrate import simpson
 
 from fpulab import kdv
 from fpulab.artifacts import write_series
-from fpulab.backlund import _level_modes
+from fpulab.backlund import _level_modes, backlund_residual
 from fpulab.kdv import (
     GridField,
     SolitonFamily,
@@ -237,6 +237,17 @@ def test_grid_too_coarse():
         n_soliton_profile(fam, 0.0, uniform_grid(-10, 10, 0.2))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda fam, x: n_soliton_profile(fam, 0.0, x),
+    lambda fam, x: secular_basis(fam, 0.0, x),
+    lambda fam, x: backlund_residual(phase_ladder(fam), 2, 0.0, x),
+], ids=["n_soliton_profile", "secular_basis", "backlund_residual"])
+def test_one_point_grid_is_rejected(entry):
+    fam = SolitonFamily([0.5, 2.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="two points, got 1"):
+        entry(fam, np.array([0.0]))
+
+
 def test_profile_gradient_matches_the_closed_form_soliton():
     # one soliton: phi = k^2 sech^2(k (x - 4 k^2 t - gamma) + log(2k)/2),
     # differentiated here by a 4th-order difference of the closed form
@@ -283,7 +294,7 @@ def test_parameter_gradients_match_extended_precision_derivatives(n):
             start = mp.mpf({"k": k, "gamma": gamma}[which][i])
             want = np.array([float(mp.diff(phi(which, i, xv), start))
                              for xv in x])
-            # measured 4.0e-14 at n = 4
+            # measured 3.9e-14 at n = 4
             assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -334,6 +345,7 @@ def test_level_modes_are_rows_of_the_parameter_gradients(t, monkeypatch):
     # every level of the N = 8 ladder_walk ladder on its 4001-point grid
     ladder = phase_ladder(walk_family(8))
     x = uniform_grid(-45.0, 35.0, 0.02)
+    names = ("second_derivative", "v", "log_delta")
     tables = []
     phases = TauLadder._phases
 
@@ -343,14 +355,18 @@ def test_level_modes_are_rows_of_the_parameter_gradients(t, monkeypatch):
 
     monkeypatch.setattr(TauLadder, "_phases", counting)
     for m in range(1, 9):
-        ladder.tau(m).second_derivative(t, x)
-        tables.clear()
+        level = ladder.tau(m)
         shift, speed = _level_modes(ladder, m, t, x)
-        # the two rows come from the table of the evaluation just made
+        tables.clear()
+        # the modes' sweep left the memo at (t, x) as an evaluation would
+        got = [getattr(level, name)(t, x) for name in names]
         assert tables == []
-        grads = ladder.tau(m).parameter_gradients(t, x)
+        fresh = TauLadder(level.family, m)
+        for name, values in zip(names, got):
+            assert np.array_equal(values, getattr(fresh, name)(t, x)), name
+        grads = level.parameter_gradients(t, x)
         assert np.array_equal(shift, grads[m - 1])
-        # measured 4.4e-16 at m = 8: d log_a / d k_m is one product
+        # measured at most 7.6e-16: d log_a / d k_m is one product
         # column, which BLAS may sum in another order than the m of them
         worst = np.max(np.abs(speed - grads[2 * m - 1]))
         assert worst <= 1e-14 * np.max(np.abs(grads[2 * m - 1]))
@@ -395,7 +411,7 @@ def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
         assert np.all(np.isfinite(got))
         worst = max(worst, np.max(np.abs(got - want)))
         sup = max(sup, np.max(np.abs(want)))
-    assert worst <= 1e-12 * sup  # measured 9.3e-15 (N = 2), 1.7e-13 (N = 8)
+    assert worst <= 1e-12 * sup  # measured 7.2e-15 (N = 2), 1.6e-13 (N = 8)
     # the exponents drift far enough over [0, 20] for at least 3 re-anchors
     assert len(builds) >= 4
 
@@ -430,7 +446,7 @@ def test_slab_sweep_matches_evaluation_point_by_point():
     t = 0.3
     ladder = TauLadder(fam, 8)
     single = TauLadder(fam, 8)
-    # measured 4e-16, 2e-15, 1.1e-13 and 8e-14 of each row's largest
+    # measured 4e-16, 2e-15, 1e-13 and 9.7e-14 of each row's largest
     # value; a point alone takes other BLAS reductions than a slab, and the
     # last two are differences of moments of slopes up to |s| = 12
     # (phi = E_w s^2 - (E_w s)^2 ~ 0.2), the same with one whole table
@@ -461,14 +477,15 @@ def test_slab_edges_match_extended_precision():
                                                           mp.mpf(x[i])))
             # measured 1.5e-16
             assert abs(log_delta[i] - want_log) <= 1e-14 * abs(want_log)
-            # measured 2.3e-13: phi is a difference of slope moments
+            # measured 5.5e-13: phi is a difference of slope moments
             assert abs(phi[i] - want_phi) <= 1e-12 * abs(want_phi)
 
 
 @pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
-def test_evaluation_holds_one_subset_table(name):
-    # the weights table of the memo plus slab-sized work arrays: an
-    # N = 8 evaluation on 4001 points peaks below 1.5 whole tables
+def test_evaluation_holds_no_whole_subset_table(name):
+    # len(x)-long results plus slab-sized work arrays: an N = 8
+    # evaluation on 4001 points peaks below half a whole table (measured
+    # 0.19 for second_derivative, 0.34 for parameter_gradients)
     fam = walk_family(8)
     x = uniform_grid(-45.0, 35.0, 0.02)
     assert x.size == 4001
@@ -480,7 +497,7 @@ def test_evaluation_holds_one_subset_table(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * table
+    assert peak < 0.5 * table
 
 
 def test_phase_covariance():
