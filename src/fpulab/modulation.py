@@ -61,7 +61,6 @@ from .waves import (
     kappa_of_speed,
     profile_spline,
     solve_profile,
-    toda_forms,
 )
 
 # Scaled separation kappa_1 * min(x_{i+1} - x_i) below which neighbouring
@@ -142,31 +141,26 @@ class ProfileTable:
     x-direction, and dw = dw/dc gives the c-direction, the exact
     derivative of the interpolant.  The nodes are solved on the query's
     own profile window, so their grids coincide, and the table keeps one
-    stacked entry per bracket (four nodes on one window):
+    stacked entry per bracket (four nodes on one window), built when the
+    bracket is first asked for:
 
     * the nodes' grid columns from profile_spline (r, p, dx r, dx p and
       the spectral dx^2 r, dx^2 p), one row of 6 x grid values per node;
     * one piecewise polynomial holding the four nodes' cubic splines as
       16 columns on the shared breakpoints.
 
-    Each node is solved, differentiated and splined once; a later bracket
-    that shares it copies its row and spline columns from the bracket
-    that holds it.
-
     A query then takes one weighted sum of the rows, the input of the
     traveling-wave identity check (the interpolant is linear in the node
     data, so this checks the interpolated profile), and each sample one
     polynomial evaluation at the points inside the grid.  The Toda model
-    samples its closed forms instead, all six from one evaluation each
-    of sech^2 and tanh at kappa y and kappa (y - 1) (waves._TodaPoints).
+    samples its closed forms instead (waves._TodaPoints): the modes all
+    six from one evaluation each of sech^2 and tanh at kappa y and
+    kappa (y - 1), the wave only r and p.
     """
 
     def __init__(self, model):
         self.model = model
         self._exact = model.name == "toda"
-        # (node speed, span) -> (bracket key, index of the node in it):
-        # a node is solved once and stored in the first bracket holding it
-        self._nodes = {}
         self._brackets = {}  # (first node index, span) -> (columns, poly)
 
     def _bracket(self, c, span):
@@ -179,31 +173,16 @@ class ProfileTable:
                   for k in range(j - 1, j + 3)]
         key = (j, span)
         if key not in self._brackets:
-            self._brackets[key] = self._stack(speeds, span)
-            for k, ck in enumerate(speeds):
-                self._nodes.setdefault((ck, span), (key, k))
-        w, dw = self._lagrange_weights(s, [ck - 1.0 for ck in speeds])
-        return self._brackets[key], w, dw
-
-    def _stack(self, speeds, span):
-        """Columns and piecewise polynomial of a bracket's four nodes,
-        solved or read from the bracket that already holds them."""
-        cols, coefs = [], []
-        for ck in speeds:
-            home = self._nodes.get((ck, span))
-            if home is None:
-                prof = solve_profile(self.model, ck, span=span)
-                col, spline = profile_spline(prof, self.model)
+            cols, coefs = [], []
+            for ck in speeds:
+                col, spline = profile_spline(
+                    solve_profile(self.model, ck, span=span), self.model)
                 cols.append(col.T.ravel())
                 coefs.append(spline.c)
-                x = spline.x
-            else:
-                key, k = home
-                held, poly = self._brackets[key]
-                cols.append(held[k])
-                coefs.append(poly.c[:, :, 4 * k:4 * k + 4])
-                x = poly.x
-        return np.stack(cols), PPoly(np.concatenate(coefs, axis=2), x)
+            self._brackets[key] = (np.stack(cols), PPoly(
+                np.concatenate(coefs, axis=2), spline.x))
+        w, dw = self._lagrange_weights(s, [ck - 1.0 for ck in speeds])
+        return self._brackets[key], w, dw
 
     @staticmethod
     def _lagrange_weights(s, nodes_s):
@@ -230,8 +209,8 @@ class ProfileTable:
             offset, length = -span, 2 * span
         rel = offset + np.arange(length) - position
         if self._exact:
-            r, p, _, _ = toda_forms(kappa)
-            return LatticeField(offset, r(rel), p(rel))
+            at = _TodaPoints(kappa, rel)
+            return LatticeField(offset, at.r(), at.p())
         (_, poly), w, dw = self._bracket(c, span)
         (r, p), _, _ = _stacked_sampler(poly, w, dw)(rel)
         return LatticeField(offset, r, p)

@@ -20,7 +20,8 @@ sonic limit of Friesecke and Pego (1999).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 from scipy import fft
@@ -160,9 +161,11 @@ class WaveProfile:
     `x` spans [-span, span) with STEPS_PER_SITE points per lattice site,
     so the integer sites are exact grid points.  `kappa` solves
     c = sinh(k)/k and 2*kappa is the exponential decay rate of r.
-    Interpolation off the grid is cubic; the closed forms `exact`
-    (r, p, dx r, dx p), when known, are used instead.  `iterations` is
-    the length of the solver's residual history.
+    Interpolation off the grid is cubic.  When the closed forms are
+    known, `exact` is their evaluator: exact(y) samples r, p and their x-
+    and c-derivatives at the crest-relative points y (_TodaPoints), and
+    r_at and p_at read it instead.  `iterations` is the length of the
+    solver's residual history.
     """
 
     model_name: str
@@ -173,7 +176,7 @@ class WaveProfile:
     residual: float = np.nan
     method: str = "exact"
     residual_history: list = field(default_factory=list)
-    exact: tuple = None
+    exact: Callable = None
 
     def __post_init__(self):
         self._spline = None
@@ -197,7 +200,8 @@ class WaveProfile:
     def _eval(self, col, pts):
         pts = np.asarray(pts, dtype=float)
         if self.exact is not None:
-            return self.exact[col](pts)
+            at = self.exact(pts)
+            return at.r() if col == 0 else at.p()
         if self._spline is None:
             self._spline = CubicSpline(self.x, np.column_stack([self.r, self.p]))
         return _spline_at(self._spline, pts)[..., col]
@@ -246,11 +250,14 @@ def _spline_at(spline, pts):
 
 class _TodaPoints:
     """The Toda closed forms with parameter kappa at the crest-relative
-    points y, one method per form.  sech^2 and tanh at kappa y and at
-    kappa (y - 1) are each evaluated once, on first use, so one object
-    samples all six forms from two sech^2 and two tanh evaluations, and a
-    single form evaluates only what it reads.  sech^2 is taken from
-    e^{-2 |z|} (_sech2), so no intermediate overflows.
+    points y, one method per form: the wave r, p of toda_soliton, its
+    x-derivatives dr, dp and its c-derivatives dcr, dcp at fixed y,
+    (dkappa/dc) d/dkappa with dc/dkappa = (kappa cosh kappa - sinh kappa)
+    / kappa^2.  toda_soliton(kappa).exact(y) is this evaluator.  sech^2
+    and tanh at kappa y and at kappa (y - 1) are each evaluated once, on
+    first use, so one object samples all six forms from two sech^2 and
+    two tanh evaluations, and a single form evaluates only what it reads.
+    sech^2 is taken from e^{-2 |z|} (_sech2), so no intermediate overflows.
     """
 
     def __init__(self, kappa, y):
@@ -305,49 +312,30 @@ class _TodaPoints:
         )
 
 
-def _one_form(kappa, form):
-    return lambda y: form(_TodaPoints(kappa, y))
-
-
-def toda_forms(kappa):
-    """Closed forms (r, p, dx r, dx p) of the Toda soliton with parameter
-    kappa, as functions of the crest-relative position y:
-    r(y) = log(1 + sinh(kappa)^2 sech(kappa y)^2) and
-    p(y) = -sinh(kappa) (tanh kappa y - tanh kappa(y-1)).
-    """
-    return tuple(_one_form(kappa, form) for form in (
-        _TodaPoints.r, _TodaPoints.p, _TodaPoints.dr, _TodaPoints.dp))
-
-
-def toda_speed_forms(kappa):
-    """Closed forms (dc r, dc p) of the c-direction of the Toda soliton:
-    the c-derivatives of toda_forms' r and p at fixed crest-relative y,
-    (dkappa/dc) d/dkappa with dc/dkappa = (kappa cosh kappa - sinh kappa)
-    / kappa^2.
-    """
-    return _one_form(kappa, _TodaPoints.dcr), _one_form(kappa, _TodaPoints.dcp)
-
-
 def toda_soliton(kappa, span=None):
-    """Closed-form Toda lattice soliton with parameter kappa > 0 (see
-    toda_forms): a single positive hump with tail rate 2 kappa, traveling
-    at c = sinh(kappa)/kappa.
+    """Closed-form Toda lattice soliton with parameter kappa > 0, a single
+    positive hump with tail rate 2 kappa, traveling at c = sinh(kappa)/kappa:
+    r(y) = log(1 + sinh(kappa)^2 sech(kappa y)^2) and
+    p(y) = -sinh(kappa) (tanh kappa y - tanh kappa(y-1)) at the
+    crest-relative position y.  Its `exact` is the _TodaPoints evaluator
+    of these forms, their x-derivatives and their c-derivatives.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     kappa = float(kappa)
     c = speed_of_kappa(kappa)
     x, _ = _profile_grid(kappa, span)
-    forms = toda_forms(kappa)
+    exact = partial(_TodaPoints, kappa)
+    at = exact(x)
     return WaveProfile(
         model_name="toda",
         c=c,
         x=x,
-        r=forms[0](x),
-        p=forms[1](x),
+        r=at.r(),
+        p=at.p(),
         residual=0.0,
         method="exact",
-        exact=forms,
+        exact=exact,
     )
 
 
@@ -511,7 +499,8 @@ def profile_derivative(profile, model):
     traveling-wave identity (traveling_wave_residual).
     """
     if profile.exact is not None:
-        dr, dp = profile.exact[2](profile.x), profile.exact[3](profile.x)
+        at = profile.exact(profile.x)
+        dr, dp = at.dr(), at.dp()
     else:
         dr, dp = _spectral_dx(profile.r, _H), _spectral_dx(profile.p, _H)
     res = traveling_wave_residual(profile.c, profile.r, profile.p, dr, dp, model)

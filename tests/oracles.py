@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from fpulab import modulation
-from fpulab.waves import WaveProfile, solve_profile, toda_speed_forms
+from fpulab.waves import WaveProfile, solve_profile
 
 
 def subset_sum_mp(family, t, x):
@@ -134,16 +134,16 @@ def scaled_misfit(v, sampled, eps):
 def speed_derivative(profile, model):
     """c-derivative of the wave profile, as a new profile object.
 
-    A closed-form (Toda) profile takes toda_speed_forms on its grid, the
-    c-direction ProfileTable.modes uses.  Any other profile takes the
+    A closed-form (Toda) profile takes the c-derivatives of its exact
+    evaluator on its grid, the c-direction ProfileTable.modes uses.  Any other profile takes the
     central difference of profiles re-solved at c +- h_c on the same
     window; the family is smooth in c near the sonic limit, so the step
     h_c = 1e-4 (c-1) keeps truncation and cancellation balanced.
     """
     if profile.exact is not None:
-        dcr, dcp = toda_speed_forms(profile.kappa)
+        at = profile.exact(profile.x)
         return WaveProfile(profile.model_name, profile.c, profile.x,
-                           dcr(profile.x), dcp(profile.x), method="ddc")
+                           at.dcr(), at.dcp(), method="ddc")
     h_c = 1e-4 * (profile.c - 1.0)
     plus, minus = (solve_profile(model, ci, span=profile.span, seed=profile.r)
                    for ci in (profile.c + h_c, profile.c - h_c))

@@ -137,7 +137,7 @@ class TestProfileTable:
         assert wave.offset == exact.offset
         assert np.array_equal(wave.r, exact.r)
         assert np.array_equal(wave.p, exact.p)
-        assert not TABLE._nodes  # no node was solved
+        assert not TABLE._brackets  # no node was solved
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.45, 1.0])
     def test_toda_modes_sample_the_closed_forms_in_one_pass(self, kappa,
@@ -156,6 +156,7 @@ class TestProfileTable:
 
         # the six forms as separate closed forms, each evaluating its own
         # sech^2 and tanh, with the float operations in the same order
+        exact = toda_soliton(k).exact
         sh, ch = np.sinh(k), np.cosh(k)
         s2 = np.sinh(k) ** 2
         dkappa_dc = k**2 / (k * ch - sh)
@@ -184,7 +185,9 @@ class TestProfileTable:
         (r, p), (dr, dp), (dcr_got, dcp) = TABLE.modes(c).sample(y)
         assert len(calls) == 2
         got = (r, p, dr, dp, dcr_got, dcp)
-        singles = [f(y) for f in waves.toda_forms(k) + waves.toda_speed_forms(k)]
+        # a fresh evaluator per form
+        singles = [getattr(exact(y), name)()
+                   for name in ("r", "p", "dr", "dp", "dcr", "dcp")]
         for g, w, s in zip(got, want, singles):
             assert g.tobytes() == w.tobytes() == s.tobytes()
 
@@ -195,7 +198,7 @@ class TestProfileTable:
         c = 1.0 + 0.017 * 1.13
         xs = np.linspace(-12.0, 12.0, 97)
         (r, _), _, _ = table.modes(c).sample(xs)
-        assert len(table._nodes) == 4  # interpolated, not solved at c
+        assert len(table._brackets) == 1  # interpolated, not solved at c
         direct = solve_profile(model, c)
         err = np.max(np.abs(r - direct.r_at(xs)))
         assert err / np.max(np.abs(direct.r_at(xs))) < 1e-6
@@ -216,11 +219,11 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("c", [1.005, 1.02, 1.05, 1.2])
     def test_toda_speed_direction_is_the_closed_form(self, c):
-        # the oracle is (dkappa/dc) d/dkappa of toda_forms, differentiated
-        # by hand with cosh^-2 for sech^2, with dc/dkappa =
-        # (kappa cosh kappa - sinh kappa)/kappa^2; the table's
-        # toda_speed_forms is that closed form, so it is also checked
-        # against a central difference of the table's waves
+        # the oracle is (dkappa/dc) d/dkappa of toda_soliton's r and p,
+        # differentiated by hand with cosh^-2 for sech^2, with dc/dkappa =
+        # (kappa cosh kappa - sinh kappa)/kappa^2; the table's c-direction
+        # is that closed form, so it is also checked against a central
+        # difference of the table's waves
         kappa = kappa_of_speed(c)
         y = np.linspace(-8.0, 8.0, 161) / kappa + 0.3
         sh, ch = np.sinh(kappa), np.cosh(kappa)
@@ -244,15 +247,15 @@ class TestProfileTable:
             # measured 1.8e-9 relative at c = 1.005
             assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
 
-    def test_adjacent_brackets_share_their_nodes(self):
-        # brackets j and j + 1 share three nodes: the second solves one
-        # and reads the others from the first
+    def test_adjacent_bracket_samples_like_a_fresh_table(self):
+        # brackets j and j + 1 share three nodes; the second, built after
+        # the first, samples bit for bit as it does in a table of its own
         model = PotentialModel.alpha_fpu()
         table = ProfileTable(model)
         c1, c2 = (1.0 + 10.0 ** ((k + 0.5) / 64) for k in (-100, -99))
         xs = np.linspace(-12.0, 12.0, 97) + 0.3
         assert table.modes(c1).span == table.modes(c2).span
-        assert len(table._nodes) == 5
+        assert len(table._brackets) == 2
         fresh = ProfileTable(model).modes(c2).sample(xs)
         for got, want in zip(table.modes(c2).sample(xs), fresh):
             assert np.array_equal(got, want)

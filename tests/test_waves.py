@@ -27,7 +27,6 @@ from fpulab.waves import (
     solve_profile,
     speed_of_eps,
     speed_of_kappa,
-    toda_forms,
     toda_soliton,
 )
 from oracles import j_inverse_pairing, speed_derivative
@@ -76,10 +75,10 @@ def test_kdv_scale_pair():
 def test_toda_closed_form_is_a_traveling_wave():
     prof = toda_soliton(0.3)
     c = prof.c
-    r, p, dr, dp = prof.exact
     pts = np.linspace(-20, 20, 2001) + 0.123
-    res_r = -c * dr(pts) - (p(pts + 1) - p(pts))
-    res_p = -c * dp(pts) - (TODA.dv(r(pts)) - TODA.dv(r(pts - 1)))
+    here, ahead, behind = (prof.exact(y) for y in (pts, pts + 1, pts - 1))
+    res_r = -c * here.dr() - (ahead.p() - here.p())
+    res_p = -c * here.dp() - (TODA.dv(here.r()) - TODA.dv(behind.r()))
     assert np.max(np.abs(res_r)) < 1e-14
     assert np.max(np.abs(res_p)) < 1e-14
 
@@ -112,10 +111,11 @@ def test_toda_closed_forms_stay_finite_and_match_the_cosh_forms():
         * (np.cosh(kappa * y) ** -2 - np.cosh(kappa * (y - 1.0)) ** -2),
     )
     far = np.array([-1e4, 1e4])
-    for form, want in zip(toda_forms(kappa), cosh_forms):
+    for name, want in zip(("r", "p", "dr", "dp"), cosh_forms):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            assert np.all(np.isfinite(form(far)))
-        assert np.max(np.abs(form(y) - want)) < 1e-13 * np.max(np.abs(want))
+            assert np.all(np.isfinite(getattr(prof.exact(far), name)()))
+        got = getattr(prof.exact(y), name)()
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_custom_potential_without_second_derivative():
