@@ -522,14 +522,14 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
 class ConjugationResult:
     """Endpoint field of a ladder walk plus the per-level weighted norms.
 
-    norms maps level -> L2 norm with weight exp(-exponent * x), the class
-    in which the walk is a bounded isomorphism; the equivalence constant
-    between top and bottom is max(n_top/n_bottom, n_bottom/n_top).
+    norms maps level -> L2 norm with weight exp(-a x), a the weight
+    exponent ladder_conjugate was given, the class in which the walk is a
+    bounded isomorphism; the equivalence constant between top and bottom
+    is max(n_top/n_bottom, n_bottom/n_top).
     """
 
     field: GridField
     norms: dict
-    exponent: float
 
     def equivalence_constant(self):
         levels = sorted(self.norms)
@@ -582,4 +582,4 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
         for m in range(1, family.n + 1):
             cur = linearized_forward(cur, ladder, m, t)
             norms[m] = exp_weighted_norm(cur.values, x, dx, -a)
-    return ConjugationResult(cur, norms, a)
+    return ConjugationResult(cur, norms)

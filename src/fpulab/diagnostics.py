@@ -271,7 +271,6 @@ class BandSplit:
     f2p: np.ndarray
     f3p: np.ndarray
     fm: np.ndarray
-    cutoffs: tuple
     eps: float
     k1: float
     c1eps: float
@@ -339,7 +338,6 @@ def band_split(w, eps, k1=1.0, t=0.0):
         f2p=(wide - low) * fplus,
         f3p=(1.0 - wide) * fplus,
         fm=fminus,
-        cutoffs=(K * eps, delta),
         eps=eps,
         k1=k1,
         c1eps=c1eps,

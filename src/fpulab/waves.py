@@ -33,6 +33,9 @@ from .lattice import LatticeField, hamiltonian
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
 
 STEPS_PER_SITE = 16  # profile grid points per lattice site
+# Largest traveling-wave identity residual (traveling_wave_residual) an
+# x-direction may carry.
+IDENTITY_TOL = 1e-6
 _H = 1.0 / STEPS_PER_SITE  # profile grid spacing
 
 
@@ -93,22 +96,17 @@ def _kappa_newton(c, k):
     return float(k)
 
 
-def _next_pow2(n):
-    return 1 << int(np.ceil(np.log2(max(2, n))))
-
-
 def _grid_size(kappa, span):
     """Point count and half-width in sites of the profile grid on
     [-span, span); the default span resolves the profile down to
-    e^{-_SECH2_SEED_TAIL} at the edge."""
+    e^{-_SECH2_SEED_TAIL} at the edge.  The point count is the power of
+    two at or above 2 span STEPS_PER_SITE, and at least 2 STEPS_PER_SITE,
+    so the grid holds a whole number of sites, one at the least."""
     if span is None:
         span = _SECH2_SEED_TAIL / (2.0 * kappa)
-    n = _next_pow2(int(np.ceil(2 * span * STEPS_PER_SITE)))
-    span = n // (2 * STEPS_PER_SITE)
-    if 2 * span * STEPS_PER_SITE != n:
-        # keep integer sites on the grid: bump to the next multiple
-        n = 2 * span * STEPS_PER_SITE
-    return n, span
+    n = max(2 * STEPS_PER_SITE, int(np.ceil(2 * span * STEPS_PER_SITE)))
+    n = 1 << int(np.ceil(np.log2(n)))
+    return n, n // (2 * STEPS_PER_SITE)
 
 
 def _profile_grid(kappa, span):
@@ -463,8 +461,8 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
 def traveling_wave_residual(c, r, p, dr, dp, model):
     """sup |c dx^2 u + J H''(u) dx u| for profile-grid columns u = (r, p)
     and dx u = (dr, dp), where integer shifts are exact grid shifts and
-    dx^2 u is spectral.  Raises RuntimeError above 1e-6: dx u is then not
-    the x-direction of a traveling wave of speed c.
+    dx^2 u is spectral.  Raises RuntimeError above IDENTITY_TOL: dx u is
+    then not the x-direction of a traveling wave of speed c.
     """
     return _identity_residual(c, r, p, dr, dp, _spectral_dx(r, _H, order=2),
                               _spectral_dx(p, _H, order=2), model)
@@ -485,10 +483,10 @@ def _identity_residual(c, r, p, dr, dp, d2r, d2p, model):
     res_r = c * d2r + ahead
     res_p = c * d2p + behind
     res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
-    if res > 1e-6:
+    if res > IDENTITY_TOL:
         raise RuntimeError(
-            f"x-derivative violates the traveling-wave identity: {res:.3e} "
-            f"(model {model.name}, c={c:g})"
+            f"x-derivative violates the traveling-wave identity: residual "
+            f"{res:.3e} exceeds {IDENTITY_TOL:.0e} (model {model.name}, c={c:g})"
         )
     return res
 

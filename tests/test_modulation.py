@@ -191,6 +191,21 @@ class TestProfileTable:
         for g, w, s in zip(got, want, singles):
             assert g.tobytes() == w.tobytes() == s.tobytes()
 
+    @pytest.mark.parametrize("kappa", [0.1, 0.45])
+    def test_toda_wave_samples_r_and_p_in_one_pass(self, kappa, monkeypatch):
+        # the wave reads one sech^2 (r's; p takes tanh only), the modes
+        # two (at kappa y and kappa (y - 1)); the six-form sampler would
+        # take two for the wave as well
+        c = speed_of_kappa(kappa)
+        sech2 = waves._sech2
+        calls = []
+        monkeypatch.setattr(waves, "_sech2",
+                            lambda z: calls.append(1) or sech2(z))
+        TABLE.wave(c, -40, 81)
+        assert len(calls) == 1
+        TABLE.modes(c).sample(np.arange(-40.0, 41.0))
+        assert len(calls) == 3
+
     def test_interpolation_matches_direct_solve(self):
         # speed chosen strictly between geometric nodes
         model = PotentialModel.alpha_fpu()
@@ -362,6 +377,7 @@ class TestProfileTable:
         with pytest.raises(RuntimeError, match="traveling-wave identity") as alarm:
             table.modes(1.05)
         assert "(model alpha_fpu, c=1.05)" in str(alarm.value)
+        assert f"exceeds {waves.IDENTITY_TOL:.0e}" in str(alarm.value)
 
     def test_sampled_window_and_kappa(self):
         m = TABLE.modes(C_PAIR[0], 2.0)

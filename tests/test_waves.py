@@ -181,6 +181,20 @@ def test_solve_profile_default_seed_on_a_wide_span():
     assert np.max(np.abs(wide.r_at(sites) - narrow.r_at(sites))) < 1e-12
 
 
+def test_a_sub_site_span_builds_the_one_site_grid():
+    # a span of at most half a site rounds up to the 32-point grid on
+    # [-1, 1) that span=0.6 builds, as every other span rounds up; so
+    # does toda_soliton's default span once kappa > 22
+    for build in (lambda span: solve_profile(ALPHA, 1.05, span=span),
+                  lambda span: toda_soliton(0.3, span=span)):
+        want = build(0.6)
+        assert want.x.size == 2 * STEPS_PER_SITE and want.span == 1
+        got = build(0.4)
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.r, want.r) and np.array_equal(got.p, want.p)
+    assert np.array_equal(toda_soliton(23.0).x, want.x)
+
+
 def test_solve_profile_residual_history():
     sol = solve_profile(ALPHA, 1 + 0.04 / 6)
     hist = sol.residual_history
