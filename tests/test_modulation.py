@@ -154,9 +154,9 @@ class TestProfileTable:
         assert 0.0 < waves._sech2(360.0) < np.finfo(float).tiny
         assert waves._sech2(400.0) == 0.0
 
+        exact = toda_soliton(k).exact
         # the six forms as separate closed forms, each evaluating its own
         # sech^2 and tanh, with the float operations in the same order
-        exact = toda_soliton(k).exact
         sh, ch = np.sinh(k), np.cosh(k)
         s2 = np.sinh(k) ** 2
         dkappa_dc = k**2 / (k * ch - sh)
@@ -190,21 +190,11 @@ class TestProfileTable:
                    for name in ("r", "p", "dr", "dp", "dcr", "dcp")]
         for g, w, s in zip(got, want, singles):
             assert g.tobytes() == w.tobytes() == s.tobytes()
-
-    @pytest.mark.parametrize("kappa", [0.1, 0.45])
-    def test_toda_wave_samples_r_and_p_in_one_pass(self, kappa, monkeypatch):
-        # the wave reads one sech^2 (r's; p takes tanh only), the modes
-        # two (at kappa y and kappa (y - 1)); the six-form sampler would
-        # take two for the wave as well
-        c = speed_of_kappa(kappa)
-        sech2 = waves._sech2
-        calls = []
-        monkeypatch.setattr(waves, "_sech2",
-                            lambda z: calls.append(1) or sech2(z))
+        # the wave reads r's sech^2 alone (p takes tanh only); the six
+        # forms' sampler would evaluate two
+        calls.clear()
         TABLE.wave(c, -40, 81)
         assert len(calls) == 1
-        TABLE.modes(c).sample(np.arange(-40.0, 41.0))
-        assert len(calls) == 3
 
     def test_interpolation_matches_direct_solve(self):
         # speed chosen strictly between geometric nodes
