@@ -141,14 +141,10 @@ def _momentum_from_r(r, c):
     return fft.irfft(mult * fft.rfft(r), n=n)
 
 
-def _scalar_residual(r, dv_r, c):
-    """sup |c^2 r'' - (S-2+S^{-1}) V'(r)| on the grid."""
-    n = r.size
-    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
-    sin2 = 4.0 * np.sin(xi / 2.0) ** 2
-    res = fft.irfft(
-        -(c**2) * xi**2 * fft.rfft(r) + sin2 * fft.rfft(dv_r), n=n
-    )
+def _scalar_residual(r_hat, v_hat, xi, sin2, c):
+    """sup |c^2 r'' - (S-2+S^{-1}) V'(r)| on the grid from the spectra of
+    r and V'(r) at the frequencies xi, with sin2 = 4 sin^2(xi/2)."""
+    res = fft.irfft(-(c**2) * xi**2 * r_hat + sin2 * v_hat)
     return float(np.max(np.abs(res)))
 
 
@@ -344,6 +340,13 @@ def _petviashvili(model, c, seed, tol, max_iter):
     which contracts near the sonic limit.  The stabilizing factor M is the
     standard quadratic-nonlinearity choice.
 
+    The iterate is carried as its rfft spectrum r_hat beside v_hat, that of
+    V'(r): one forward transform and one V' per iteration.  On this grid,
+    x_j = (j - n/2) h, the real part of a spectrum is the even part about 0,
+    so r_hat keeps the real part of M^2 K[v_hat - r_hat] for xi <= 65 kappa
+    and zero elsewhere: every iterate is even, crest at 0, and the c^2 xi^2
+    of the residual sees no high-band roundoff.
+
     Returns the iterate and its residual history, one entry per iteration.
     Raises RuntimeError when the residual stalls (it has not halved over the
     last 25 iterations, checked from iteration 30 on) or when max_iter
@@ -358,24 +361,22 @@ def _petviashvili(model, c, seed, tol, max_iter):
         mult = sin2 / (c**2 * xi**2 - sin2)
     mult[0] = 1.0 / (c**2 - 1.0)
 
-    # bins beyond the analytic decay of the profile carry only roundoff;
-    # zeroing them keeps the c^2 xi^2 amplification out of the residual
-    kappa = kappa_of_speed(c)
-    keep = xi <= max(8.0 * kappa, 65.0 * kappa)
+    # bins beyond the analytic decay of the profile carry only roundoff
+    keep = xi <= 65.0 * kappa_of_speed(c)
     history = []
-    r = seed.copy()
+    r, r_hat, v_hat = seed, fft.rfft(seed), fft.rfft(dv(seed))
     for it in range(1, max_iter + 1):
-        kw = fft.irfft(mult * fft.rfft(dv(r) - r), n=n)
-        denom_m = float(np.sum(r * kw))
+        kw_hat = mult * (v_hat - r_hat)
+        denom_m = float(np.sum(r * fft.irfft(kw_hat, n=n)))
         if denom_m == 0.0:
             raise RuntimeError(
                 f"Petviashvili iterate vanished at iteration {it} {where}"
             )
         m_fac = float(np.sum(r * r)) / denom_m
-        r = m_fac**2 * kw
-        r = _even_part(r)
-        r = fft.irfft(np.where(keep, fft.rfft(r), 0.0), n=n)
-        res = _scalar_residual(r, dv(r), c)
+        r_hat = np.where(keep, m_fac**2 * kw_hat.real, 0.0)
+        r = fft.irfft(r_hat, n=n)
+        v_hat = fft.rfft(dv(r))
+        res = _scalar_residual(r_hat, v_hat, xi, sin2, c)
         history.append(res)
         if res < tol:
             return r, history
@@ -391,20 +392,6 @@ def _petviashvili(model, c, seed, tol, max_iter):
     )
 
 
-def _recenter(r, x):
-    """Quadratic fit through the three largest samples; shift crest to 0."""
-    j = int(np.argmax(r))
-    n = r.size
-    y0, y1, y2 = r[(j - 1) % n], r[j], r[(j + 1) % n]
-    curv = y0 - 2.0 * y1 + y2
-    delta = 0.5 * (y0 - y2) / curv if curv != 0 else 0.0
-    shift = x[j] + delta * _H
-    if shift == 0.0:
-        return r
-    xi = 2.0 * np.pi * fft.rfftfreq(n, d=_H)
-    return fft.irfft(np.exp(1j * xi * shift) * fft.rfft(r), n=n)
-
-
 def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
     """Solve the traveling-wave profile equation by the split-form
     Petviashvili iteration (_petviashvili).
@@ -414,10 +401,9 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
     model : PotentialModel
         must satisfy the normalization checks (V''(0)=1, cubic 1/6)
     c : float
-        wave speed, 1 < c, small-amplitude regime.  Fast waves are out of
-        reach at the default tol 1e-12: from c - 1 >= 0.57 on, for Toda
-        and alpha-FPU alike, the residual floors near 1e-11 and the
-        iteration raises RuntimeError("... stalled ...").
+        wave speed, 1 < c.  At the default tol 1e-12 alpha-FPU converges up
+        to c = 2 and Toda up to about c = 1.675; from about c = 1.7 on the
+        Toda iteration diverges and raises RuntimeError("... stalled ...").
     seed : array, optional
         initial iterate on the solver grid; defaults to the KdV profile
         eps^2 sech^2(eps x), eps = eps_of_speed(c)
@@ -438,7 +424,7 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
         seed = eps**2 * _sech2(eps * x)
 
     r, history = _petviashvili(model, c, seed, tol, max_iter)
-    r = _recenter(r, x)
+    # the iterate's spectrum is real; irfft still leaves ~1e-16 asymmetry
     r = _even_part(r)
 
     probe = np.linspace(float(np.min(r)), float(np.max(r)), 65)

@@ -7,6 +7,7 @@ import pytest
 from fpulab import waves
 from fpulab.artifacts import read_series, write_json, write_series
 from fpulab.diagnostics import weighted_norm
+from fpulab.kdv import _sech2
 from fpulab.lattice import (
     LatticeField,
     PotentialModel,
@@ -15,6 +16,7 @@ from fpulab.lattice import (
     hamiltonian,
 )
 from fpulab.waves import (
+    IDENTITY_TOL,
     STEPS_PER_SITE,
     WaveProfile,
     _scalar_residual,
@@ -200,7 +202,7 @@ def test_solve_profile_residual_history():
     hist = sol.residual_history
     assert hist[-1] < 1e-12
     assert all(hist[i + 1] <= hist[i] for i in range(5, len(hist) - 1))
-    # evenness after centering
+    # evenness
     flipped = np.roll(sol.r[::-1], 1)
     assert np.max(np.abs(sol.r - flipped)) < 1e-10
 
@@ -221,23 +223,60 @@ def test_solve_profile_errors():
 
 
 def test_solve_profile_stall_names_its_iteration():
-    # at c = 2 the residual levels off near 1e-11, above the default tol
+    # at c = 2 the residual floors near 7.0e-14, above a tol of 1e-15; the
+    # alarm fires at iteration 73
     with pytest.raises(RuntimeError, match="stall") as err:
-        solve_profile(ALPHA, 2.0, max_iter=500)
+        solve_profile(ALPHA, 2.0, tol=1e-15, max_iter=500)
     stalled_at = int(re.search(r"iteration (\d+)", str(err.value)).group(1))
     assert 30 <= stalled_at < 500
 
 
 def test_solve_profile_counts_every_iteration(monkeypatch):
-    calls = []
+    calls, dv_calls = [], []
 
     def counted(*args):
         calls.append(1)
         return _scalar_residual(*args)
 
+    def counted_dv(r):
+        dv_calls.append(1)
+        return ALPHA.dv(r)
+
     monkeypatch.setattr(waves, "_scalar_residual", counted)
-    sol = solve_profile(ALPHA, 1.02)
+    model = PotentialModel(ALPHA.name, ALPHA.v, counted_dv, ALPHA.d2v)
+    sol = solve_profile(model, 1.02)
     assert sol.iterations == len(calls) == 37
+    # one V' per iteration and one for the seed
+    assert len(dv_calls) == sol.iterations + 1 == 38
+
+
+def test_an_off_centre_seed_gives_the_centred_profile():
+    # a lopsided two-hump seed with its crest 48 points right of x = 0:
+    # every iterate is even, so the profile's crest is at x = 0
+    c = 1.02
+    want = solve_profile(ALPHA, c)
+    x, eps = want.x, eps_of_speed(c)
+    seed = eps**2 * (_sech2(eps * (x - 3.0)) + 0.5 * _sech2(2.0 * eps * (x + 6.0)))
+    assert np.argmax(seed) != x.size // 2
+    got = solve_profile(ALPHA, c, seed=seed)
+    assert np.argmax(got.r) == x.size // 2
+    assert np.array_equal(got.r, np.roll(got.r[::-1], 1))
+    assert np.max(np.abs(got.r - want.r)) < 1e-10
+
+
+def test_fast_toda_wave_matches_the_closed_form():
+    sol = solve_profile(TODA, 1.6)
+    exact = toda_soliton(kappa_of_speed(1.6), span=sol.span)
+    assert np.array_equal(sol.x, exact.x)
+    for got, want in ((sol.r, exact.r), (sol.p, exact.p)):
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0])
+def test_fast_alpha_waves_converge(c):
+    sol = solve_profile(ALPHA, c)
+    assert sol.residual < 1e-12
+    assert profile_derivative(sol, ALPHA).residual < IDENTITY_TOL
 
 
 def test_profile_sampling_and_tails():
