@@ -172,8 +172,9 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
         rel = _overlap(out, fld, dx, scale)
         if rel > ORTHOGONALITY_TOL:
             raise RuntimeError(
-                f"{label}-mode orthogonality residual {rel:.3e} after the "
-                "homogeneous solve; refine the grid or enlarge the window"
+                f"{label}-mode orthogonality residual {rel:.3e} exceeds "
+                f"{ORTHOGONALITY_TOL:.0e} after the homogeneous solve; refine "
+                "the grid or enlarge the window"
             )
     return GridField(w_prev.x0, dx, out)
 
@@ -213,7 +214,8 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
         if mismatch > MISMATCH_TOL:
             raise ValueError(
                 f"tail representations disagree by {mismatch:.3e} at the "
-                "crest; the input violates the level-m shift orthogonality"
+                f"crest, above {MISMATCH_TOL:.0e}; the input violates the "
+                f"level-{m} shift orthogonality"
             )
     out = -wm.copy()
     out[j0:] += right[j0:]
@@ -256,7 +258,8 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
         rel = _overlap(qv.values, row, v.dx, scale)
         if rel > SECULAR_RESIDUAL_TOL:
             raise RuntimeError(
-                f"secular condition residual {rel:.3e} after projection"
+                f"secular condition residual {rel:.3e} exceeds "
+                f"{SECULAR_RESIDUAL_TOL:.0e} after projection"
             )
     return pv, qv
 
@@ -448,7 +451,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         if frac > ALIAS_TOL:
             raise RuntimeError(
                 f"aliasing alarm at t={tau:.6g}: {frac:.2e} of the energy sits "
-                "above the dealiasing cutoff; refine dx or shrink dt"
+                f"above the dealiasing cutoff, more than {ALIAS_TOL:.0e}; "
+                "refine dx or shrink dt"
             )
         times.append(tau)
         alias.append(frac)
@@ -573,7 +577,8 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
                     if rel > LADDER_ORTHOGONALITY_TOL:
                         raise ValueError(
                             f"level-{m} {label}-mode orthogonality violated "
-                            f"({rel:.3e}); the field left the admissible class"
+                            f"({rel:.3e} exceeds {LADDER_ORTHOGONALITY_TOL:.0e}); "
+                            "the field left the admissible class"
                         )
             cur = linearized_inverse(cur, ladder, m, t)
             norms[m - 1] = exp_weighted_norm(cur.values, x, dx, -a)

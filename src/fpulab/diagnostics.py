@@ -123,15 +123,13 @@ class VirialReport:
     """Time series of the sigmoid-weighted energy ledger.
 
     psi_energy is the monotone object (sigmoid-weighted energy density
-    sum); sech_energy weights the same density with sech^2; psi_vsq and
-    sech_vsq are the corresponding plain squared norms of the state,
-    which enter the integrated bound.  flags lists hypothesis
-    violations; the series are computed either way.
+    sum); psi_vsq and sech_vsq are the sigmoid- and sech^2-weighted plain
+    squared norms of the state, which enter the integrated bound.  flags
+    lists hypothesis violations; the series are computed either way.
     """
 
     times: np.ndarray
     psi_energy: np.ndarray
-    sech_energy: np.ndarray
     psi_vsq: np.ndarray
     sech_vsq: np.ndarray
     a: float
@@ -194,7 +192,6 @@ def virial_series(trajectory, a, xtilde, model, eps=None):
                 % (a * eps + v0, 0.5 * eps**2)
             )
     psi_e = np.empty(times.size)
-    sech_e = np.empty(times.size)
     psi_v = np.empty(times.size)
     sech_v = np.empty(times.size)
     for i, snap in enumerate(trajectory.fields):
@@ -204,11 +201,9 @@ def virial_series(trajectory, a, xtilde, model, eps=None):
         h1 = hamiltonian_density(snap, model)
         vsq = snap.r**2 + snap.p**2
         psi_e[i] = np.sum(psi * h1)
-        sech_e[i] = np.sum(sech2 * h1)
         psi_v[i] = np.sum(psi * vsq)
         sech_v[i] = np.sum(sech2 * vsq)
-    return VirialReport(times, psi_e, sech_e, psi_v, sech_v, float(a),
-                        flags, eps)
+    return VirialReport(times, psi_e, psi_v, sech_v, float(a), flags, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,7 @@ def test_json_is_strict(tmp_path):
     # two samples: the integrated sech term is zero, so the fitted
     # constant is infinite
     report = VirialReport(np.array([0.0, 1.0]), np.array([1.0, 0.5]),
-                          np.ones(2), np.array([2.0, 2.0]), np.zeros(2), 0.1,
-                          eps=0.2)
+                          np.array([2.0, 2.0]), np.zeros(2), 0.1, eps=0.2)
     assert report.as_dict()["fitted_constant"] == np.inf
     nested = {"report": report.as_dict(),
               "deep": [{"x": np.float64(-np.inf)}, (np.nan, 1.5)], "n": 3}

@@ -314,8 +314,11 @@ class TestInverse:
         xc = lad.crest(m, 0.0)
         x = xc + dx * np.arange(round(-22 / dx), round(22 / dx))
         bad = field(x, _level_modes(lad, m, 0.0, x)[0])
-        with pytest.raises(ValueError, match="tail representations"):
+        with pytest.raises(ValueError, match="tail representations") as alarm:
             linearized_inverse(bad, lad, m, 0.0)
+        message = str(alarm.value)
+        assert f"above {backlund.MISMATCH_TOL:.0e}" in message
+        assert f"level-{m} shift orthogonality" in message
 
 
 class TestSecularProjection:
@@ -542,6 +545,7 @@ class TestEvolution:
         # records fall every 10 dt = 0.02; the one at t = 0.1 is the first
         # above the 1e-6 threshold (6.9e-5 measured)
         assert "aliasing alarm at t=0.1:" in str(alarm.value)
+        assert f"more than {backlund.ALIAS_TOL:.0e}" in str(alarm.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nan_alarm_names_the_time(self):
@@ -770,8 +774,9 @@ class TestLadderConjugation:
     def test_unprojected_input_rejected(self):
         x = uniform_grid(-45.0, 35.0, self.DX)
         g = field(x, np.exp(-x**2 / 4.0))
-        with pytest.raises(ValueError, match="orthogonality"):
+        with pytest.raises(ValueError, match="orthogonality") as alarm:
             ladder_conjugate(g, TRAIN, self.T, 0.4, direction="down")
+        assert f"exceeds {backlund.LADDER_ORTHOGONALITY_TOL:.0e}" in str(alarm.value)
 
     def test_argument_validation(self):
         y2 = self.sample(0)
