@@ -3,20 +3,21 @@ and the resolution into 1-soliton trains.
 
 Tau functions are evaluated through the principal-minor (Cauchy) expansion
 in the log domain, which stays finite for arbitrarily large phases where
-the dense determinant overflows.  The subset table of that expansion is
-built as array expressions, and log Delta takes the shift by the largest
-term and the sum of the package's one log-sum-exp (log_sum_exp).  Spatial
+the dense determinant overflows.  Every subset exponent is affine in x,
+so over one x-slab the terms of that expansion factorise into a constant
+per subset, taken at the slab's centre and shifted by the largest, times
+products of per-soliton exponentials of the offset from the centre (see
+TauLadder): log Delta is that shift plus the log of the moment m0, and
+no slab forms a table of 2^m exponentials per point.  Spatial
 derivatives of log tau and the derivatives of the profile in every
 gamma_i and k_i come out of the same expansion as softmax-weighted
 moments, so neither carries differencing error; the gradients are
 taken for a chosen set of solitons, all of them for the secular basis,
 the top one alone for a ladder level's two modes.  A TauLadder keeps log
-Delta, v and its slope at its last evaluation point, and builds and
-reduces the subset table one cache-sized x-slab at a time, never whole
-(see TauLadder).  The linearized
+Delta, v and its slope at its last evaluation point.  The linearized
 flows ask for the profile at every stage time on a moving frame, where
 that memo would miss each time; they evaluate through a frame table
-instead (TauLadder.frame_profile), one exponential table per anchor time
+instead (TauLadder.frame_profile), one table of terms per anchor time
 from which every later time is a matrix product.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
@@ -60,11 +61,16 @@ GRAM_COND_LIMIT = 1e12
 # it is rebuilt: the weights then stay within e^{+-FRAME_REACH} of their
 # anchor values, so none overflows and none that matters underflows.
 FRAME_REACH = 20.0
-# Table entries in one x-slab of a TauLadder evaluation: 2^16 doubles
-# (512 KB), small enough to stay in cache while the slab is formed,
-# exponentiated and reduced, so no pass over the subset table runs from
-# memory and no whole table is made.
+# Points in one x-slab of a level-m TauLadder: _SLAB >> m, so that the
+# slab's table of terms, which parameter_gradients and frame_profile form,
+# holds 2^16 doubles (512 KB) and stays in cache while it is reduced.
 _SLAB = 2**16
+# Largest drift |T_S(x) - T_S(x_c)| = |s_S| |x - x_c| of a subset exponent
+# over a TauLadder x-slab from its value at the slab's centre x_c, which
+# caps a slab's extent at _SLAB_REACH / sum k: every factor of its terms
+# then lies within e^{+-_SLAB_REACH}, far from overflow, and the largest
+# term at each point far above underflow, whatever the spread of x.
+_SLAB_REACH = 300.0
 
 
 @dataclass(frozen=True)
@@ -133,15 +139,20 @@ def exp_weighted_norm(values, x, dx, b):
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
-def _shift_exp(terms):
-    """Overwrite the float array terms with exp(terms - top), top the
-    largest term of each slice along axis 0 (taken as 0 where it is not
-    finite); returns top."""
-    top = terms.max(axis=0, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    terms -= top
-    np.exp(terms, out=terms)
-    return top[0]
+def _slab_table(c, low, high, out=None):
+    """The (2^m, w) terms c_S low[S_low] high[S_high] of one slab as one
+    table (TauLadder._halves), written into out when it is given."""
+    if out is None:
+        out = np.empty((c.size, low.shape[1]))
+    np.multiply(high[:, None, :], low[None, :, :],
+                out=out.reshape(high.shape[0], low.shape[0], -1))
+    out *= c[:, None]
+    return out
+
+
+def _slab_width(m):
+    """Points in one x-slab of a level-m TauLadder (see _SLAB)."""
+    return max(1, _SLAB >> m)
 
 
 def _log_total(top, total):
@@ -155,7 +166,11 @@ def log_sum_exp(terms):
     it is not finite); a slice whose terms are all -inf gives -inf, one
     with a +inf term gives inf."""
     terms = np.array(terms, dtype=float)
-    return _log_total(_shift_exp(terms), terms.sum(axis=0))
+    top = terms.max(axis=0, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    terms -= top
+    np.exp(terms, out=terms)
+    return _log_total(top[0], terms.sum(axis=0))
 
 
 def _sech2(z):
@@ -204,16 +219,26 @@ class TauLadder:
 
     Every evaluation goes through a one-entry memo keyed on (t, x), both
     compared by value, that holds v, phi and the shift and sum of log
-    Delta_m, all len(x) long.  A miss sweeps the (2^m, len(x)) subset
-    table in x-slabs of at most _SLAB / 2^m points (_sweep), never whole;
-    a table of at most _SLAB entries (up to 4096 points at m = 4) is one
-    slab, with the bits of a whole-table pass.  parameter_gradients makes
-    its own sweep and leaves the memo at its (t, x), so asking for the
-    gradients first builds the table once; its products grow with the
-    number of solitons asked for alone.  Callers get fresh arrays, never
-    the memo's own.  The flows, whose every stage time is a new key, go
-    through frame_profile instead, which keeps a whole exponential table
-    per anchor time.
+    Delta_m, all len(x) long.  A miss sweeps the subset sum over x sorted,
+    in x-slabs of at most _SLAB >> m points and of extent at most
+    _SLAB_REACH / sum k (_slabs).  Each subset exponent T_S(x) = log_a_S +
+    s_S x + const is affine in x with slope s_S = -2 sum_{i in S} k_i, so
+    with the slab's centre x_c as anchor and top = max_S T_S(x_c),
+    e^{T_S(x) - top} = c_S e^{s_S (x - x_c)}, c_S = e^{T_S(x_c) - top}.
+    The solitons split into a low half and a high half of (m - 1) // 2
+    (none up to m = 2), and e^{s_S (x - x_c)} is the product of the
+    halves' factors low[S_low] high[S_high] (_halves): a slab of w points
+    costs 2^m + (2^(m-h) + 2^h) w exponentials, h the high half's size,
+    and one (3 2^h, 2^(m-h)) x (2^(m-h), w) product for the slope moments
+    (_sweep); no array of 2^m rows per point is formed.  A permuted x is
+    swept in the same slabs, so its values are the sorted evaluation's,
+    permuted, bit for bit.  parameter_gradients makes its own sweep and
+    leaves the memo at its (t, x), so asking for the gradients first
+    sweeps once; it forms each slab's (2^m, w) table of terms from the
+    factors, and its products grow with the number of solitons asked for
+    alone.  Callers get fresh arrays, never the memo's own.  The flows,
+    whose every stage time is a new key, go through frame_profile instead,
+    which keeps a whole table of terms per anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -226,15 +251,21 @@ class TauLadder:
         self._affine = np.hstack([-2.0 * self._B, self._log_a[:, None]])
         self._powers = np.vstack([np.ones_like(self._slope), self._slope,
                                   self._slope**2])
+        # the slopes of the subsets of the low solitons, then of those of
+        # the high ones (_halves): the high half of (m - 1) // 2 solitons,
+        # none up to m = 2, measured the fastest split at m = 1..8
+        self._low = 2 ** (m - max(m - 1, 0) // 2)
+        self._half_slopes = np.concatenate([self._slope[: self._low],
+                                            self._slope[:: self._low]])
         self._key = None  # (t, x) of the memo
         self._memo = None  # rows top, m0, v, phi at the key
 
     def _phases(self, t, x):
         """[theta; 1]: the active phases theta_1..m at (t, x), one row per
-        soliton, over a row of ones.  Every subset table build, whole or
-        slab by slab, starts with one call, so these calls count table
-        builds (dense_matrix, which builds none, makes the one other
-        call)."""
+        soliton, over a row of ones.  Every sweep of the subset sum makes
+        one call, at the centres of all its slabs (_factors), so these
+        calls count sweeps (dense_matrix, which makes none, makes the one
+        other call)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = self.family.k[: self.m, None]
         gamma = self.family.gamma[: self.m, None]
@@ -242,34 +273,85 @@ class TauLadder:
         phases[:-1] = k * (x[None, :] - 4.0 * k**2 * t - gamma)
         return phases
 
-    def _exp_table(self, phases):
-        """(top, exp(T - top)) of the subset exponents T = [-2B | log_a] @
-        phases, phases columns of _phases and top each column's maximum."""
-        table = self._affine @ phases
-        return _shift_exp(table), table
+    def _slabs(self, xs):
+        """Slices of the sorted abscissas xs into x-slabs of at most
+        _slab_width(m) points whose subset exponents stay within
+        _SLAB_REACH of their values at the slab's centre."""
+        width = _slab_width(self.m)
+        total = self.family.k[: self.m].sum()
+        extent = _SLAB_REACH / total if self.m else np.inf
+        slabs, a = [], 0
+        while a < xs.size:
+            b = min(a + width, np.searchsorted(xs, xs[a] + extent, "right"))
+            slabs.append(slice(a, b))
+            a = b
+        return slabs
 
-    def _slabs(self, size):
-        """Slices of [0, size) into x-slabs of at most _SLAB table
-        entries."""
-        width = max(1, _SLAB >> self.m)
-        return [slice(a, a + width) for a in range(0, size, width)]
+    def _factors(self, t, x):
+        """The factorised subset terms at (t, x), x a 1-d float array, over
+        the x-slabs of x sorted (_slabs).
+
+        Along a slab with centre x_c every term factorises as
+        e^{T_S(x) - top} = c_S e^{s_S (x - x_c)} with c_S = e^{T_S(x_c) -
+        top} and top = max_S T_S(x_c); the exponents T_S(x_c) =
+        [-2B | log_a] @ [theta; 1] of every centre come from one _phases
+        call.  Returns (slabs, tops, coefs, lags): per slab the positions in
+        x of its points (a slice when x is sorted), top, its 2^m c_S (a row
+        of coefs) and the offsets x - x_c of its points (see _halves)."""
+        order = None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable")
+        xs = x if order is None else x[order]
+        slabs = self._slabs(xs)
+        centres = [0.5 * (xs[sl.start] + xs[sl.stop - 1]) for sl in slabs]
+        exponents = (self._affine @ self._phases(t, centres)).T
+        tops = exponents.max(axis=1)
+        coefs = np.exp(exponents - tops[:, None])
+        lags = [xs[sl] - centre for sl, centre in zip(slabs, centres)]
+        if order is not None:
+            slabs = [order[sl] for sl in slabs]
+        return slabs, tops, coefs, lags
+
+    def _halves(self, lag):
+        """(low, high), the x-factors e^{s_S lag} of a slab's terms over the
+        subsets S of the low solitons and over those of the high ones, lag =
+        x - x_c, so that the term of S = S_low + 2^(m-h) S_high is c_S
+        low[S_low] high[S_high] (h the high half's size; high is one row of
+        ones when h = 0).  Every factor and term lies within
+        e^{+-_SLAB_REACH} (_slabs), and the largest term at each point is
+        at least e^{-_SLAB_REACH}."""
+        both = np.exp(np.multiply.outer(self._half_slopes, lag))
+        return both[: self._low], both[self._low :]
 
     def _sweep(self, t, x):
-        """Walk the subset table at (t, x), x a 1-d float array, slab by
-        slab: the moments m0, m1, m2 of the slopes s under a slab's
-        exponentials (_exp_table) are one product with [1, s, s^2], and
-        give v = m1/m0, phi = m2/m0 - v^2 and log Delta_m = top + log m0.
-        Yields (slab, table, m0, v) while the slab is in cache (the caller
-        may overwrite the table); the memo is at (t, x) after the last."""
-        phases = self._phases(t, x)
+        """Walk the subset sum at (t, x), x a 1-d float array, slab by slab
+        (_factors, _halves): the moments m0, m1, m2 of the slopes s,
+        centred at their mean sbar under the c_S, are m_q = sum_{S_high}
+        high * (W_q @ low) with W_q[S_high, S_low] = (s_S - sbar)^q c_S,
+        one (3 2^h, 2^(m-h)) x (2^(m-h), w) product and one
+        multiply-and-sum over the 2^h rows (none when h = 0), and give
+        v = sbar + m1/m0, phi = m2/m0 - (m1/m0)^2 and log Delta_m = top +
+        log m0.  No array of a slab has more than 3 2^h or 2^(m-h) + 2^h
+        rows.  Yields (idx, (c, low, high), m0, v) per slab, idx the
+        positions in x of its points; the memo is at (t, x) after the
+        last."""
+        slabs, tops, coefs, lags = self._factors(t, x)
+        sbar = coefs @ self._slope / coefs.sum(axis=1)
+        d = self._slope - sbar[:, None]
+        weights = np.stack([coefs, d * coefs, d * d * coefs], axis=1)
         memo = np.empty((4, x.size))
-        for sl in self._slabs(x.size):
-            memo[0, sl], table = self._exp_table(phases[:, sl])
-            m0, m1, m2 = self._powers @ table
-            memo[1, sl] = m0
-            memo[2, sl] = v = m1 / m0
-            memo[3, sl] = m2 / m0 - v**2
-            yield sl, table, m0, v
+        for idx, top, c, w, lag, mean in zip(slabs, tops, coefs, weights,
+                                             lags, sbar):
+            low, high = self._halves(lag)
+            part = np.dot(w.reshape(-1, self._low), low)
+            if high.shape[0] == 1:  # no high solitons: high is a row of ones
+                mom = part
+            else:
+                mom = np.einsum("qhw,hw->qw", part.reshape(3, -1, lag.size), high)
+            mom[1:] /= mom[0]
+            mom[2] -= mom[1] ** 2
+            mom[1] += mean
+            memo[0, idx] = top
+            memo[1:, idx] = mom
+            yield idx, (c, low, high), mom[0], mom[1]
         self._key = (t, x.copy())
         self._memo = memo
 
@@ -307,9 +389,11 @@ class TauLadder:
         d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
         - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.  The sums
-        run over a slab's unnormalised exponentials in cache (_sweep), and
-        only the results are divided by m0.  All solitons share the
-        centered slopes, and only the chosen ones' columns B_i and
+        run over each slab's (2^m, w) table of terms, formed from the
+        sweep's factors (_sweep, _slab_table) in one slab-sized buffer,
+        and only the results are divided by m0; m0, mu and the memo come
+        from the sweep's moments, as in an evaluation.  All solitons share
+        the centered slopes, and only the chosen ones' columns B_i and
         B_i d_k_i log_a enter the column products: the two rows of one
         soliton (a ladder level's modes) take 1/m of the products of all
         2m, and match those rows of the full call (the d/d gamma row bit
@@ -326,24 +410,33 @@ class TauLadder:
         own = B[:, sel]
         columns = np.hstack([own, own * (B @ (4.0 * k[None, :] / gap).T
                                          - 1.0 / k[sel])])
-        k = k[sel]
+        cols = columns.T.copy()
+        k = k[sel, None]
+        lever = 12.0 * k**2 * t + self.family.gamma[sel, None]
         n = sel.size
         grads = np.empty((2 * n, x.size))
-        for sl, u, m0, mu in self._sweep(t, x):
-            # the slab's exponentials u are reused in place: u, then
-            # u (s - mu), and the centered slopes, then u (s - mu)^2
-            total = u.T @ columns
-            centered = self._slope[:, None] - mu[None, :]
+        # one slab-sized table and centred-slope buffer serve every slab;
+        # s - mu is the rank-2 product [s, 1] @ [1; -mu], the bits of the
+        # broadcast difference at about a third of its cost at m = 8
+        width = min(x.size, _slab_width(m))
+        table, spread = np.empty((2, 2**m, width))
+        slopes = np.column_stack([self._slope, np.ones_like(self._slope)])
+        lift = np.ones((2, width))
+        for idx, factors, m0, mu in self._sweep(t, x):
+            w = mu.size
+            # u, then u (s - mu); the centred slopes, then u (s - mu)^2
+            u = _slab_table(*factors, table[:, :w])
+            total = cols @ u
+            np.negative(mu, out=lift[1, :w])
+            centered = np.matmul(slopes, lift[:, :w], out=spread[:, :w])
             u *= centered
-            tilt = u.T @ own
+            tilt = own.T @ u
             centered *= u
             phi = centered.sum(axis=0) / m0
-            cov = centered.T @ columns - phi[:, None] * total
-            lever = x[sl, None] - 12.0 * k**2 * t - self.family.gamma[sel]
-            grads[:n, sl] = (2.0 * k * cov[:, :n]).T
-            grads[n:, sl] = (cov[:, n:] - 2.0 * lever * cov[:, :n]
-                             - 4.0 * tilt).T
-            grads[:, sl] /= m0
+            cov = cols @ centered - phi * total
+            grads[:n, idx] = 2.0 * k * cov[:n] / m0
+            grads[n:, idx] = (cov[n:] - 2.0 * (x[idx] - lever) * cov[:n]
+                              - 4.0 * tilt) / m0
         return grads
 
     def frame_profile(self, x, speed, t0):
@@ -352,13 +445,14 @@ class TauLadder:
 
         Every subset exponent is affine in tau along the frame, T_S(tau) =
         T_S(tau_a) + r_S (tau - tau_a) with r = B (-2 k (speed - 4 k^2)),
-        so the table of _exp_table is built whole once at an anchor time
-        tau_a and each later time costs one (3, 2^m) x (2^m, len(x))
-        product for the moments m0, m1, m2 of the slopes s, with [1, s, s^2]
-        weighted by e^{r (tau - tau_a)}; phi = m2/m0 - (m1/m0)^2 as in
-        _sweep.  The table is rebuilt at the asked time once the exponents
-        have drifted by more than FRAME_REACH.  The (t, x) memo is not
-        touched.
+        so the table of terms is built whole once at an anchor time tau_a,
+        slab by slab from the factors of an evaluation (_factors, _halves,
+        _slab_table), and each later time costs one (3, 2^m) x (2^m,
+        len(x)) product for the moments m0, m1, m2 of the slopes s, with
+        [1, s, s^2] weighted by e^{r (tau - tau_a)}; phi = m2/m0 -
+        (m1/m0)^2.  The table is rebuilt at the asked time once the
+        exponents have drifted by more than FRAME_REACH.  The (t, x) memo
+        is not touched.
         """
         x = np.array(x, dtype=float, ndmin=1)
         k = self.family.k[: self.m]
@@ -369,8 +463,11 @@ class TauLadder:
         def phi(tau):
             nonlocal anchor, table
             if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
-                _, table = self._exp_table(
-                    self._phases(tau, x + speed * (tau - t0)))
+                table = np.empty((self._slope.size, x.size))
+                slabs, _, coefs, lags = self._factors(
+                    tau, x + speed * (tau - t0))
+                for idx, c, lag in zip(slabs, coefs, lags):
+                    table[:, idx] = _slab_table(c, *self._halves(lag))
                 anchor = tau
             m0, m1, m2 = (self._powers * np.exp(rate * (tau - anchor))) @ table
             mean = m1 / m0

@@ -294,7 +294,7 @@ def test_parameter_gradients_match_extended_precision_derivatives(n):
             start = mp.mpf({"k": k, "gamma": gamma}[which][i])
             want = np.array([float(mp.diff(phi(which, i, xv), start))
                              for xv in x])
-            # measured 3.9e-14 at n = 4
+            # measured 8.8e-15 at n = 4
             assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -411,7 +411,7 @@ def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
         assert np.all(np.isfinite(got))
         worst = max(worst, np.max(np.abs(got - want)))
         sup = max(sup, np.max(np.abs(want)))
-    assert worst <= 1e-12 * sup  # measured 7.2e-15 (N = 2), 1.6e-13 (N = 8)
+    assert worst <= 1e-12 * sup  # measured 7.9e-15 (N = 2), 1.1e-13 (N = 8)
     # the exponents drift far enough over [0, 20] for at least 3 re-anchors
     assert len(builds) >= 4
 
@@ -421,22 +421,25 @@ SLAB_METHODS = ("log_delta", "v", "second_derivative", "parameter_gradients")
 
 def test_slab_sweep_matches_one_whole_table(monkeypatch):
     # a 2^8-subset table on 1001 points is swept in slabs of 256 points,
-    # the last one partial; the reference builds it as one table
+    # the last one partial; the reference sweeps it as one slab, with no
+    # cap on its width or on its reach
     fam = walk_family(8)
     x = uniform_grid(-30.0, 20.0, 0.05)
     t = 0.3
     ladder = TauLadder(fam, 8)
-    slabs = ladder._slabs(x.size)
+    slabs = ladder._slabs(x)
     assert [sl.start for sl in slabs] == [0, 256, 512, 768]
     got = {name: getattr(ladder, name)(t, x) for name in SLAB_METHODS}
     monkeypatch.setattr(kdv, "_SLAB", 2**8 * x.size)
+    monkeypatch.setattr(kdv, "_SLAB_REACH", np.inf)
     whole = TauLadder(fam, 8)
-    assert len(whole._slabs(x.size)) == 1
+    assert len(whole._slabs(x)) == 1
     for name in SLAB_METHODS:
         want = getattr(whole, name)(t, x)
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
-        # measured bit-identical with OpenBLAS; a BLAS may reduce a slab
-        # in another order than the whole table
+        # measured 4.6e-14 (phi) and 4.1e-14 (gradients): the slabs' terms
+        # are anchored at their own centres, the reference's at the middle
+        # of the window
         assert np.all(np.abs(got[name] - want) <= 1e-13 * scale), name
 
 
@@ -446,10 +449,10 @@ def test_slab_sweep_matches_evaluation_point_by_point():
     t = 0.3
     ladder = TauLadder(fam, 8)
     single = TauLadder(fam, 8)
-    # measured 4e-16, 2e-15, 1e-13 and 9.7e-14 of each row's largest
-    # value; a point alone takes other BLAS reductions than a slab, and the
-    # last two are differences of moments of slopes up to |s| = 12
-    # (phi = E_w s^2 - (E_w s)^2 ~ 0.2), the same with one whole table
+    # measured 3.1e-16, 2.0e-15, 9.6e-15 and 8.9e-14 of each row's largest
+    # value; a point alone is its own slab, anchored at itself, and the
+    # last two are differences of moments of slopes up to |s| = 12, centred
+    # at each slab's mean slope (phi = E_w (s - sbar)^2 - (E_w s - sbar)^2)
     bounds = dict(zip(SLAB_METHODS, (1e-13, 1e-13, 1e-12, 1e-12)))
     for name in SLAB_METHODS:
         got = getattr(ladder, name)(t, x)
@@ -460,32 +463,106 @@ def test_slab_sweep_matches_evaluation_point_by_point():
         assert np.all(np.abs(got - want) <= bounds[name] * scale), name
 
 
-def test_slab_edges_match_extended_precision():
+def test_slab_edges_match_extended_precision(monkeypatch):
     # the points on both sides of each slab boundary, against the subset
-    # sums in mpmath
-    fam = walk_family(8)
+    # sums in mpmath; every level is swept in slabs of 256 points
     x = uniform_grid(-30.0, 20.0, 0.05)
-    ladder = TauLadder(fam, 8)
     t = 0.3
-    phi = ladder.second_derivative(t, x)
-    log_delta = ladder.log_delta(t, x)
-    edges = [sl.start + side for sl in ladder._slabs(x.size)[1:]
-             for side in (-1, 0)]
-    with mp.workdps(30):
-        for i in edges:
+    for n in (2, 4, 8):
+        monkeypatch.setattr(kdv, "_SLAB", 2**n * 256)
+        fam = walk_family(n)
+        ladder = TauLadder(fam, n)
+        phi = ladder.second_derivative(t, x)
+        log_delta = ladder.log_delta(t, x)
+        edges = [sl.start + side for sl in ladder._slabs(x)[1:]
+                 for side in (-1, 0)]
+        assert len(edges) == 6
+        with mp.workdps(30):
+            for i in edges:
+                want_log, want_phi = map(float, subset_sum_mp(
+                    fam, mp.mpf(t), mp.mpf(x[i])))
+                # measured 5.8e-16; where Delta is near 1, log Delta
+                # = top + log m0 carries the rounding of m0, so the bound
+                # is relative to max(|log Delta|, 1) (at N = 8 every edge
+                # has |log Delta| > 2)
+                assert (abs(log_delta[i] - want_log)
+                        <= 1e-14 * max(abs(want_log), 1.0)), (n, i)
+                # measured 3.2e-13 (N = 4): phi takes the slope moments
+                # centred at each slab's mean slope, which keep an absolute
+                # accuracy of about 1e-15 where phi falls below 1e-3 (N = 2
+                # and 4 have edges in the tails; at N = 8 phi > 0.05)
+                assert (abs(phi[i] - want_phi)
+                        <= 1e-12 * max(abs(want_phi), 1e-3)), (n, i)
+
+
+@pytest.mark.parametrize("n, t, x", [
+    (2, 0.0, np.array([5.0, -3.0, 0.0, 400.0, -400.0])),
+    (8, 0.3, np.random.default_rng(8).permutation(
+        uniform_grid(-300.0, 300.0, 0.25))),
+])
+def test_unsorted_far_abscissas_match_extended_precision(n, t, x):
+    # x in no order, with exponents spread over thousands: every value is
+    # the sorted evaluation's, permuted, and the subset sums' in 420-digit
+    # arithmetic (40 digits cancel in phi = m2/m0 - (m1/m0)^2 where phi
+    # falls to e^{-600}); run under the RuntimeWarning-as-error filter
+    fam = walk_family(n)
+    ladder = TauLadder(fam, n)
+    order = np.argsort(x)
+    got = {name: getattr(ladder, name)(t, x) for name in SLAB_METHODS}
+    ranked = TauLadder(fam, n)
+    for name in SLAB_METHODS:
+        want = getattr(ranked, name)(t, x[order])
+        assert np.all(np.isfinite(got[name])), name
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        # measured bit-identical: a permuted x is swept in the same slabs
+        assert np.all(np.abs(got[name][..., order] - want)
+                      <= 1e-13 * scale), name
+    # both ends and every 97th point of the window, all five points of
+    # the short one
+    picks = np.unique(np.concatenate([order[[0, -1]],
+                                      np.arange(0, x.size, 97)]))
+    if x.size <= 20:
+        picks = np.arange(x.size)
+    assert picks.size >= min(20, x.size)
+    with mp.workdps(420):
+        for i in picks:
             want_log, want_phi = map(float, subset_sum_mp(fam, mp.mpf(t),
                                                           mp.mpf(x[i])))
-            # measured 1.5e-16
-            assert abs(log_delta[i] - want_log) <= 1e-14 * abs(want_log)
-            # measured 5.5e-13: phi is a difference of slope moments
-            assert abs(phi[i] - want_phi) <= 1e-12 * abs(want_phi)
+            # measured 4.7e-16 and 3.0e-13 (N = 8); log Delta rounds to
+            # 0 where Delta is 1 to working precision (x far right)
+            assert (abs(got["log_delta"][i] - want_log)
+                    <= 1e-14 * max(abs(want_log), 1.0))
+            assert abs(got["second_derivative"][i] - want_phi) <= 1e-12 * abs(want_phi)
+
+
+def test_level_zero_and_one_point_sweeps():
+    # level 0 has one subset and no slopes, on any x; a one-point x is
+    # one slab, against the subset sum in mpmath
+    x = np.array([3.0, -250.0, 0.5, 250.0])
+    zero = TauLadder(walk_family(8), 0)
+    for name in ("log_delta", "v", "second_derivative"):
+        assert np.all(getattr(zero, name)(0.3, x) == 0.0)
+    assert zero.parameter_gradients(0.3, x).shape == (0, x.size)
+    fam = walk_family(8)
+    with mp.workdps(30):
+        for xv in (-7.3, 0.0, 12.5):
+            ladder = TauLadder(fam, 8)
+            point = np.array([xv])
+            want_log, want_phi = map(float, subset_sum_mp(fam, mp.mpf(0.3),
+                                                          mp.mpf(xv)))
+            # measured 2.3e-16 and 1.5e-15
+            assert (abs(ladder.log_delta(0.3, point)[0] - want_log)
+                    <= 1e-14 * max(abs(want_log), 1.0))
+            assert abs(ladder.second_derivative(0.3, point)[0] - want_phi) <= 1e-12 * abs(want_phi)
 
 
 @pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
 def test_evaluation_holds_no_whole_subset_table(name):
     # len(x)-long results plus slab-sized work arrays: an N = 8
-    # evaluation on 4001 points peaks below half a whole table (measured
-    # 0.19 for second_derivative, 0.34 for parameter_gradients)
+    # evaluation on 4001 points holds at most 3 2^3 and 2^5 + 2^3 rows of a
+    # slab, the gradients a slab-sized table and its centred slopes
+    # (measured 0.083 and 0.30 of a whole table)
+    bound = {"second_derivative": 0.1, "parameter_gradients": 0.5}[name]
     fam = walk_family(8)
     x = uniform_grid(-45.0, 35.0, 0.02)
     assert x.size == 4001
@@ -497,7 +574,7 @@ def test_evaluation_holds_no_whole_subset_table(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * table
+    assert peak < bound * table
 
 
 def test_phase_covariance():
