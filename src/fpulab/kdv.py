@@ -144,8 +144,11 @@ def _slab_table(c, low, high, out=None):
     table (TauLadder._halves), written into out when it is given."""
     if out is None:
         out = np.empty((c.size, low.shape[1]))
-    np.multiply(high[:, None, :], low[None, :, :],
-                out=out.reshape(high.shape[0], low.shape[0], -1))
+    if high.shape[0]:
+        np.multiply(high[:, None, :], low[None, :, :],
+                    out=out.reshape(high.shape[0], low.shape[0], -1))
+    else:
+        out[...] = low
     out *= c[:, None]
     return out
 
@@ -255,8 +258,10 @@ class TauLadder:
         # the high ones (_halves): the high half of (m - 1) // 2 solitons,
         # none up to m = 2, measured the fastest split at m = 1..8
         self._low = 2 ** (m - max(m - 1, 0) // 2)
-        self._half_slopes = np.concatenate([self._slope[: self._low],
-                                            self._slope[:: self._low]])
+        high = self._slope[:: self._low] if m > 2 else []
+        self._half_slopes = np.concatenate([self._slope[: self._low], high])
+        # the largest extent of a slab (_slabs)
+        self._extent = _SLAB_REACH / family.k[:m].sum() if m else np.inf
         self._key = None  # (t, x) of the memo
         self._memo = None  # rows top, m0, v, phi at the key
 
@@ -278,11 +283,10 @@ class TauLadder:
         _slab_width(m) points whose subset exponents stay within
         _SLAB_REACH of their values at the slab's centre."""
         width = _slab_width(self.m)
-        total = self.family.k[: self.m].sum()
-        extent = _SLAB_REACH / total if self.m else np.inf
         slabs, a = [], 0
         while a < xs.size:
-            b = min(a + width, np.searchsorted(xs, xs[a] + extent, "right"))
+            far = np.searchsorted(xs, xs[a] + self._extent, "right")
+            b = min(a + width, far)
             slabs.append(slice(a, b))
             a = b
         return slabs
@@ -298,7 +302,8 @@ class TauLadder:
         call.  Returns (slabs, tops, coefs, lags): per slab the positions in
         x of its points (a slice when x is sorted), top, its 2^m c_S (a row
         of coefs) and the offsets x - x_c of its points (see _halves)."""
-        order = None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable")
+        order = (None if np.all(x[:-1] <= x[1:])
+                 else np.argsort(x, kind="stable"))
         xs = x if order is None else x[order]
         slabs = self._slabs(xs)
         centres = [0.5 * (xs[sl.start] + xs[sl.stop - 1]) for sl in slabs]
@@ -314,10 +319,10 @@ class TauLadder:
         """(low, high), the x-factors e^{s_S lag} of a slab's terms over the
         subsets S of the low solitons and over those of the high ones, lag =
         x - x_c, so that the term of S = S_low + 2^(m-h) S_high is c_S
-        low[S_low] high[S_high] (h the high half's size; high is one row of
-        ones when h = 0).  Every factor and term lies within
-        e^{+-_SLAB_REACH} (_slabs), and the largest term at each point is
-        at least e^{-_SLAB_REACH}."""
+        low[S_low] high[S_high] (h the high half's size; high has no rows
+        when h = 0, where the terms are c_S low[S]).  Every factor and term
+        lies within e^{+-_SLAB_REACH} (_slabs), and the largest term at each
+        point is at least e^{-_SLAB_REACH}."""
         both = np.exp(np.multiply.outer(self._half_slopes, lag))
         return both[: self._low], both[self._low :]
 
@@ -336,16 +341,18 @@ class TauLadder:
         slabs, tops, coefs, lags = self._factors(t, x)
         sbar = coefs @ self._slope / coefs.sum(axis=1)
         d = self._slope - sbar[:, None]
-        weights = np.stack([coefs, d * coefs, d * d * coefs], axis=1)
+        dc = d * coefs
+        weights = np.stack([coefs, dc, d * dc], axis=1)
         memo = np.empty((4, x.size))
         for idx, top, c, w, lag, mean in zip(slabs, tops, coefs, weights,
                                              lags, sbar):
             low, high = self._halves(lag)
             part = np.dot(w.reshape(-1, self._low), low)
-            if high.shape[0] == 1:  # no high solitons: high is a row of ones
-                mom = part
+            if high.shape[0]:
+                mom = np.einsum("qhw,hw->qw", part.reshape(3, -1, lag.size),
+                                high)
             else:
-                mom = np.einsum("qhw,hw->qw", part.reshape(3, -1, lag.size), high)
+                mom = part
             mom[1:] /= mom[0]
             mom[2] -= mom[1] ** 2
             mom[1] += mean

@@ -504,7 +504,7 @@ def test_unsorted_far_abscissas_match_extended_precision(n, t, x):
     # x in no order, with exponents spread over thousands: every value is
     # the sorted evaluation's, permuted, and the subset sums' in 420-digit
     # arithmetic (40 digits cancel in phi = m2/m0 - (m1/m0)^2 where phi
-    # falls to e^{-600}); run under the RuntimeWarning-as-error filter
+    # falls to 1e-177); run under the RuntimeWarning-as-error filter
     fam = walk_family(n)
     ladder = TauLadder(fam, n)
     order = np.argsort(x)
@@ -517,12 +517,10 @@ def test_unsorted_far_abscissas_match_extended_precision(n, t, x):
         # measured bit-identical: a permuted x is swept in the same slabs
         assert np.all(np.abs(got[name][..., order] - want)
                       <= 1e-13 * scale), name
-    # both ends and every 97th point of the window, all five points of
-    # the short one
-    picks = np.unique(np.concatenate([order[[0, -1]],
-                                      np.arange(0, x.size, 97)]))
-    if x.size <= 20:
-        picks = np.arange(x.size)
+    # every point of the short x; both ends and every 97th point of the
+    # window
+    picks = (np.arange(x.size) if x.size <= 20 else np.unique(
+        np.concatenate([order[[0, -1]], np.arange(0, x.size, 97)])))
     assert picks.size >= min(20, x.size)
     with mp.workdps(420):
         for i in picks:
@@ -532,7 +530,8 @@ def test_unsorted_far_abscissas_match_extended_precision(n, t, x):
             # 0 where Delta is 1 to working precision (x far right)
             assert (abs(got["log_delta"][i] - want_log)
                     <= 1e-14 * max(abs(want_log), 1.0))
-            assert abs(got["second_derivative"][i] - want_phi) <= 1e-12 * abs(want_phi)
+            assert (abs(got["second_derivative"][i] - want_phi)
+                    <= 1e-12 * abs(want_phi))
 
 
 def test_level_zero_and_one_point_sweeps():
@@ -553,7 +552,8 @@ def test_level_zero_and_one_point_sweeps():
             # measured 2.3e-16 and 1.5e-15
             assert (abs(ladder.log_delta(0.3, point)[0] - want_log)
                     <= 1e-14 * max(abs(want_log), 1.0))
-            assert abs(ladder.second_derivative(0.3, point)[0] - want_phi) <= 1e-12 * abs(want_phi)
+            assert (abs(ladder.second_derivative(0.3, point)[0] - want_phi)
+                    <= 1e-12 * abs(want_phi))
 
 
 @pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
