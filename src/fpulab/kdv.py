@@ -224,24 +224,22 @@ class TauLadder:
     compared by value, that holds v, phi and the shift and sum of log
     Delta_m, all len(x) long.  A miss sweeps the subset sum over x sorted,
     in x-slabs of at most _SLAB >> m points and of extent at most
-    _SLAB_REACH / sum k (_slabs).  Each subset exponent T_S(x) = log_a_S +
-    s_S x + const is affine in x with slope s_S = -2 sum_{i in S} k_i, so
-    with the slab's centre x_c as anchor and top = max_S T_S(x_c),
-    e^{T_S(x) - top} = c_S e^{s_S (x - x_c)}, c_S = e^{T_S(x_c) - top}.
-    The solitons split into a low half and a high half of (m - 1) // 2
-    (none up to m = 2), and e^{s_S (x - x_c)} is the product of the
-    halves' factors low[S_low] high[S_high] (_halves): a slab of w points
-    costs 2^m + (2^(m-h) + 2^h) w exponentials, h the high half's size,
-    and one (3 2^h, 2^(m-h)) x (2^(m-h), w) product for the slope moments
-    (_sweep); no array of 2^m rows per point is formed.  A permuted x is
-    swept in the same slabs, so its values are the sorted evaluation's,
-    permuted, bit for bit.  parameter_gradients makes its own sweep and
-    leaves the memo at its (t, x), so asking for the gradients first
-    sweeps once; it forms each slab's (2^m, w) table of terms from the
-    factors, and its products grow with the number of solitons asked for
-    alone.  Callers get fresh arrays, never the memo's own.  The flows,
-    whose every stage time is a new key, go through frame_profile instead,
-    which keeps a whole table of terms per anchor time.
+    _SLAB_REACH / sum k (_slabs).  Each subset exponent T_S(x) is affine in x
+    with slope s_S = -2 sum_{i in S} k_i, so with the slab's centre x_c as
+    anchor its terms are c_S e^{s_S (x - x_c)}, and the x-factor is a
+    product over a low and a high half of the solitons (_factors,
+    _halves).  A slab of w points costs 2^m + (2^(m-h) + 2^h) w
+    exponentials, h the high half's size, and one small product for the
+    slope moments (_sweep); no array of 2^m rows per point is formed.  A
+    permuted x is swept in the same slabs, so its values are the sorted
+    evaluation's, permuted, bit for bit.  parameter_gradients makes its
+    own sweep and leaves the memo at its (t, x), so asking for the
+    gradients first sweeps once; it forms each slab's (2^m, w) table of
+    terms from the factors, and its products grow with the number of
+    solitons asked for alone.  Callers get fresh arrays, never the memo's
+    own.  The flows, whose every stage time is a new key, go through
+    frame_profile instead, which keeps a whole table of terms per anchor
+    time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -293,15 +291,12 @@ class TauLadder:
 
     def _factors(self, t, x):
         """The factorised subset terms at (t, x), x a 1-d float array, over
-        the x-slabs of x sorted (_slabs).
-
-        Along a slab with centre x_c every term factorises as
-        e^{T_S(x) - top} = c_S e^{s_S (x - x_c)} with c_S = e^{T_S(x_c) -
-        top} and top = max_S T_S(x_c); the exponents T_S(x_c) =
-        [-2B | log_a] @ [theta; 1] of every centre come from one _phases
-        call.  Returns (slabs, tops, coefs, lags): per slab the positions in
-        x of its points (a slice when x is sorted), top, its 2^m c_S (a row
-        of coefs) and the offsets x - x_c of its points (see _halves)."""
+        the x-slabs of x sorted (_slabs): e^{T_S(x) - top} = c_S e^{s_S (x
+        - x_c)} with c_S = e^{T_S(x_c) - top}, top = max_S T_S(x_c) and x_c
+        the slab's centre; the exponents at every centre come from one
+        _phases call.  Returns (slabs, tops, coefs, lags): per slab the
+        positions in x of its points (a slice when x is sorted), top, its
+        2^m c_S (a row of coefs) and the offsets x - x_c (see _halves)."""
         order = (None if np.all(x[:-1] <= x[1:])
                  else np.argsort(x, kind="stable"))
         xs = x if order is None else x[order]
@@ -347,6 +342,8 @@ class TauLadder:
         for idx, top, c, w, lag, mean in zip(slabs, tops, coefs, weights,
                                              lags, sbar):
             low, high = self._halves(lag)
+            # np.dot, not @: matmul takes 2.5 times as long over one row
+            # of low (m = 0)
             part = np.dot(w.reshape(-1, self._low), low)
             if high.shape[0]:
                 mom = np.einsum("qhw,hw->qw", part.reshape(3, -1, lag.size),
@@ -415,9 +412,8 @@ class TauLadder:
         gap = k[sel, None] ** 2 - k[None, :] ** 2
         gap[np.arange(sel.size), sel] = np.inf
         own = B[:, sel]
-        columns = np.hstack([own, own * (B @ (4.0 * k[None, :] / gap).T
-                                         - 1.0 / k[sel])])
-        cols = columns.T.copy()
+        cols = np.vstack([own.T, (own * (B @ (4.0 * k[None, :] / gap).T
+                                          - 1.0 / k[sel])).T])
         k = k[sel, None]
         lever = 12.0 * k**2 * t + self.family.gamma[sel, None]
         n = sel.size
