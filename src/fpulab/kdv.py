@@ -435,6 +435,8 @@ class TauLadder:
             u *= centered
             tilt = own.T @ u
             centered *= u
+            # phi centred at mu itself: the memo's, centred at the slab's
+            # mean slope, moved the d/d k rows by up to 1e-12 relative
             phi = centered.sum(axis=0) / m0
             cov = cols @ centered - phi * total
             grads[:n, idx] = 2.0 * k * cov[:n] / m0
