@@ -258,8 +258,10 @@ class TauLadder:
         self._low = 2 ** (m - max(m - 1, 0) // 2)
         high = self._slope[:: self._low] if m > 2 else []
         self._half_slopes = np.concatenate([self._slope[: self._low], high])
-        # the largest extent of a slab (_slabs)
-        self._extent = _SLAB_REACH / family.k[:m].sum() if m else np.inf
+        # the largest extent of a slab (_slabs); finite at m = 0 too, so
+        # that an infinite x stays out of the finite points' slab
+        self._extent = (_SLAB_REACH / family.k[:m].sum() if m
+                        else np.finfo(float).max)
         self._key = None  # (t, x) of the memo
         self._memo = None  # rows top, m0, v, phi at the key
 
