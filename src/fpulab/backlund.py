@@ -529,7 +529,9 @@ class ConjugationResult:
     norms maps level -> L2 norm with weight exp(-a x), a the weight
     exponent ladder_conjugate was given, the class in which the walk is a
     bounded isomorphism; the equivalence constant between top and bottom
-    is max(n_top/n_bottom, n_bottom/n_top).
+    is max(n_top/n_bottom, n_bottom/n_top): 1 when both norms are zero,
+    inf when exactly one is, a walk that sent a nonzero field to zero or
+    back.
     """
 
     field: GridField
@@ -538,8 +540,10 @@ class ConjugationResult:
     def equivalence_constant(self):
         levels = sorted(self.norms)
         lo, hi = self.norms[levels[0]], self.norms[levels[-1]]
-        if lo == 0.0 or hi == 0.0:
+        if lo == 0.0 and hi == 0.0:
             return 1.0
+        if lo == 0.0 or hi == 0.0:
+            return np.inf
         return max(lo / hi, hi / lo)
 
 

@@ -62,8 +62,8 @@ GRAM_COND_LIMIT = 1e12
 # anchor values, so none overflows and none that matters underflows.
 FRAME_REACH = 20.0
 # Points in one x-slab of a level-m TauLadder: _SLAB >> m, so that the
-# slab's table of terms, which parameter_gradients and frame_profile form,
-# holds 2^16 doubles (512 KB) and stays in cache while it is reduced.
+# slab's table of terms, which frame_profile forms, holds 2^16 doubles
+# (512 KB) and stays in cache while it is reduced.
 _SLAB = 2**16
 # Largest drift |T_S(x) - T_S(x_c)| = |s_S| |x - x_c| of a subset exponent
 # over a TauLadder x-slab from its value at the slab's centre x_c, which
@@ -71,6 +71,12 @@ _SLAB = 2**16
 # then lies within e^{+-_SLAB_REACH}, far from overflow, and the largest
 # term at each point far above underflow, whatever the spread of x.
 _SLAB_REACH = 300.0
+# Largest distance |mu - b| of the mean slope mu at a point from the centre
+# b at which parameter_gradients sums the slope moments of its columns
+# before it re-centres them at mu: the re-centring multiplies their
+# rounding by about (mu - b)^2 / phi, phi the slope variance at the point
+# (TauLadder._covariances).
+_CENTRE_REACH = 2.0
 
 
 @dataclass(frozen=True)
@@ -139,11 +145,10 @@ def exp_weighted_norm(values, x, dx, b):
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
-def _slab_table(c, low, high, out=None):
+def _slab_table(c, low, high):
     """The (2^m, w) terms c_S low[S_low] high[S_high] of one slab as one
-    table (TauLadder._halves), written into out when it is given."""
-    if out is None:
-        out = np.empty((c.size, low.shape[1]))
+    table (TauLadder._halves)."""
+    out = np.empty((c.size, low.shape[1]))
     if high.shape[0]:
         np.multiply(high[:, None, :], low[None, :, :],
                     out=out.reshape(high.shape[0], low.shape[0], -1))
@@ -151,6 +156,20 @@ def _slab_table(c, low, high, out=None):
         out[...] = low
     out *= c[:, None]
     return out
+
+
+def _slab_sums(weights, low, high):
+    """sum_S weights[r, S] low[S_low] high[S_high] for each row r of the
+    (R, 2^m) weights, S = S_low + 2^(m-h) S_high (TauLadder._halves): one
+    product with low and one multiply-and-sum over the 2^h rows of high
+    (none when high has no rows).  Returns (R, w)."""
+    # np.dot, not @: matmul takes 2.5 times as long over one row of low
+    # (m = 0)
+    part = np.dot(weights.reshape(-1, low.shape[0]), low)
+    if not high.shape[0]:
+        return part
+    return np.einsum("qhw,hw->qw",
+                     part.reshape(len(weights), -1, low.shape[1]), high)
 
 
 def _slab_width(m):
@@ -234,12 +253,13 @@ class TauLadder:
     permuted x is swept in the same slabs, so its values are the sorted
     evaluation's, permuted, bit for bit.  parameter_gradients makes its
     own sweep and leaves the memo at its (t, x), so asking for the
-    gradients first sweeps once; it forms each slab's (2^m, w) table of
-    terms from the factors, and its products grow with the number of
-    solitons asked for alone.  Callers get fresh arrays, never the memo's
-    own.  The flows, whose every stage time is a new key, go through
-    frame_profile instead, which keeps a whole table of terms per anchor
-    time.
+    gradients first sweeps once; it sums its columns' slope moments from
+    the same factors, as products of 6 2^h rows per soliton asked for,
+    centred at the slab's mean slope and re-centred at each point's
+    (_covariances), so it forms no array of 2^m rows per point either.
+    Callers get fresh arrays, never the memo's own.  The flows, whose
+    every stage time is a new key, go through frame_profile instead,
+    which keeps a whole table of terms per anchor time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -331,10 +351,10 @@ class TauLadder:
         one (3 2^h, 2^(m-h)) x (2^(m-h), w) product and one
         multiply-and-sum over the 2^h rows (none when h = 0), and give
         v = sbar + m1/m0, phi = m2/m0 - (m1/m0)^2 and log Delta_m = top +
-        log m0.  No array of a slab has more than 3 2^h or 2^(m-h) + 2^h
-        rows.  Yields (idx, (c, low, high), m0, v) per slab, idx the
-        positions in x of its points; the memo is at (t, x) after the
-        last."""
+        log m0 (_slab_sums).  No array of a slab has more than 3 2^h or
+        2^(m-h) + 2^h rows.  Yields (idx, (low, high), W, sbar, (m0, v,
+        phi)) per slab, idx the positions in x of its points; the memo is
+        at (t, x) after the last."""
         slabs, tops, coefs, lags = self._factors(t, x)
         sbar = coefs @ self._slope / coefs.sum(axis=1)
         d = self._slope - sbar[:, None]
@@ -344,20 +364,13 @@ class TauLadder:
         for idx, top, c, w, lag, mean in zip(slabs, tops, coefs, weights,
                                              lags, sbar):
             low, high = self._halves(lag)
-            # np.dot, not @: matmul takes 2.5 times as long over one row
-            # of low (m = 0)
-            part = np.dot(w.reshape(-1, self._low), low)
-            if high.shape[0]:
-                mom = np.einsum("qhw,hw->qw", part.reshape(3, -1, lag.size),
-                                high)
-            else:
-                mom = part
+            mom = _slab_sums(w, low, high)
             mom[1:] /= mom[0]
             mom[2] -= mom[1] ** 2
             mom[1] += mean
             memo[0, idx] = top
             memo[1:, idx] = mom
-            yield idx, (c, low, high), mom[0], mom[1]
+            yield idx, (low, high), w, mean, mom
         self._key = (t, x.copy())
         self._memo = memo
 
@@ -395,15 +408,20 @@ class TauLadder:
         d_q phi = E_w[(s - mu)^2 (d_q T - E_w d_q T)] + 2 E_w[(s - mu) d_q s]
         with d_gamma_i T = 2 k_i B_i, d_k_i T = d_k_i log_a
         - 2 B_i (x - 12 k_i^2 t - gamma_i) and d_k_i s = -2 B_i.  The sums
-        run over each slab's (2^m, w) table of terms, formed from the
-        sweep's factors (_sweep, _slab_table) in one slab-sized buffer,
-        and only the results are divided by m0; m0, mu and the memo come
-        from the sweep's moments, as in an evaluation.  All solitons share
-        the centered slopes, and only the chosen ones' columns B_i and
-        B_i d_k_i log_a enter the column products: the two rows of one
-        soliton (a ladder level's modes) take 1/m of the products of all
-        2m, and match those rows of the full call (the d/d gamma row bit
-        for bit with OpenBLAS).
+        over the subsets factor as the sweep's moments do (_sweep): for
+        the columns f = B_i and B_i d_k_i log_a, F_q = sum_S f_S u_S (s_S -
+        sbar)^q, q = 0, 1, 2, u the terms and sbar the slab's mean slope,
+        take the sweep's weights times f, one product with the low factors
+        and one multiply-and-sum with the high ones, and are re-centred at
+        mu = sbar + delta: C_1 = F_1 - delta F_0 and C_2 = F_2 - 2 delta F_1
+        + delta^2 F_0 (_covariances).  m0, mu, phi and the memo come from
+        the sweep, as in an evaluation; points whose mu lies more than
+        _CENTRE_REACH from sbar take their sums about a nearer centre.
+        Only the chosen solitons' columns
+        enter the products, in one block of one shape per soliton: the two
+        rows of one soliton (a ladder level's modes) take 1/m of the
+        products of all 2m, and match those rows of the full call (the
+        d/d gamma row bit for bit).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         m = self.m
@@ -414,37 +432,77 @@ class TauLadder:
         gap = k[sel, None] ** 2 - k[None, :] ** 2
         gap[np.arange(sel.size), sel] = np.inf
         own = B[:, sel]
-        cols = np.vstack([own.T, (own * (B @ (4.0 * k[None, :] / gap).T
-                                          - 1.0 / k[sel])).T])
+        dlog = own * (B @ (4.0 * k[None, :] / gap).T - 1.0 / k[sel])
+        # the columns B_i and B_i d_k_i log_a of each chosen soliton
+        cols = np.stack([own, dlog]).transpose(2, 0, 1)
         k = k[sel, None]
-        lever = 12.0 * k**2 * t + self.family.gamma[sel, None]
+        arm = 2.0 * (x - 12.0 * k**2 * t - self.family.gamma[sel, None])
         n = sel.size
         grads = np.empty((2 * n, x.size))
-        # one slab-sized table and centred-slope buffer serve every slab;
-        # s - mu is the rank-2 product [s, 1] @ [1; -mu], the bits of the
-        # broadcast difference at about a third of its cost at m = 8
-        width = min(x.size, _slab_width(m))
-        table, spread = np.empty((2, 2**m, width))
-        slopes = np.column_stack([self._slope, np.ones_like(self._slope)])
-        lift = np.ones((2, width))
-        for idx, factors, m0, mu in self._sweep(t, x):
-            w = mu.size
-            # u, then u (s - mu); the centred slopes, then u (s - mu)^2
-            u = _slab_table(*factors, table[:, :w])
-            total = cols @ u
-            np.negative(mu, out=lift[1, :w])
-            centered = np.matmul(slopes, lift[:, :w], out=spread[:, :w])
-            u *= centered
-            tilt = own.T @ u
-            centered *= u
-            # phi centred at mu itself: the memo's, centred at the slab's
-            # mean slope, moved the d/d k rows by up to 1e-12 relative
-            phi = centered.sum(axis=0) / m0
-            cov = cols @ centered - phi * total
-            grads[:n, idx] = 2.0 * k * cov[:n] / m0
-            grads[n:, idx] = (cov[n:] - 2.0 * (x[idx] - lever) * cov[:n]
-                              - 4.0 * tilt) / m0
+        for idx, halves, weights, mean, mom in self._sweep(t, x):
+            cov, tilt = self._covariances(cols, weights, *halves, mean, mom)
+            grads[:n, idx] = 2.0 * k * cov[:, 0]
+            grads[n:, idx] = cov[:, 1] - arm[:, idx] * cov[:, 0] - 4.0 * tilt
         return grads
+
+    def _covariances(self, cols, weights, low, high, mean, mom):
+        """The covariances E_u[(f - E_u f) ((s - mu)^2 - phi)] and
+        E_u[f (s - mu)] of columns f with the subset slopes s at the points
+        of one slab, mu and phi the mean and variance of s, for cols (n, 2,
+        2^m), the columns B_i and B_i d_k_i log_a of n solitons: the first
+        for both columns, the second for B_i.  weights, mean and mom are
+        the slab's moment weights W_q, mean slope sbar and moments (m0, mu,
+        phi) from _sweep.  Returns ((n, 2, w), (n, w)).
+
+        Re-centring the sums F_q at mu multiplies their rounding by about
+        delta^2 / phi, delta = mu - sbar, so the points fall into runs by
+        the multiple 2 j _CENTRE_REACH nearest to delta, and a run at j != 0
+        sums at the centre sbar + 2 j _CENTRE_REACH, where its own moments
+        (one more product of 3 2^h rows, _slab_sums) give its m0, delta
+        and phi; the run at j = 0 takes the sweep's weights and moments.
+        Each run costs one (6 2^h, 2^(m-h)) product with the low factors
+        per soliton and one multiply-and-sum with the high ones, and every
+        soliton's product has one shape, so its sums do not depend on the
+        other solitons', bit for bit."""
+        n = len(cols)
+        per = self._slope.size // self._low
+        # the memo holds its own copy of the moments, so the runs may
+        # overwrite them
+        m0, delta, phi = mom[0], mom[1] - mean, mom[2]
+        # delta is nondecreasing in x (its slope is phi >= 0), so the runs
+        # are cut where it crosses the odd multiples of _CENTRE_REACH
+        first, last = np.round(delta[[0, -1]] * (0.5 / _CENTRE_REACH))
+        runs, cuts = [0.0], [0, m0.size]
+        if first < last:
+            runs = np.arange(first, last + 1.0)
+            cuts[1:1] = np.searchsorted(delta, (2.0 * runs[1:] - 1.0)
+                                        * _CENTRE_REACH)
+        cov, tilt = np.empty((n, 2, m0.size)), np.empty((n, m0.size))
+        for run, a, b in zip(runs, cuts[:-1], cuts[1:]):
+            if a == b:  # a run no point falls in
+                continue
+            w = weights
+            if run:
+                lift = self._slope - (mean + 2.0 * _CENTRE_REACH * run)
+                w = weights[0] * np.stack([np.ones_like(lift), lift,
+                                           lift * lift])
+                m0[a:b], m1, m2 = _slab_sums(w, low[:, a:b], high[:, a:b])
+                delta[a:b] = m1 / m0[a:b]
+                phi[a:b] = m2 / m0[a:b] - delta[a:b] ** 2
+            rows = (w[None, :, None] * cols[:, None]).reshape(
+                n, 6 * per, self._low)
+            part = np.matmul(rows, low[:, a:b]).reshape(n, 3, 2, per, b - a)
+            if high.shape[0]:
+                part = np.einsum("nqchw,hw->nqcw", part, high[:, a:b])
+            else:
+                part = part[..., 0, :]
+            f0, f1, f2 = part.transpose(1, 0, 2, 3)
+            # C_2 - phi F_0 = F_2 - 2 delta F_1 + (delta^2 - phi) F_0
+            d = delta[a:b]
+            np.divide(f2 - 2.0 * d * f1 + (d * d - phi[a:b]) * f0, m0[a:b],
+                      out=cov[..., a:b])
+            np.divide(f1[:, 0] - d * f0[:, 0], m0[a:b], out=tilt[:, a:b])
+        return cov, tilt
 
     def frame_profile(self, x, speed, t0):
         """The profile on a moving frame, tau -> second_derivative(tau,

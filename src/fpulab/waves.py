@@ -363,11 +363,17 @@ def _petviashvili(model, c, seed, tol, max_iter):
 
     # bins beyond the analytic decay of the profile carry only roundoff
     keep = xi <= 65.0 * kappa_of_speed(c)
+    # Parseval weights of an rfft spectrum: sum_j a_j b_j = sum over bins of
+    # twice, at DC and Nyquist once, Re(conj(a_hat) b_hat) / n
+    parseval = np.full(xi.size, 2.0 / n)
+    parseval[0] = 1.0 / n
+    if n % 2 == 0:
+        parseval[-1] = 1.0 / n
     history = []
     r, r_hat, v_hat = seed, fft.rfft(seed), fft.rfft(dv(seed))
     for it in range(1, max_iter + 1):
         kw_hat = mult * (v_hat - r_hat)
-        denom_m = float(np.sum(r * fft.irfft(kw_hat, n=n)))
+        denom_m = float(np.vdot(parseval * r_hat, kw_hat).real)
         if denom_m == 0.0:
             raise RuntimeError(
                 f"Petviashvili iterate vanished at iteration {it} {where}"

@@ -770,6 +770,19 @@ class TestLadderConjugation:
         x = uniform_grid(-45.0, 35.0, self.DX)
         out = ladder_conjugate(field(x, np.zeros_like(x)), TRAIN, self.T, 0.4)
         assert np.all(out.field.values == 0.0)
+        assert out.equivalence_constant() == 1.0
+
+    @pytest.mark.parametrize("bottom, top, want", [
+        (0.0, 0.0, 1.0),     # nothing walked
+        (0.0, 2.0, np.inf),  # a nonzero field walked to zero
+        (2.0, 0.0, np.inf),  # and back
+        (0.5, 2.0, 4.0),
+    ])
+    def test_equivalence_constant_of_vanished_ends(self, bottom, top, want):
+        x = np.array([0.0, 1.0])
+        walk = backlund.ConjugationResult(field(x, np.zeros(2)),
+                                          {0: bottom, 1: 1.0, 2: top})
+        assert walk.equivalence_constant() == want
 
     def test_unprojected_input_rejected(self):
         x = uniform_grid(-45.0, 35.0, self.DX)
