@@ -412,6 +412,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     nsteps, dt = _plan_steps(t0, t1, dt)
     if record_every is None:
         record_every = max(1, nsteps // 400)
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     damp = None if sponge is None else np.exp(-dt * _sponge_profile(x, sponge))
 
     if measure_span is None:

@@ -16,9 +16,10 @@ taken for a chosen set of solitons, all of them for the secular basis,
 the top one alone for a ladder level's two modes.  A TauLadder keeps log
 Delta, v and its slope at its last evaluation point.  The linearized
 flows ask for the profile at every stage time on a moving frame, where
-that memo would miss each time; they evaluate through a frame table
-instead (TauLadder.frame_profile), one table of terms per anchor time
-from which every later time is a matrix product.
+that memo would miss each time; they evaluate through a frame instead
+(TauLadder.frame_profile), which keeps one sweep's slab factors and
+moment weights per anchor time and sums the moments of every later time
+from them with the weights rescaled.
 
 Conventions: theta_i = k_i (x - 4 k_i^2 t - gamma_i), and the level-m tau
 Delta_m = det(I + C_m) is that of the first m solitons alone, with no
@@ -50,20 +51,19 @@ import numpy as np
 from scipy import fft
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .artifacts import read_series, write_series
-
 MAX_SOLITONS = 8
 # Condition number above which a Gram matrix of modes (the secular
 # projection's, the modulation frame's) is singular to working precision.
 GRAM_COND_LIMIT = 1e12
 # Largest drift max|r_S| |tau - tau_a| of the subset exponents a frame
-# table (TauLadder.frame_profile) takes from its anchor time tau_a before
-# it is rebuilt: the weights then stay within e^{+-FRAME_REACH} of their
-# anchor values, so none overflows and none that matters underflows.
+# (TauLadder.frame_profile) takes from its anchor time tau_a before it
+# sweeps again: its moment weights then stay within e^{+-FRAME_REACH} of
+# their anchor values, so none overflows and none that matters underflows.
 FRAME_REACH = 20.0
-# Points in one x-slab of a level-m TauLadder: _SLAB >> m, so that the
-# slab's table of terms, which frame_profile forms, holds 2^16 doubles
-# (512 KB) and stays in cache while it is reduced.
+# Points in one x-slab of a level-m TauLadder: _SLAB >> m, so that a slab
+# spans 2^16 subset terms and its work arrays, the factors of 2^(m-h) +
+# 2^h rows and the products of 3 2^h (6 2^h per soliton for the
+# gradients), h the high half's size (TauLadder._halves), stay small.
 _SLAB = 2**16
 # Largest drift |T_S(x) - T_S(x_c)| = |s_S| |x - x_c| of a subset exponent
 # over a TauLadder x-slab from its value at the slab's centre x_c, which
@@ -95,6 +95,8 @@ class SolitonFamily:
             raise ValueError("k and gamma must be 1-d arrays of equal length")
         if len(k) == 0 or len(k) > MAX_SOLITONS:
             raise ValueError(f"need 1..{MAX_SOLITONS} solitons, got {len(k)}")
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(g))):
+            raise ValueError("k and gamma must be finite")
         if np.any(k <= 0) or np.any(np.diff(k) <= 0):
             raise ValueError("k must be strictly increasing and positive")
 
@@ -145,19 +147,6 @@ def exp_weighted_norm(values, x, dx, b):
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
 
 
-def _slab_table(c, low, high):
-    """The (2^m, w) terms c_S low[S_low] high[S_high] of one slab as one
-    table (TauLadder._halves)."""
-    out = np.empty((c.size, low.shape[1]))
-    if high.shape[0]:
-        np.multiply(high[:, None, :], low[None, :, :],
-                    out=out.reshape(high.shape[0], low.shape[0], -1))
-    else:
-        out[...] = low
-    out *= c[:, None]
-    return out
-
-
 def _slab_sums(weights, low, high):
     """sum_S weights[r, S] low[S_low] high[S_high] for each row r of the
     (R, 2^m) weights, S = S_low + 2^(m-h) S_high (TauLadder._halves): one
@@ -170,6 +159,18 @@ def _slab_sums(weights, low, high):
         return part
     return np.einsum("qhw,hw->qw",
                      part.reshape(len(weights), -1, low.shape[1]), high)
+
+
+def _moments(weights, low, high):
+    """[m0, m1/m0, m2/m0 - (m1/m0)^2] of one slab from its moment weights
+    W_q (TauLadder._weights): the mass, the mean slope less the centre
+    and phi, the slope variance."""
+    mom = _slab_sums(weights, low, high)
+    # row by row: dividing mom[1:] by a broadcast row takes longer
+    mom[1] /= mom[0]
+    mom[2] /= mom[0]
+    mom[2] -= mom[1] ** 2
+    return mom
 
 
 def _slab_width(m):
@@ -259,7 +260,8 @@ class TauLadder:
     (_covariances), so it forms no array of 2^m rows per point either.
     Callers get fresh arrays, never the memo's own.  The flows, whose
     every stage time is a new key, go through frame_profile instead,
-    which keeps a whole table of terms per anchor time.
+    which keeps one sweep's slab factors and moment weights per anchor
+    time.
     """
 
     def __init__(self, family: SolitonFamily, m: int):
@@ -270,8 +272,6 @@ class TauLadder:
         self._B, self._log_a, self._slope = _subset_tables(family.k, m)
         # the subset exponents log_a - 2 B theta as one product (_phases)
         self._affine = np.hstack([-2.0 * self._B, self._log_a[:, None]])
-        self._powers = np.vstack([np.ones_like(self._slope), self._slope,
-                                  self._slope**2])
         # the slopes of the subsets of the low solitons, then of those of
         # the high ones (_halves): the high half of (m - 1) // 2 solitons,
         # none up to m = 2, measured the fastest split at m = 1..8
@@ -287,10 +287,10 @@ class TauLadder:
 
     def _phases(self, t, x):
         """[theta; 1]: the active phases theta_1..m at (t, x), one row per
-        soliton, over a row of ones.  Every sweep of the subset sum makes
-        one call, at the centres of all its slabs (_factors), so these
-        calls count sweeps (dense_matrix, which makes none, makes the one
-        other call)."""
+        soliton, over a row of ones.  Every sweep of the subset sum and
+        every anchor of a frame (frame_profile) makes one call, at the
+        centres of all its slabs (_factors), so these calls count sweeps
+        (dense_matrix, which makes none, makes the one other call)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = self.family.k[: self.m, None]
         gamma = self.family.gamma[: self.m, None]
@@ -343,6 +343,15 @@ class TauLadder:
         both = np.exp(np.multiply.outer(self._half_slopes, lag))
         return both[: self._low], both[self._low :]
 
+    def _weights(self, coefs):
+        """(sbar, W): per slab, for each row c of coefs, the mean slope
+        sbar = sum_S c_S s_S / sum_S c_S and the moment weights W_q[S] =
+        (s_S - sbar)^q c_S, q = 0, 1, 2, of shape (3, 2^m)."""
+        sbar = coefs @ self._slope / coefs.sum(axis=1)
+        d = self._slope - sbar[:, None]
+        dc = d * coefs
+        return sbar, np.stack([coefs, dc, d * dc], axis=1)
+
     def _sweep(self, t, x):
         """Walk the subset sum at (t, x), x a 1-d float array, slab by slab
         (_factors, _halves): the moments m0, m1, m2 of the slopes s,
@@ -351,22 +360,16 @@ class TauLadder:
         one (3 2^h, 2^(m-h)) x (2^(m-h), w) product and one
         multiply-and-sum over the 2^h rows (none when h = 0), and give
         v = sbar + m1/m0, phi = m2/m0 - (m1/m0)^2 and log Delta_m = top +
-        log m0 (_slab_sums).  No array of a slab has more than 3 2^h or
-        2^(m-h) + 2^h rows.  Yields (idx, (low, high), W, sbar, (m0, v,
-        phi)) per slab, idx the positions in x of its points; the memo is
-        at (t, x) after the last."""
+        log m0 (_weights, _moments).  No array of a slab has more than
+        3 2^h or 2^(m-h) + 2^h rows.  Yields (idx, (low, high), W, sbar,
+        (m0, v, phi)) per slab, idx the positions in x of its points; the
+        memo is at (t, x) after the last."""
         slabs, tops, coefs, lags = self._factors(t, x)
-        sbar = coefs @ self._slope / coefs.sum(axis=1)
-        d = self._slope - sbar[:, None]
-        dc = d * coefs
-        weights = np.stack([coefs, dc, d * dc], axis=1)
+        sbar, weights = self._weights(coefs)
         memo = np.empty((4, x.size))
-        for idx, top, c, w, lag, mean in zip(slabs, tops, coefs, weights,
-                                             lags, sbar):
+        for idx, top, w, lag, mean in zip(slabs, tops, weights, lags, sbar):
             low, high = self._halves(lag)
-            mom = _slab_sums(w, low, high)
-            mom[1:] /= mom[0]
-            mom[2] -= mom[1] ** 2
+            mom = _moments(w, low, high)
             mom[1] += mean
             memo[0, idx] = top
             memo[1:, idx] = mom
@@ -508,35 +511,36 @@ class TauLadder:
         """The profile on a moving frame, tau -> second_derivative(tau,
         x + speed (tau - t0)), for a flow that asks at many times.
 
-        Every subset exponent is affine in tau along the frame, T_S(tau) =
-        T_S(tau_a) + r_S (tau - tau_a) with r = B (-2 k (speed - 4 k^2)),
-        so the table of terms is built whole once at an anchor time tau_a,
-        slab by slab from the factors of an evaluation (_factors, _halves,
-        _slab_table), and each later time costs one (3, 2^m) x (2^m,
-        len(x)) product for the moments m0, m1, m2 of the slopes s, with
-        [1, s, s^2] weighted by e^{r (tau - tau_a)}; phi = m2/m0 -
-        (m1/m0)^2.  The table is rebuilt at the asked time once the
-        exponents have drifted by more than FRAME_REACH.  The (t, x) memo
-        is not touched.
+        Along the frame each slab's offsets x - x_c stay fixed, so its
+        factors (_halves) do too, and every subset exponent is affine in
+        tau, T_S(tau) = T_S(tau_a) + r_S (tau - tau_a) with r = B (-2 k
+        (speed - 4 k^2)).  At an anchor time tau_a the frame keeps the
+        sweep's slabs, factors and moment weights W_q (_factors, _weights);
+        each time tau sums the slabs' moments from the weights scaled by
+        e^{r (tau - tau_a)}, as the sweep does (_moments), which at tau_a
+        gives second_derivative's values bit for bit.  The slabs are
+        taken again at the asked time once the exponents have drifted by
+        more than FRAME_REACH.  The (t, x) memo is not touched.
         """
         x = np.array(x, dtype=float, ndmin=1)
         k = self.family.k[: self.m]
         rate = self._B @ (-2.0 * k * (speed - 4.0 * k**2))
         fastest = np.abs(rate).max()
-        anchor, table = None, None
+        anchor = idx = weights = halves = None
 
         def phi(tau):
-            nonlocal anchor, table
+            nonlocal anchor, idx, weights, halves
             if anchor is None or fastest * abs(tau - anchor) > FRAME_REACH:
-                table = np.empty((self._slope.size, x.size))
-                slabs, _, coefs, lags = self._factors(
+                idx, _, coefs, lags = self._factors(
                     tau, x + speed * (tau - t0))
-                for idx, c, lag in zip(slabs, coefs, lags):
-                    table[:, idx] = _slab_table(c, *self._halves(lag))
+                weights = self._weights(coefs)[1]
+                halves = [self._halves(lag) for lag in lags]
                 anchor = tau
-            m0, m1, m2 = (self._powers * np.exp(rate * (tau - anchor))) @ table
-            mean = m1 / m0
-            return m2 / m0 - mean**2
+            out = np.empty(x.size)
+            for sl, w, (low, high) in zip(
+                    idx, weights * np.exp(rate * (tau - anchor)), halves):
+                out[sl] = _moments(w, low, high)[2]
+            return out
 
         return phi
 
@@ -667,7 +671,7 @@ class LadderPhases:
         the first call and kept: it depends on the phases alone, so every
         map and flow on this ladder shares one per level, and with it the
         memo of that level's last evaluation (see TauLadder): consecutive
-        maps at one (t, x) build each level's subset table once."""
+        maps at one (t, x) sweep each level once."""
         if not 0 <= m <= self.family.n:
             raise ValueError("level must lie in 0..N")
         if m not in self._taus:
@@ -757,30 +761,3 @@ class Resolution:
 def soliton_resolution(family: SolitonFamily):
     """Resolution data: the phases gamma~ and the train they place."""
     return Resolution(family, resolution_phases(family))
-
-
-def grid_field_to_csv(fld: GridField, path):
-    """Write (x, value) rows; complex fields get (x, re, im)."""
-    vals = fld.values
-    if np.iscomplexobj(vals):
-        write_series(path, {"x": fld.x, "re": vals.real, "im": vals.imag})
-    else:
-        write_series(path, {"x": fld.x, "value": vals})
-
-
-def grid_field_from_csv(path):
-    """Read back a grid_field_to_csv file.
-
-    The spacing is refitted from the end points, (x[-1] - x[0]) / (n - 1),
-    so a GridField round-trips with its own dx; files with fewer than two
-    rows or abscissas off a uniform grid are rejected.
-    """
-    cols = read_series(path)
-    x = cols["x"]
-    vals = cols["value"] if "value" in cols else cols["re"] + 1j * cols["im"]
-    if x.size < 2:
-        raise ValueError(f"{path}: a grid field needs at least two rows")
-    dx = float((x[-1] - x[0]) / (x.size - 1))
-    if np.max(np.abs(x - (x[0] + dx * np.arange(x.size)))) > 1e-6 * abs(dx):
-        raise ValueError(f"{path}: abscissas are not uniformly spaced")
-    return GridField(float(x[0]), dx, vals)

@@ -24,8 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import read_series, write_series
-
 
 class WeightKind(Enum):
     """Exponential weight families used by the diagnostics.
@@ -200,22 +198,3 @@ def apply_j_inverse(v):
     first = np.cumsum(v.p)
     second = np.concatenate(([0.0], np.cumsum(v.r)[:-1]))
     return LatticeField(v.offset, first, second)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def field_to_csv(field, path):
-    write_series(path, {"n": field.sites, "r": field.r, "p": field.p})
-
-
-def field_from_csv(path):
-    cols = read_series(path)
-    if list(cols) != ["n", "r", "p"] or cols["n"].size == 0:
-        raise ValueError("not a lattice field csv")
-    sites = cols["n"]
-    offset = int(sites[0])
-    if not np.array_equal(sites, offset + np.arange(sites.size)):
-        raise ValueError("csv sites are not consecutive")
-    return LatticeField(offset, cols["r"], cols["p"])

@@ -504,7 +504,7 @@ class TestEvolution:
         basis = backlund.secular_basis
 
         def counting_phases(self, t, x):
-            # one call per subset table build, however many slabs it fills
+            # one call per sweep or frame anchor, however many slabs it holds
             tables.append(t)
             return phases(self, t, x)
 
@@ -514,7 +514,7 @@ class TestEvolution:
 
         monkeypatch.setattr(TauLadder, "_phases", counting_phases)
         monkeypatch.setattr(backlund, "secular_basis", counting_basis)
-        # slabs of 256 points: each basis table spans 7 of them
+        # slabs of 256 points: each basis sweep spans 7 of them
         monkeypatch.setattr(kdv, "_SLAB", 2**2 * 256)
         x = uniform_grid(-45.0, 35.0, 0.05)
         g = field(x, np.exp(-x**2 / 8.0))
@@ -599,6 +599,10 @@ class TestEvolution:
                 "window [-40, 39.9]")):
             linearized_kdv_evolve(g, None, 0.0, 0.1, 0.4, 1e-2,
                                   sponge=(50.0, 60.0, 1.0))
+        for every in (0, -3):
+            with pytest.raises(ValueError, match="record_every"):
+                linearized_kdv_evolve(g, None, 0.0, 0.1, 0.4, 1e-2,
+                                      record_every=every)
 
     def test_trajectory_csv_round_trip(self, tmp_path):
         x = uniform_grid(-20.0, 20.0, 0.1)

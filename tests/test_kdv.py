@@ -18,14 +18,11 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from fpulab import kdv
-from fpulab.artifacts import write_series
 from fpulab.backlund import _level_modes, backlund_residual
 from fpulab.kdv import (
     GridField,
     SolitonFamily,
     TauLadder,
-    grid_field_from_csv,
-    grid_field_to_csv,
     kdv_residual,
     log_psi,
     log_sum_exp,
@@ -71,6 +68,11 @@ def test_family_validation():
         SolitonFamily(np.linspace(0.1, 1.0, 9), np.zeros(9))
     with pytest.raises(ValueError):
         SolitonFamily([1.0], [0.0, 0.0])
+    # NaN passes both ordering checks: every comparison with it is false
+    for k, gamma in (([np.nan, 1.0], [0.0, 0.0]), ([0.5, np.inf], [0.0, 0.0]),
+                     ([0.5, 1.0], [np.nan, 0.0]), ([0.5], [-np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            SolitonFamily(k, gamma)
 
 
 def test_tau_one_soliton_value():
@@ -417,36 +419,45 @@ def test_parameter_gradients_of_chosen_solitons():
                   <= 1e-14 * np.max(np.abs(want), axis=1, keepdims=True))
 
 
-@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 8])
 @pytest.mark.parametrize("speed", [0.0, 1.0, 2.0])
 def test_frame_profile_matches_the_profile_on_the_moving_grid(n, speed):
-    fam = (SolitonFamily([0.5, 1.0], [np.log(3.0), 0.0]) if n == 2
+    fam = (SolitonFamily([0.5, 1.0], [np.log(3.0), 0.0]) if n <= 2
            else walk_family(8))
     # one window where the phases reach hundreds, for one case of each size
     x = (uniform_grid(-300.0, 300.0, 0.25) if speed == 1.0
          else uniform_grid(-60.0, 40.0, 0.1))
     t0 = 3.0
     ladder = TauLadder(fam, n)
-    builds = []
+    anchors = []
     phases = ladder._phases
 
     def counting(t, xs):
-        # one call per anchor table, whole or in slabs
-        builds.append(t)
+        # one call per anchor, whatever number of slabs it holds
+        anchors.append(t)
         return phases(t, xs)
 
     ladder._phases = counting
     phi = ladder.frame_profile(x, speed, t0)
     worst = sup = 0.0
     for tau in np.linspace(0.0, 20.0, 81):
+        before = len(anchors)
         got = phi(tau)
         want = TauLadder(fam, n).second_derivative(tau, x + speed * (tau - t0))
+        if len(anchors) > before:
+            # at an anchor time the frame sums the sweep's own weights
+            assert anchors[-1] == tau
+            assert np.array_equal(got, want), tau
         assert np.all(np.isfinite(got))
         worst = max(worst, np.max(np.abs(got - want)))
         sup = max(sup, np.max(np.abs(want)))
-    assert worst <= 1e-12 * sup  # measured 7.9e-15 (N = 2), 1.1e-13 (N = 8)
-    # the exponents drift far enough over [0, 20] for at least 3 re-anchors
-    assert len(builds) >= 4
+    # measured 1.1e-14 (N = 2) and 5.4e-14 (N = 8, at speed 1); level 0
+    # is 0 everywhere
+    assert worst <= 1e-13 * sup
+    if n >= 2:
+        # the exponents drift far enough over [0, 20] for at least 3
+        # re-anchors
+        assert len(anchors) >= 4
 
 
 SLAB_METHODS = ("log_delta", "v", "second_derivative", "parameter_gradients")
@@ -589,13 +600,26 @@ def test_level_zero_and_one_point_sweeps():
                     <= 1e-12 * abs(want_phi))
 
 
-@pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients"])
+def _frame_stages(ladder, x):
+    phi = ladder.frame_profile(x, 1.0, 0.0)
+    for tau in (0.0, 0.001, 0.002, 0.5):
+        phi(tau)
+
+
+@pytest.mark.parametrize("name", ["second_derivative", "parameter_gradients",
+                                  "frame_profile"])
 def test_evaluation_holds_no_whole_subset_table(name):
     # len(x)-long results plus slab-sized work arrays: an N = 8
     # evaluation on 4001 points holds at most 3 2^3 and 2^5 + 2^3 rows of a
-    # slab, the gradients of all 8 solitons a product of 8 6 2^3 rows
-    # (measured 0.083 and 0.290 of a whole table)
-    bound = {"second_derivative": 0.1, "parameter_gradients": 0.32}[name]
+    # slab, the gradients of all 8 solitons a product of 8 6 2^3 rows, and
+    # a frame the 2^5 + 2^3 rows of factors of every slab over its stage
+    # times (measured 0.073, 0.282 and 0.206 of a whole table)
+    bound = {"second_derivative": 0.1, "parameter_gradients": 0.32,
+             "frame_profile": 0.25}[name]
+    call = {"second_derivative": lambda lad, x: lad.second_derivative(0.0, x),
+            "parameter_gradients":
+                lambda lad, x: lad.parameter_gradients(0.0, x),
+            "frame_profile": _frame_stages}[name]
     fam = walk_family(8)
     x = uniform_grid(-45.0, 35.0, 0.02)
     assert x.size == 4001
@@ -603,7 +627,7 @@ def test_evaluation_holds_no_whole_subset_table(name):
     table = 2**8 * x.size * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        getattr(ladder, name)(0.0, x)
+        call(ladder, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -815,50 +839,6 @@ def test_ladder_phase_value():
     assert levels[1][0] == pytest.approx(0.5 * np.log(1.0 / 3.0), abs=1e-14)
     assert levels[2][1] == 0.0
     assert len(levels[1]) == 1  # level 1 carries no phase for soliton 2
-
-
-def test_grid_field_csv_roundtrip(tmp_path):
-    fld = GridField(-2.0, 0.25, np.linspace(0.0, 1.0, 9) ** 2)
-    path = tmp_path / "f.csv"
-    grid_field_to_csv(fld, path)
-    assert path.read_text().startswith("x,value\n")
-    back = grid_field_from_csv(path)
-    assert back.x0 == fld.x0
-    assert back.dx == pytest.approx(fld.dx)
-    np.testing.assert_array_equal(back.values, fld.values)
-
-
-def test_grid_field_csv_keeps_an_inexact_spacing(tmp_path):
-    # 0.1 is not a binary fraction: x[1] - x[0] reads back 0.10000000000000142
-    x = uniform_grid(-20.0, 20.0, 0.1)
-    fld = GridField(x[0], 0.1, np.sin(x))
-    path = tmp_path / "f.csv"
-    grid_field_to_csv(fld, path)
-    back = grid_field_from_csv(path)
-    assert back.dx == 0.1
-    assert np.array_equal(back.x, fld.x)
-    assert np.array_equal(back.values, fld.values)
-
-
-def test_grid_field_csv_rejects_non_grids(tmp_path):
-    path = tmp_path / "f.csv"
-    grid_field_to_csv(GridField(1.0, 0.5, np.array([2.0])), path)
-    with pytest.raises(ValueError, match="two rows"):
-        grid_field_from_csv(path)
-    write_series(path, {"x": np.array([0.0, 0.1, 0.25, 0.3]),
-                        "value": np.ones(4)})
-    with pytest.raises(ValueError, match="uniformly"):
-        grid_field_from_csv(path)
-
-
-def test_grid_field_csv_complex(tmp_path):
-    vals = np.linspace(0, 1, 7) + 1j * np.linspace(1, 0, 7)
-    fld = GridField(0.0, 0.5, vals)
-    path = tmp_path / "c.csv"
-    grid_field_to_csv(fld, path)
-    assert path.read_text().startswith("x,re,im\n")
-    back = grid_field_from_csv(path)
-    np.testing.assert_array_equal(back.values, vals)
 
 
 def test_grid_field_validation():

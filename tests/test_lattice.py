@@ -11,8 +11,6 @@ from fpulab.lattice import (
     WeightSpec,
     apply_j,
     apply_j_inverse,
-    field_from_csv,
-    field_to_csv,
     hamiltonian,
     hamiltonian_density,
 )
@@ -192,26 +190,3 @@ def test_weighted_norm():
     u = LatticeField(0, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     w = WeightSpec(np.log(2.0))
     assert weighted_norm(u, w) == pytest.approx(np.sqrt(1.0 + 16.0))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_serialization_roundtrip(seed, tmp_path):
-    rng = np.random.default_rng(seed)
-    u = random_field(rng, length=int(rng.integers(1, 40)), offset=int(rng.integers(-50, 50)))
-    path = tmp_path / "f.csv"
-    field_to_csv(u, path)
-    assert path.read_text().startswith("n,r,p\n")
-    back = field_from_csv(path)
-    assert back.offset == u.offset
-    assert np.array_equal(back.r, u.r)
-    assert np.array_equal(back.p, u.p)
-
-
-def test_csv_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_bytes(b"notafield")
-    with pytest.raises(ValueError):
-        field_from_csv(path)
-    path.write_text("n,r,p\n3,0.5,0\n5,0.25,0\n")
-    with pytest.raises(ValueError, match="not consecutive"):
-        field_from_csv(path)
