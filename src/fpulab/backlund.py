@@ -18,9 +18,10 @@ even when the window spans hundreds of decay lengths.  The integral maps
 use trapezoid quadrature on the working grid plus the leading endpoint
 correction, which restores fourth-order accuracy without leaving the
 grid; each trapezoid sweep is one banded (bidiagonal) triangular solve.
-The ladder's conventions (level phases, tau quotient, grid resolution,
-pairing, weighted norm and the parameter modes, exact softmax moments of
-one ladder) come from the soliton module.
+The ladder's conventions (level phases and their range, tau quotient,
+grid resolution, pairing, weighted norm and the parameter modes, exact
+softmax moments of one ladder) and the condition check of the secular
+Gram matrix come from the soliton module.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from scipy import fft
 from scipy.linalg.blas import dtbsv
 
 from .kdv import (
-    GRAM_COND_LIMIT,
     GridField,
     LadderPhases,
     SolitonFamily,
     TauLadder,
     _check_grid,
+    _check_level,
+    _checked_gram,
     exp_weighted_norm,
     log_psi,
     phase_ladder,
@@ -70,10 +72,25 @@ def _level_modes(ladder, m, t, x):
     return ladder.tau(m).parameter_gradients(t, x, solitons=[m - 1])
 
 
-def _overlap(values, mode, dx, scale):
-    """Relative pairing |<values, mode>| / (scale ||mode||)."""
-    return (abs(simpson_pairing(values, mode, dx))
-            / (scale * np.sqrt(simpson_pairing(mode, mode, dx))))
+def _overlaps(values, rows, dx, reference):
+    """Relative pairings |<values, row>| / (||reference|| ||row||) with
+    each row; a reference of norm zero counts as norm 1."""
+    scale = np.sqrt(simpson_pairing(reference, reference, dx)) or 1.0
+    return [abs(simpson_pairing(values, row, dx))
+            / (scale * np.sqrt(simpson_pairing(row, row, dx))) for row in rows]
+
+
+def _check_weight(a, family):
+    """Raise ValueError unless the weight exponent a leaves room under the
+    slowest soliton: 0 < a < 2 k_1."""
+    if not 0.0 < a < 2.0 * family.k[0]:
+        raise ValueError("weight exponent must lie in (0, 2 k_1)")
+
+
+def _check_finite(values, t):
+    """Raise RuntimeError when a flow's field at time t is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError(f"evolution diverged (NaN) at t={t:.6g}")
 
 
 def _trapezoid_sweep(out, u, lp, dx, indices, power, sign):
@@ -121,8 +138,7 @@ def backlund_residual(ladder: LadderPhases, m, t, x) -> float:
     check on a ladder.  Derivatives come from the minor expansion (exact
     in x), so the residual reflects the phases alone, not differencing.
     """
-    if not 1 <= m <= ladder.family.n:
-        raise ValueError("level must lie in 1..N")
+    _check_level(ladder, m)
     x = _check_grid(ladder.family.k, x)
     km = float(ladder.family.k[m - 1])
     dsum = (ladder.tau(m).second_derivative(t, x)
@@ -167,9 +183,8 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
              / simpson_pairing(mode, speed, dx))
     out = raw + alpha * mode
 
-    scale = np.sqrt(simpson_pairing(out, out, dx)) or 1.0
-    for label, fld in (("shift", shift), ("speed", speed)):
-        rel = _overlap(out, fld, dx, scale)
+    for label, rel in zip(("shift", "speed"),
+                          _overlaps(out, (shift, speed), dx, out)):
         if rel > ORTHOGONALITY_TOL:
             raise RuntimeError(
                 f"{label}-mode orthogonality residual {rel:.3e} exceeds "
@@ -230,10 +245,7 @@ def _secular_coeffs(values, xi, eta, dx):
     eta match those of values."""
     gram = np.array([[simpson_pairing(g, e, dx) for g in xi] for e in eta])
     rhs = np.array([simpson_pairing(values, e, dx) for e in eta])
-    condition = np.linalg.cond(gram)
-    if condition > GRAM_COND_LIMIT:
-        raise ValueError(f"secular Gram matrix is ill-conditioned (condition "
-                         f"number {condition:.3e} exceeds {GRAM_COND_LIMIT:.0e}); "
+    gram = _checked_gram(gram, "secular Gram matrix is ill-conditioned ({}); "
                          "the parameter modes are numerically degenerate")
     return np.linalg.solve(gram, rhs) @ xi
 
@@ -247,15 +259,12 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
     The weight exponent a fixes the decay class and must leave room under
     the slowest soliton.
     """
-    if not 0.0 < a < 2.0 * family.k[0]:
-        raise ValueError("weight exponent must lie in (0, 2 k_1)")
+    _check_weight(a, family)
     xi, eta = secular_basis(family, t, v.x)
     ranged = _secular_coeffs(np.asarray(v.values, float), xi, eta, v.dx)
     pv = GridField(v.x0, v.dx, ranged)
     qv = GridField(v.x0, v.dx, v.values - ranged)
-    scale = np.sqrt(simpson_pairing(v.values, v.values, v.dx)) or 1.0
-    for row in eta:
-        rel = _overlap(qv.values, row, v.dx, scale)
+    for rel in _overlaps(qv.values, eta, v.dx, v.values):
         if rel > SECULAR_RESIDUAL_TOL:
             raise RuntimeError(
                 f"secular condition residual {rel:.3e} exceeds "
@@ -405,8 +414,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     ALIAS_TOL of its energy near the dealiasing cutoff raises
     RuntimeError.
     """
-    if family is not None and not 0.0 < a < 2.0 * family.k[0]:
-        raise ValueError("weight exponent must lie in (0, 2 k_1)")
+    if family is not None:
+        _check_weight(a, family)
     x = v0.x
     dx = v0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
@@ -441,14 +450,9 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
     def basis_at(tau):
         return secular_basis(family, tau, x + frame_speed * (tau - t0))
 
-    def overlap(vals, eta):
-        scale = np.sqrt(simpson_pairing(vals, vals, dx)) or 1.0
-        return max(_overlap(vals, row, dx, scale) for row in eta)
-
     def record(tau, vhat, projected=None):
         vals = fft.irfft(vhat, n=flow.n)
-        if not np.all(np.isfinite(vals)):
-            raise RuntimeError(f"evolution diverged (NaN) at t={tau:.6g}")
+        _check_finite(vals, tau)
         frac = _alias_fraction(vhat, flow.xi)
         if frac > ALIAS_TOL:
             raise RuntimeError(
@@ -462,7 +466,8 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         if family is None:
             resid.append(np.nan)
         else:
-            resid.append(overlap(*(projected or (vals, basis_at(tau)[1]))))
+            fld, eta = projected or (vals, basis_at(tau)[1])
+            resid.append(max(_overlaps(fld, eta, dx, fld)))
         return vals
 
     record(t0, vhat)
@@ -512,13 +517,11 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
     vhat = fft.rfft(np.asarray(w0.values, dtype=float))
     for step in range(nsteps):
         vhat = flow.step(vhat, step, term)
-        if step % 50 == 0 and not np.all(np.isfinite(vhat)):
+        if step % 50 == 0:
             # step advanced the field to t0 + (step + 1) dt
-            raise RuntimeError("evolution diverged (NaN) at "
-                               f"t={t0 + (step + 1) * dt:.6g}")
+            _check_finite(vhat, t0 + (step + 1) * dt)
     vals = fft.irfft(vhat, n=flow.n)
-    if not np.all(np.isfinite(vals)):
-        raise RuntimeError(f"evolution diverged (NaN) at t={t0 + nsteps * dt:.6g}")
+    _check_finite(vals, t0 + nsteps * dt)
     return GridField(w0.x0, dx, vals)
 
 
@@ -562,8 +565,7 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
     violation beyond LADDER_ORTHOGONALITY_TOL flags numerical drift).
     Per-level norms are recorded in the exp(-a x) class.
     """
-    if not 0.0 < a < 2.0 * family.k[0]:
-        raise ValueError("weight exponent must lie in (0, 2 k_1)")
+    _check_weight(a, family)
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
     ladder = phase_ladder(family)
@@ -576,16 +578,14 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
         # every level's modes before the maps evaluate it (_level_modes)
         modes = {m: _level_modes(ladder, m, t, x) for m in range(family.n, 0, -1)}
         for m in range(family.n, 0, -1):
-            scale = np.sqrt(simpson_pairing(cur.values, cur.values, dx))
-            if scale > 0.0:
-                for label, mode in zip(("shift", "speed"), modes[m]):
-                    rel = _overlap(cur.values, mode, dx, scale)
-                    if rel > LADDER_ORTHOGONALITY_TOL:
-                        raise ValueError(
-                            f"level-{m} {label}-mode orthogonality violated "
-                            f"({rel:.3e} exceeds {LADDER_ORTHOGONALITY_TOL:.0e}); "
-                            "the field left the admissible class"
-                        )
+            for label, rel in zip(("shift", "speed"),
+                                  _overlaps(cur.values, modes[m], dx, cur.values)):
+                if rel > LADDER_ORTHOGONALITY_TOL:
+                    raise ValueError(
+                        f"level-{m} {label}-mode orthogonality violated "
+                        f"({rel:.3e} exceeds {LADDER_ORTHOGONALITY_TOL:.0e}); "
+                        "the field left the admissible class"
+                    )
             cur = linearized_inverse(cur, ladder, m, t)
             norms[m - 1] = exp_weighted_norm(cur.values, x, dx, -a)
     else:

@@ -3,9 +3,10 @@
 The spectral pieces live on the shifted contour: multiplying a field by
 e^{a n} before the transform evaluates its Fourier series at xi + ia,
 so every decay statement becomes a plain supremum or margin on a real
-xi-grid.  Reports are small dataclasses whose as_dict() is what
-artifacts.write_json takes; this module writes no files (series go
-through artifacts.write_series, plots through artifacts.svg_series_plot).
+xi-grid.  Reports are small dataclasses; VirialReport's as_dict() is
+the mapping artifacts.write_json takes.  This module writes no files
+(series go through artifacts.write_series, plots through
+artifacts.svg_series_plot).
 """
 
 from dataclasses import dataclass, field
@@ -69,15 +70,6 @@ class DecayFit:
 
     def value_at(self, t):
         return np.exp(self.intercept + self.rate * np.asarray(t))
-
-    def as_dict(self):
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "t_start": self.t_start,
-            "samples": self.samples,
-        }
 
 
 def _log_linear_fit(t, values):
@@ -376,21 +368,6 @@ class DispersionReport:
     def holds(self):
         return all(v > 0.0 for v in self.margins.values())
 
-    def as_dict(self):
-        return {
-            "eps": self.eps,
-            "a": self.a,
-            "K": self.K,
-            "delta": self.delta,
-            "k1": self.k1,
-            "c1eps": self.c1eps,
-            "grid_points": int(self.eta.size),
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "cubic_error": self.cubic_error,
-            "cubic_scale": self.cubic_scale,
-            "holds": self.holds,
-        }
-
 
 def dispersion_check(eps, a, k1=1.0):
     """Evaluate the shifted-contour branch bounds on a 10001-point
@@ -492,18 +469,6 @@ class SymbolTailReport:
     def symbol_ratio(self):
         vals = list(self.symbol_sup.values())
         return max(vals) / min(vals)
-
-    def as_dict(self):
-        return {
-            "eps_values": list(self.eps_values),
-            "a": self.a,
-            "family": list(self.family),
-            "symbol_sup": {"%g" % k: v for k, v in self.symbol_sup.items()},
-            "symbol_ratio": self.symbol_ratio,
-            "tail_diff": {"%g" % k: v for k, v in self.tail_diff.items()},
-            "tail_slope": self.tail_slope,
-            "tail_r_squared": self.tail_r_squared,
-        }
 
 
 def symbol_and_tail_check(eps_values, a, family=(1.0,),

@@ -32,10 +32,13 @@ matrix do not have that property), and the ladder potential
 LadderPhases.potential adds the tail constant -sum_{i>m} k_i.
 
 The ladder conventions live here and nowhere else: the phase recursion
-(phase_ladder), the normalized tau quotient (log_psi), the parameter
+(phase_ladder), the level range 1..N of the maps between levels
+(_check_level), the normalized tau quotient (log_psi), the parameter
 gradients of a profile (TauLadder.parameter_gradients), the spectral
-derivative, the Simpson pairing of grid samples (simpson_pairing) and
-the exponentially weighted grid norm (exp_weighted_norm).
+derivative, the Simpson pairing of grid samples (simpson_pairing), the
+exponentially weighted grid norm (exp_weighted_norm) and the condition
+check of a Gram matrix of modes (_checked_gram), which the secular
+projection and the modulation frame share.
 
 Fourier transforms here and in the other modules go through scipy.fft,
 not numpy.fft: scipy's pocketfft keeps the plan of each transform length
@@ -45,6 +48,7 @@ same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +56,6 @@ from scipy import fft
 from scipy.integrate import cumulative_trapezoid, simpson
 
 MAX_SOLITONS = 8
-# Condition number above which a Gram matrix of modes (the secular
-# projection's, the modulation frame's) is singular to working precision.
-GRAM_COND_LIMIT = 1e12
 # Largest drift max|r_S| |tau - tau_a| of the subset exponents a frame
 # (TauLadder.frame_profile) takes from its anchor time tau_a before it
 # sweeps again: its moment weights then stay within e^{+-FRAME_REACH} of
@@ -115,6 +116,8 @@ class GridField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values))
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx)):
+            raise ValueError("x0 and dx must be finite")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
         if not np.all(np.isfinite(self.values)):
@@ -145,6 +148,23 @@ def exp_weighted_norm(values, x, dx, b):
     (Simpson): the L2 norm of e^{b x} v.  b > 0 weights growth to the
     right, b < 0 to the left."""
     return float(np.sqrt(simpson(np.exp(2.0 * b * x) * values**2, dx=dx)))
+
+
+# Condition number above which a Gram matrix of modes (the secular
+# projection's, the modulation frame's) is singular to working precision.
+GRAM_COND_LIMIT = 1e12
+
+
+def _checked_gram(gram, alarm):
+    """Return gram, or raise ValueError when its condition number (inf
+    when an entry is not finite) exceeds GRAM_COND_LIMIT; the message is
+    alarm, naming the matrix, with "condition number ... exceeds 1e+12"
+    in its field {}."""
+    condition = np.linalg.cond(gram) if np.all(np.isfinite(gram)) else np.inf
+    if condition > GRAM_COND_LIMIT:
+        raise ValueError(alarm.format(f"condition number {condition:.3e} "
+                                      f"exceeds {GRAM_COND_LIMIT:.0e}"))
+    return gram
 
 
 def _slab_sums(weights, low, high):
@@ -662,6 +682,8 @@ class LadderPhases:
         for m, g in enumerate(lv):
             if len(g) != m:
                 raise ValueError(f"level {m} must carry {m} phases")
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"level {m} phases must be finite")
         object.__setattr__(self, "_taus", {})
 
     def tau(self, m):
@@ -710,6 +732,13 @@ def phase_ladder(family: SolitonFamily) -> LadderPhases:
     return LadderPhases(family, tuple(levels))
 
 
+def _check_level(ladder: LadderPhases, m):
+    """Raise ValueError unless m names a level 1..N, one that adds a
+    soliton on top of the level below it."""
+    if not 1 <= m <= ladder.family.n:
+        raise ValueError("level must lie in 1..N")
+
+
 def log_psi(ladder: LadderPhases, m, t, x):
     """log of the normalized tau quotient e^{-theta_m} Delta_{m-1}/Delta_m.
 
@@ -717,8 +746,7 @@ def log_psi(ladder: LadderPhases, m, t, x):
     decays like sech of it in both tails; the log domain keeps it finite
     where psi itself underflows.
     """
-    if not 1 <= m <= ladder.family.n:
-        raise ValueError("m must lie in 1..n")
+    _check_level(ladder, m)
     km = float(ladder.family.k[m - 1])
     theta = km * (x - 4.0 * km**2 * t - ladder.anchor(m))
     low = ladder.tau(m - 1).log_delta(t, x)

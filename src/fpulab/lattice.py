@@ -18,6 +18,7 @@ prefix-sum inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -43,6 +44,11 @@ class WeightSpec:
     a: float
     center: float = 0.0
     kind: WeightKind = WeightKind.RIGHT_GROWING
+
+    def __post_init__(self):
+        # scalar checks: the diagnostics build one per wave and frame
+        if not (math.isfinite(self.a) and math.isfinite(self.center)):
+            raise ValueError("weight exponent and center must be finite")
 
 
 @dataclass

@@ -45,7 +45,7 @@ from scipy.interpolate import PPoly
 
 from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
-from .kdv import GRAM_COND_LIMIT
+from .kdv import _checked_gram
 from .lattice import (
     LatticeField,
     WeightKind,
@@ -311,14 +311,24 @@ class _Hull:
         return LatticeField(f.offset, r, p)
 
 
-def _checked_gram(cond, dirs):
-    gram = cond @ dirs.T
-    condition = np.linalg.cond(gram) if np.all(np.isfinite(gram)) else np.inf
-    if condition > GRAM_COND_LIMIT:
-        raise ValueError("wave-direction pairing matrix is singular to working "
-                         f"precision: condition number {condition:.3e} exceeds "
-                         f"{GRAM_COND_LIMIT:.0e}")
-    return gram
+def _pairing_gram(cond, dirs):
+    """The scaled pairing matrix C D^T of the wave directions (see the
+    module docstring), checked for singularity (kdv._checked_gram)."""
+    return _checked_gram(cond @ dirs.T, "wave-direction pairing matrix is "
+                         "singular to working precision: {}")
+
+
+def _check_train(c, x):
+    """Raise ValueError unless the speeds c and crest positions x describe
+    a train: equal-length 1-d vectors of at least one wave, every speed
+    supersonic (c > 1), positions increasing left to right."""
+    if c.shape != x.shape or c.ndim != 1 or c.size == 0:
+        raise ValueError("c and x must be equal-length 1-d vectors of at "
+                         "least one wave")
+    if np.any(c <= 1.0):
+        raise ValueError("every wave speed must exceed 1")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError("wave positions must increase left to right")
 
 
 @dataclass
@@ -340,12 +350,7 @@ class ModulationState:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
-        if self.c.shape != self.x.shape or self.c.ndim != 1:
-            raise ValueError("c and x must be 1-d vectors of equal length")
-        if np.any(self.c <= 1.0):
-            raise ValueError("every wave speed must exceed 1")
-        if np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("wave positions must increase")
+        _check_train(self.c, self.x)
 
     @property
     def n(self):
@@ -383,15 +388,7 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
     c_guess, x_guess = guess
     c = np.array(c_guess, dtype=float)
     x = np.array(x_guess, dtype=float)
-    if c.shape != x.shape or c.ndim != 1 or c.size == 0:
-        raise ValueError("guess must be two equal-length parameter vectors")
-    if np.any(c <= 1.0):
-        raise ValueError("every wave speed must exceed 1")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("wave positions must increase left to right")
-    if np.any(np.diff(x) < COLLISION_GAP):
-        raise RuntimeError("wave collision: crest gap fell below "
-                           "%g sites" % COLLISION_GAP)
+    _check_train(c, x)
     if table is None:
         table = ProfileTable(model)
     eps = _default_eps(c)
@@ -400,6 +397,10 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
     # right of the hull the rest v is u itself
     suffix = _suffix_sums(u)
     for it in range(max_iter + 1):
+        # the guess, then each Newton step's positions
+        if np.any(np.diff(x) < COLLISION_GAP):
+            raise RuntimeError("wave collision: crest gap fell below "
+                               "%g sites" % COLLISION_GAP)
         hull = _Hull([table.modes(ci, xi) for ci, xi in zip(c, x)],
                      offset, length, eps)
         rest = hull.cut(u) - sum(_flat(wave) for wave, _, _ in hull.sampled)
@@ -420,15 +421,12 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
                 "orthogonality residual %.3e not below %.3e after %d "
                 "iterations" % (worst, tol, max_iter)
             )
-        delta = np.linalg.solve(_checked_gram(hull.cond, hull.dirs), -misfit)
+        delta = np.linalg.solve(_pairing_gram(hull.cond, hull.dirs), -misfit)
         c = c - eps**3 * delta[0::2]
         x = x + delta[1::2]
         if np.any(c <= 1.0) or not np.all(np.isfinite(c)):
             raise RuntimeError("iteration left the supersonic speed range; "
                                "the guess is outside the attraction basin")
-        if np.any(np.diff(x) < COLLISION_GAP):
-            raise RuntimeError("wave collision: crest gap fell below "
-                               "%g sites" % COLLISION_GAP)
     raise AssertionError("unreachable")
 
 
@@ -455,7 +453,7 @@ def mode_projection(w, modes):
     eps = _default_eps(np.array([m.c for m in modes]))
     hull = _Hull(modes, w.offset, len(w), eps)
     flat = hull.cut(w)
-    delta = np.linalg.solve(_checked_gram(hull.cond, hull.dirs),
+    delta = np.linalg.solve(_pairing_gram(hull.cond, hull.dirs),
                             hull.misfit(flat, _suffix_sums(w)))
     # the directions vanish off the hull, so w is unchanged there
     return (hull.paste(w, flat - hull.dirs.T @ delta),

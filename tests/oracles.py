@@ -123,7 +123,7 @@ def secular_gram(sampled, eps):
 
     Raises ValueError when the matrix is singular to working precision.
     """
-    return modulation._checked_gram(*modulation._conditions(sampled, eps))
+    return modulation._pairing_gram(*modulation._conditions(sampled, eps))
 
 
 def scaled_misfit(v, sampled, eps):

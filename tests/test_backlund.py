@@ -96,6 +96,9 @@ class TestLadderPhases:
         with pytest.raises(ValueError):
             LadderPhases(TRAIN, (np.array([]), np.array([0.0, 1.0]),
                                  np.array([0.0, 0.0])))
+        for levels in (([], [np.nan], [0.0, 0.0]), ([], [0.0], [0.0, -np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                LadderPhases(TRAIN, levels)
 
 
 class TestResidual:
@@ -225,6 +228,22 @@ class TestForward:
             pairing = abs(simpson(out.values * mode, dx=dx))
             pairing /= norm * np.sqrt(simpson(mode**2, dx=dx))
             assert pairing < 1e-8
+
+    def test_orthogonality_alarm_names_its_threshold(self, monkeypatch):
+        # the homogeneous solve leaves a shift-mode residual of about
+        # 7e-10 here, so a zero threshold fires the alarm on the real path
+        monkeypatch.setattr(backlund, "ORTHOGONALITY_TOL", 0.0)
+        lad = phase_ladder(SolitonFamily([1.0, 2.0], [0.0, 0.0]))
+        t, dx = 0.3, 0.01
+        xc = lad.crest(1, t)
+        x = xc + dx * np.arange(round(-22 / dx), round(22 / dx))
+        with pytest.raises(RuntimeError, match="shift-mode orthogonality") as alarm:
+            linearized_forward(field(x, np.exp(-0.5 * (x - xc - 1.0)**2)),
+                               lad, 1, t)
+        found = re.search(r"residual (\S+) exceeds (\S+) after",
+                          str(alarm.value))
+        assert float(found.group(1)) > 0.0
+        assert found.group(2) == f"{backlund.ORTHOGONALITY_TOL:.0e}"
 
     def test_crest_must_be_an_interior_grid_point(self):
         lad = phase_ladder(SolitonFamily([1.0], [0.4]))
@@ -363,6 +382,19 @@ class TestSecularProjection:
         for a in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 secular_projection(g, TRAIN, 0.5, a)
+
+    def test_residual_alarm_names_its_threshold(self, monkeypatch):
+        # Q v keeps secular overlaps of about 1e-16 of |v|, so a zero
+        # threshold fires the alarm on the real path
+        monkeypatch.setattr(backlund, "SECULAR_RESIDUAL_TOL", 0.0)
+        x = uniform_grid(-45.0, 32.0, 0.02)
+        g = field(x, np.exp(-0.5 * (x - 1.5)**2))
+        with pytest.raises(RuntimeError, match="secular condition") as alarm:
+            secular_projection(g, TRAIN, 0.5, 0.4)
+        found = re.search(r"residual (\S+) exceeds (\S+) after projection$",
+                          str(alarm.value))
+        assert float(found.group(1)) > 0.0
+        assert found.group(2) == f"{backlund.SECULAR_RESIDUAL_TOL:.0e}"
 
     def test_singular_gram_rejected(self):
         x = uniform_grid(-5.0, 5.0, 0.1)
@@ -576,6 +608,9 @@ class TestEvolution:
         g = field(x, np.exp(-x**2))
         with pytest.raises(ValueError):
             linearized_kdv_evolve(g, TRAIN, 0.0, 0.5, 1.5, 1e-3)
+        # NaN fails 0 < a < 2 k_1 like any exponent outside the range
+        with pytest.raises(ValueError, match=r"weight exponent must lie in \(0, 2 k_1\)"):
+            linearized_kdv_evolve(g, TRAIN, 0.0, 0.5, np.nan, 1e-3)
         with pytest.raises(ValueError):
             linearized_kdv_evolve(g, None, 1.0, 1.0, 0.4, 1e-3)
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Every name a module of the package or of the tests imports is used,
 every private module-level name of the package is read, no package
 module reads a private attribute of another object, and the package has
-one log-sum-exp and one sech^2 and takes its Fourier transforms from
-scipy.fft.  mpmath is a test dependency only: no package module imports
-it, and the package imports where it cannot be found.
+one log-sum-exp, one sech^2 and one copy each of the Gram-condition,
+relative-overlap, divergence, weight-exponent and wave-collision checks,
+and takes its Fourier transforms from scipy.fft.  mpmath is a test
+dependency only: no package module imports it, and the package imports
+where it cannot be found.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
@@ -143,6 +145,47 @@ def test_one_sech2():
         found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
                   if _squares_or_divides_by_cosh(node)]
     assert found == []
+
+
+def _calls(node, name):
+    """node is a call of a function or method named `name`."""
+    return isinstance(node, ast.Call) and name == (
+        node.func.attr if isinstance(node.func, ast.Attribute)
+        else getattr(node.func, "id", None))
+
+
+def _is_np_linalg_cond(node):
+    return (_calls(node, "cond") and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) == "np.linalg")
+
+
+def _is_norm_or_one(node):
+    """`np.sqrt(...) or 1.0`: the norm of a relative overlap's field."""
+    return (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+            and _calls(node.values[0], "sqrt"))
+
+
+GUARDED_PHRASES = ("evolution diverged", "wave collision",
+                   "weight exponent must lie")
+
+
+def test_one_copy_of_each_check():
+    # kdv._checked_gram is the one Gram-condition check, backlund._overlaps
+    # the one relative overlap, backlund._check_finite the one divergence
+    # alarm, backlund._check_weight the one weight-exponent check and
+    # modulation's decompose raises its collision alarm from one place
+    found = Counter()
+    for path in sorted(SOURCES[0].glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            found["np.linalg.cond"] += _is_np_linalg_cond(node)
+            found["_overlap"] += _calls(node, "_overlap")
+            found["np.sqrt(...) or 1"] += _is_norm_or_one(node)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(p for p in GUARDED_PHRASES if p in node.value)
+    assert found["np.linalg.cond"] == 1
+    assert found["_overlap"] <= 1
+    assert found["np.sqrt(...) or 1"] == 1
+    assert {p: found[p] for p in GUARDED_PHRASES} == dict.fromkeys(GUARDED_PHRASES, 1)
 
 
 def _names_numpy_fft(node):

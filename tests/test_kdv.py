@@ -179,6 +179,13 @@ def test_tau_level_bounds():
     for m in (-1, 2):
         with pytest.raises(ValueError, match="0..N"):
             phase_ladder(fam).tau(m)
+    # the maps between levels take m in 1..N
+    x = np.linspace(-10.0, 10.0, 201)
+    for m in (0, 2):
+        with pytest.raises(ValueError, match=r"level must lie in 1\.\.N"):
+            backlund_residual(phase_ladder(fam), m, 0.0, x)
+        with pytest.raises(ValueError, match=r"level must lie in 1\.\.N"):
+            log_psi(phase_ladder(fam), m, 0.0, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -846,3 +853,7 @@ def test_grid_field_validation():
         GridField(0.0, -0.1, np.zeros(4))
     with pytest.raises(ValueError):
         GridField(0.0, 0.1, np.array([1.0, np.nan]))
+    # a NaN dx passes the dx <= 0 check: every comparison with it is false
+    for x0, dx in ((0.0, np.nan), (np.inf, 0.1), (-np.inf, 0.1), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GridField(x0, dx, np.zeros(4))

@@ -131,6 +131,13 @@ def test_weight_values():
                 assert got == pytest.approx(want(n - 2.0), rel=1e-14)
 
 
+def test_weight_spec_must_be_finite():
+    # NaN fails every comparison, so nothing downstream would catch it
+    for a, center in ((np.nan, 0.0), (np.inf, 0.0), (0.3, np.nan), (0.3, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec(a, center)
+
+
 def test_j_forward_matches_shifts():
     rng = np.random.default_rng(3)
     v = random_field(rng)

@@ -732,7 +732,7 @@ class TestHull:
         # the Gram matrix decompose and mode_projection solve with;
         # measured 2.7e-16 of the largest entry
         gram = secular_gram(full, eps)
-        err = np.abs(modulation._checked_gram(hull.cond, hull.dirs) - gram)
+        err = np.abs(modulation._pairing_gram(hull.cond, hull.dirs) - gram)
         assert np.max(err) <= 1e-13 * np.max(np.abs(gram))
         if name == "toda":
             assert (hull.start, hull.stop) == (0, length)
