@@ -82,10 +82,10 @@ def svg_series_plot(path, times, values, fit=None, title="", log_scale=False):
         raise ValueError("need two or more samples to plot")
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("times must increase")
-    width, height, margin = 640, 400, 50
-    y = np.log10(values) if log_scale else values
     if log_scale and not np.all(values > 0.0):
         raise ValueError("log-scale plots need positive values")
+    width, height, margin = 640, 400, 50
+    y = np.log10(values) if log_scale else values
     y_min, y_max = float(np.min(y)), float(np.max(y))
     if y_max == y_min:
         y_max = y_min + 1.0

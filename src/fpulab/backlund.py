@@ -7,9 +7,10 @@ linear problem, and linearizing the pair yields integral maps that carry
 perturbations of one level to perturbations of the next.  This module
 implements those maps in both directions, the secular projections that
 remove parameter drift from the linearized flow, the pseudospectral
-linearized evolution itself, and the conjugation that walks a
-perturbation of the full N-soliton down the ladder to the free
-dispersive flow.
+linearized evolution itself (the dispersion exact per Fourier mode, the
+dealiased potential term through the integrating-factor RK4 step of the
+integrators module), and the conjugation that walks a perturbation of
+the full N-soliton down the ladder to the free dispersive flow.
 
 Every kernel is a quotient of tau functions with huge dynamic range, so
 all of them are assembled in the log domain and applied through one-step
@@ -46,6 +47,7 @@ from .kdv import (
     secular_basis,
     simpson_pairing,
 )
+from .integrators import _rk4_stepper
 
 MISMATCH_TOL = 1e-5
 # Largest energy fraction near and above the dealiasing cutoff
@@ -294,10 +296,6 @@ class Trajectory:
     alias_peak: float
 
 
-def _dealias_mask(xi):
-    return (np.abs(xi) <= (2.0 / 3.0) * np.abs(xi).max()).astype(float)
-
-
 def _alias_fraction(vhat, xi):
     """Energy fraction at and beyond 90% of the dealiasing cutoff.
 
@@ -312,54 +310,16 @@ def _alias_fraction(vhat, xi):
     return float(np.sum(np.abs(vhat[band]) ** 2)) / total
 
 
-class _SpectralFlow:
-    """Integrating-factor RK4 stepper for d/dt v = -d^3x v + c dx v + N(t, v).
-
-    The cubic-dispersion factor is applied exactly per mode; only the
-    potential term N(t, v) = term(potential(t), v) goes through the RK4
-    stages, with 2/3-rule dealiasing on every product.  Step s runs from
-    t0 + s dt to t0 + (s + 1) dt, and every stage time comes from that one
-    sequence, so a step's k4 time is the next step's k1 time bit for bit.
-    The potential depends on t alone, so it is evaluated once per distinct
-    stage time: k2 and k3 share the midpoint, and the last value is kept
-    for the next step's k1.  The step size is fixed, so the flow holds its
-    dispersion factors exp(sym dt/2) and exp(sym dt) (and the square of the
-    first, which the RK4 step uses) from construction on.  Instances are
-    single-use per call site.
-    """
-
-    def __init__(self, n, dx, frame_speed, potential, t0, dt):
-        self.xi = 2.0 * np.pi * fft.rfftfreq(n, d=dx)
-        sym = 1j * (self.xi**3 + frame_speed * self.xi)
-        self.mask = _dealias_mask(self.xi)
-        self.n = n
-        self.t0 = t0
-        self.dt = dt
-        self._half = np.exp(sym * (dt / 2.0))
-        self._full = self._half * self._half
-        self._drift = np.exp(sym * dt)
-        self._potential = potential
-        self._last = (None, None)
-
-    def potential(self, t):
-        if t != self._last[0]:
-            self._last = (t, self._potential(t))
-        return self._last[1]
-
-    def step(self, vhat, s, term):
-        dt = self.dt
-        half, full = self._half, self._full
-        k1 = term(self.potential(self.t0 + s * dt), vhat)
-        mid = self.potential(self.t0 + (s + 0.5) * dt)
-        k2 = term(mid, half * (vhat + dt / 2.0 * k1))
-        k3 = term(mid, half * vhat + dt / 2.0 * k2)
-        k4 = term(self.potential(self.t0 + (s + 1) * dt),
-                  full * vhat + dt * half * k3)
-        return (full * vhat
-                + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4))
-
-    def drift(self, vhat):
-        return self._drift * vhat
+def _spectral_factors(n, dx, frame_speed, dt):
+    """Wave numbers xi of n points, the 2/3-rule dealiasing mask, and the
+    exact factors of d/dt v = -d^3x v + c dx v, symbol sym = i (xi^3 + c
+    xi): e^{sym dt/2} and its square, the half and full factors of the RK4
+    step (_rk4_stepper), and e^{sym dt}, the free flow's step."""
+    xi = 2.0 * np.pi * fft.rfftfreq(n, d=dx)
+    sym = 1j * (xi**3 + frame_speed * xi)
+    mask = (np.abs(xi) <= (2.0 / 3.0) * np.abs(xi).max()).astype(float)
+    half = np.exp(sym * (dt / 2.0))
+    return xi, mask, half, half * half, np.exp(sym * dt)
 
 
 def _plan_steps(t0, t1, dt):
@@ -433,16 +393,21 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         if not (lo < hi and sel.stop - sel.start >= 3):
             raise ValueError(f"measure_span [{lo:g}, {hi:g}] must have lo < hi "
                              f"and hold at least 3 points of {_window(x)}")
-    profile = None if family is None else TauLadder(family, family.n)
-    flow = _SpectralFlow(
-        len(x), dx, frame_speed,
-        None if profile is None else profile.frame_profile(x, frame_speed, t0),
-        t0, dt)
-    coupling = -12j * flow.xi * flow.mask
+    n = len(x)
+    xi, mask, half, full, drift = _spectral_factors(n, dx, frame_speed, dt)
+    coupling = -12j * xi * mask
 
     def term(phi, vhat):
-        vals = fft.irfft(vhat * flow.mask, n=flow.n)
+        vals = fft.irfft(vhat * mask, n=n)
         return coupling * fft.rfft(phi * vals)
+
+    if family is None:
+        def advance(vhat, s):
+            return drift * vhat
+    else:
+        advance = _rk4_stepper(
+            t0, dt, TauLadder(family, family.n).frame_profile(x, frame_speed, t0),
+            term, half, full)
 
     vhat = fft.rfft(np.asarray(v0.values, dtype=float))
     times, norms, resid, alias = [], [], [], []
@@ -451,9 +416,9 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         return secular_basis(family, tau, x + frame_speed * (tau - t0))
 
     def record(tau, vhat, projected=None):
-        vals = fft.irfft(vhat, n=flow.n)
+        vals = fft.irfft(vhat, n=n)
         _check_finite(vals, tau)
-        frac = _alias_fraction(vhat, flow.xi)
+        frac = _alias_fraction(vhat, xi)
         if frac > ALIAS_TOL:
             raise RuntimeError(
                 f"aliasing alarm at t={tau:.6g}: {frac:.2e} of the energy sits "
@@ -472,19 +437,16 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
 
     record(t0, vhat)
     for step in range(1, nsteps + 1):
-        if family is None:
-            vhat = flow.drift(vhat)
-        else:
-            vhat = flow.step(vhat, step - 1, term)
+        vhat = advance(vhat, step - 1)
         if damp is not None:
-            vhat = fft.rfft(damp * fft.irfft(vhat, n=flow.n))
+            vhat = fft.rfft(damp * fft.irfft(vhat, n=n))
         projected = None  # (field before the projection, basis rows)
         if family is not None and reproject_every \
                 and step % reproject_every == 0:
-            vals = fft.irfft(vhat, n=flow.n)
-            xi, eta = basis_at(t0 + step * dt)
-            projected = (vals, eta)
-            vhat = fft.rfft(vals - _secular_coeffs(vals, xi, eta, dx))
+            vals = fft.irfft(vhat, n=n)
+            basis = basis_at(t0 + step * dt)  # rows xi, eta
+            projected = (vals, basis[1])
+            vhat = fft.rfft(vals - _secular_coeffs(vals, *basis, dx))
         if step % record_every == 0 or step == nsteps:
             vals = record(t0 + step * dt, vhat, projected)
     final = GridField(v0.x0, dx, vals)
@@ -505,22 +467,24 @@ def ladder_level_evolve(w0: GridField, ladder: LadderPhases, m, t0, t1,
     dx = w0.dx
     nsteps, dt = _plan_steps(t0, t1, dt)
     _check_grid(ladder.family.k[:m], x)
-    slope_at = ladder.tau(m).frame_profile(x, 0.0, t0)
-    flow = _SpectralFlow(len(x), dx, 0.0, slope_at, t0, dt)
-    derivative = 1j * flow.xi * flow.mask
-    coupling = -12.0 * flow.mask
+    n = len(x)
+    xi, mask, half, full, _ = _spectral_factors(n, dx, 0.0, dt)
+    derivative = 1j * xi * mask
+    coupling = -12.0 * mask
 
     def term(slope, vhat):
-        dxw = fft.irfft(derivative * vhat, n=flow.n)
+        dxw = fft.irfft(derivative * vhat, n=n)
         return coupling * fft.rfft(slope * dxw)
 
+    advance = _rk4_stepper(t0, dt, ladder.tau(m).frame_profile(x, 0.0, t0),
+                           term, half, full)
     vhat = fft.rfft(np.asarray(w0.values, dtype=float))
     for step in range(nsteps):
-        vhat = flow.step(vhat, step, term)
+        vhat = advance(vhat, step)
         if step % 50 == 0:
             # step advanced the field to t0 + (step + 1) dt
             _check_finite(vhat, t0 + (step + 1) * dt)
-    vals = fft.irfft(vhat, n=flow.n)
+    vals = fft.irfft(vhat, n=n)
     _check_finite(vals, t0 + nsteps * dt)
     return GridField(w0.x0, dx, vals)
 

@@ -258,8 +258,6 @@ class BandSplit:
     f2p: np.ndarray
     f3p: np.ndarray
     fm: np.ndarray
-    eps: float
-    k1: float
     c1eps: float
     t: float
     offset: int
@@ -325,8 +323,6 @@ def band_split(w, eps, k1=1.0, t=0.0):
         f2p=(wide - low) * fplus,
         f3p=(1.0 - wide) * fplus,
         fm=fminus,
-        eps=eps,
-        k1=k1,
         c1eps=c1eps,
         t=t,
         offset=w.offset,
@@ -353,11 +349,8 @@ def lambda_branches(xi, c1eps):
 
 @dataclass
 class DispersionReport:
-    eps: float
-    a: float
     K: float
     delta: float
-    k1: float
     c1eps: float
     eta: np.ndarray
     margins: dict
@@ -414,7 +407,7 @@ def dispersion_check(eps, a, k1=1.0):
     err = np.abs(lam_p[core] - cubic)
     bracket = (1.0 + eta[core] ** 2) ** 2.5
     return DispersionReport(
-        eps=eps, a=a, K=K, delta=delta, k1=k1, c1eps=c1eps, eta=eta,
+        K=K, delta=delta, c1eps=c1eps, eta=eta,
         margins=margins,
         cubic_error=float(np.max(err)),
         cubic_scale=float(np.max(err / (eps**5 * bracket))),
@@ -457,18 +450,10 @@ def transform_tail(family, eps, xi):
 
 @dataclass
 class SymbolTailReport:
-    eps_values: tuple
-    a: float
-    family: tuple
     symbol_sup: dict
     tail_diff: dict
     tail_slope: float
     tail_r_squared: float
-
-    @property
-    def symbol_ratio(self):
-        vals = list(self.symbol_sup.values())
-        return max(vals) / min(vals)
 
 
 def symbol_and_tail_check(eps_values, a, family=(1.0,),
@@ -507,11 +492,8 @@ def symbol_and_tail_check(eps_values, a, family=(1.0,),
         tail[eps] = float(np.max(np.abs(disc - cont)))
     slope, _, r2 = _log_linear_fit(np.array([1.0 / e for e in tail_eps]),
                                    [tail[e] for e in tail_eps])
-    return SymbolTailReport(
-        eps_values=eps_values, a=a, family=tuple(family),
-        symbol_sup=sym, tail_diff=tail,
-        tail_slope=slope, tail_r_squared=r2,
-    )
+    return SymbolTailReport(symbol_sup=sym, tail_diff=tail,
+                            tail_slope=slope, tail_r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +517,8 @@ def stability_metrics(track, split, eps):
     tracked split standing in for the per-wave cascade pieces; all
     entries are proxies in that sense and marked as such.
 
-    split is None (M1 only) or the split of `track`; its bound part v2 is
-    the residuals of `track.states`, whose M2 and M4 norms are read from
+    split is the split of `track`; its bound part v2 is the residuals of
+    `track.states`, whose M2 and M4 norms are read from
     `track.series["v_l2"]` and `track.series["v_w"]`.
     """
     times = track.times
@@ -547,8 +529,6 @@ def stability_metrics(track, split, eps):
     xdot_gap = np.abs(track.xdot - track.speeds)
     m1 = float(np.max(np.sum(dev + xdot_gap, axis=1))) / eps**2
     out = {"M1": m1, "proxy": True}
-    if split is None:
-        return out
     if split.track is not track:
         raise ValueError("split must carry the track it is measured with")
     v1_w = [_w_norm(f, s) for f, s in zip(split.free, states)]

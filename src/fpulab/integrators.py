@@ -14,7 +14,10 @@ returns, and each float operation keeps the order of the textbook
 kick-drift-kick step: a row stepped with others is bit-identical to the
 same field stepped alone.  Linear nonautonomous equations
 dw/dt = J H''(U(t)) w + F1(t) use RK4 with the background supplied
-either as a closed form or as a sampled trajectory.
+either as a closed form or as a sampled trajectory.  Their step,
+_rk4_stepper, is an integrating-factor RK4 step with unit factors; the
+two pseudospectral KdV flows of the backlund module take the same step
+with their dispersion factors.
 
 Windows use zero extension.  A run records the frames at t = 0, every
 `stride` steps and t_end (`Trajectory.final`), and a boundary alarm aborts
@@ -213,47 +216,70 @@ def evolve_nonlinear(u0, model, cfg):
     return trajs[0] if isinstance(u0, LatticeField) else tuple(trajs)
 
 
+def _rk4_stepper(t0, dt, coefficient, term, half, full):
+    """The integrating-factor RK4 step of dv/dt = L v + term(coefficient(t), v).
+
+    half = e^{L dt/2} and full = e^{L dt} are the exact factors of the
+    linear part, arrays or scalars (1.0 and 1.0 make the step classical
+    RK4).  Returns step(v, s), which returns v advanced from t0 + s dt to
+    t0 + (s + 1) dt.  Every stage time comes from that one sequence, so a
+    step's k4 time is the next step's k1 time bit for bit, and coefficient
+    is called once per distinct stage time: k2 and k3 share the midpoint's
+    value, and the last value is kept for the next step's k1, so n
+    consecutive steps make 2 n + 1 calls.
+    """
+    last = [None, None]  # t and coefficient(t) of the last call
+
+    def at(t):
+        if t != last[0]:
+            last[:] = t, coefficient(t)
+        return last[1]
+
+    def step(v, s):
+        k1 = term(at(t0 + s * dt), v)
+        mid = at(t0 + (s + 0.5) * dt)
+        k2 = term(mid, half * (v + dt / 2.0 * k1))
+        k3 = term(mid, half * v + dt / 2.0 * k2)
+        k4 = term(at(t0 + (s + 1) * dt), full * v + dt * half * k3)
+        return full * v + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+
+    return step
+
+
 def evolve_linearized(w0, background, model, cfg, forcing_f1=None):
-    """Integrate dw/dt = J H''(U(t)) w + F1(t) by RK4.
+    """Integrate dw/dt = J H''(U(t)) w + F1(t) by RK4 (_rk4_stepper).
 
     background: callable t -> LatticeField (or None for the zero state);
     forcing_f1: callable t -> LatticeField or None (a forcing J F2 is
     F1 = apply_j(F2)).
 
-    Step k has its stage times k dt, (k + 1/2) dt and (k + 1) dt, so a
-    step's k4 time is the next step's k1 time bit for bit, and V''(U(t))
-    is evaluated once per distinct stage time: 2 n_steps + 1 background
-    calls in all (V''(0) once when background is None).  Records and
-    checks frames like evolve_nonlinear.
+    The state is one (2, 1, L) array, r over p, and the step's
+    coefficient at t is the pair V''(U(t)), F1(t), so background and
+    forcing_f1 are each called once per distinct stage time k dt,
+    (k + 1/2) dt and (k + 1) dt: 2 n_steps + 1 calls in all (V''(0) once
+    when background is None).  Records and checks frames like
+    evolve_nonlinear.
     """
-    offset, r, p = _stack((w0,))
-    dt = cfg.dt
+    state = np.stack((w0.r, w0.p))[:, None]
     flat = model.d2v(np.zeros_like(w0.r)) if background is None else None
 
     def coefficient(t):
-        return flat if background is None else model.d2v(background(t).r)
+        d2v = flat if background is None else model.d2v(background(t).r)
+        return d2v, None if forcing_f1 is None else forcing_f1(t)
 
-    def deriv(t, coeff, r, p):
-        dr = _shift_forward_diff(p)
-        dp = _shift_backward_diff(coeff * r)
-        if forcing_f1 is not None:
-            f1 = forcing_f1(t)
-            dr = dr + f1.r
-            dp = dp + f1.p
-        return dr, dp
+    def term(coeff, v):
+        d2v, f1 = coeff
+        out = np.empty_like(v)
+        out[0] = _shift_forward_diff(v[1])
+        out[1] = _shift_backward_diff(d2v * v[0])
+        if f1 is not None:
+            out[0] += f1.r
+            out[1] += f1.p
+        return out
 
-    start = coefficient(0.0)  # V'' at the start of the next step
+    step = _rk4_stepper(0.0, cfg.dt, coefficient, term, 1.0, 1.0)
 
-    def step(k):
-        nonlocal start
-        t, mid, end = k * dt, (k + 0.5) * dt, (k + 1) * dt
-        c_mid, c_end = coefficient(mid), coefficient(end)
-        k1r, k1p = deriv(t, start, r, p)
-        k2r, k2p = deriv(mid, c_mid, r + dt / 2 * k1r, p + dt / 2 * k1p)
-        k3r, k3p = deriv(mid, c_mid, r + dt / 2 * k2r, p + dt / 2 * k2p)
-        k4r, k4p = deriv(end, c_end, r + dt * k3r, p + dt * k3p)
-        start = c_end
-        np.add(r, dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r), out=r)
-        np.add(p, dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p), out=p)
+    def advance(k):
+        state[...] = step(state, k)
 
-    return _run(step, offset, r, p, cfg)[0]
+    return _run(advance, w0.offset, state[0], state[1], cfg)[0]

@@ -15,8 +15,9 @@ moments, so neither carries differencing error; the gradients are
 taken for a chosen set of solitons, all of them for the secular basis,
 the top one alone for a ladder level's two modes.  A TauLadder keeps log
 Delta, v and its slope at its last evaluation point.  The linearized
-flows ask for the profile at every stage time on a moving frame, where
-that memo would miss each time; they evaluate through a frame instead
+flows ask for the profile once per distinct stage time of their RK4
+step (integrators._rk4_stepper) on a moving frame, where that memo would
+miss each time; they evaluate through a frame instead
 (TauLadder.frame_profile), which keeps one sweep's slab factors and
 moment weights per anchor time and sums the moments of every later time
 from them with the weights rescaled.

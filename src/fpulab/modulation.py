@@ -246,10 +246,6 @@ def _conditions(sampled, eps):
     triple of fields per wave, all on one site window.  The rows of C
     are apply_j_inverse of the directions, so C v holds the pairings
     <v, J^{-1} direction>."""
-    if not sampled:
-        raise ValueError("need at least one wave")
-    if eps <= 0.0:
-        raise ValueError("scaling parameter must be positive")
     cond = np.empty((2 * len(sampled), 2 * len(sampled[0][0])))
     dirs = np.empty_like(cond)
     for i, (_, dx_i, dc_i) in enumerate(sampled):
@@ -383,12 +379,14 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
 
     Raises RuntimeError when the residual is not brought below tol in
     max_iter steps or when two crests come within COLLISION_GAP sites;
-    ValueError for malformed guesses.
+    ValueError for malformed guesses or a negative max_iter.
     """
     c_guess, x_guess = guess
     c = np.array(c_guess, dtype=float)
     x = np.array(x_guess, dtype=float)
     _check_train(c, x)
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if table is None:
         table = ProfileTable(model)
     eps = _default_eps(c)
@@ -427,7 +425,6 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
         if np.any(c <= 1.0) or not np.all(np.isfinite(c)):
             raise RuntimeError("iteration left the supersonic speed range; "
                                "the guess is outside the attraction basin")
-    raise AssertionError("unreachable")
 
 
 def train_field(table, c, x, offset, length):

@@ -113,6 +113,12 @@ def test_svg_plot(tmp_path):
     assert title in texts
     with pytest.raises(ValueError, match="increase"):
         svg_series_plot(tmp_path / "flat.svg", [1.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="two or more samples"):
+        svg_series_plot(tmp_path / "one.svg", [1.0], [1.0])
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive values"):
+            svg_series_plot(tmp_path / "log.svg", [1.0, 2.0], [1.0, bad],
+                            log_scale=True)
 
 
 def _calls_and_imports(tree):

@@ -9,6 +9,7 @@ slopes additionally have to clear the analytic rate bounds.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,20 @@ class TestEvolution:
         fh = linearized_kdv_evolve(h, TRAIN, 0.0, 0.2, 0.4, 1e-3, **run).final
         fc = linearized_kdv_evolve(comb, TRAIN, 0.0, 0.2, 0.4, 1e-3, **run).final
         assert np.max(np.abs(fc.values - 0.7 * fg.values + 1.3 * fh.values)) < 1e-12
+
+    def test_zero_field_stays_zero(self):
+        # a zero spectrum has no energy to take an alias fraction of
+        x = uniform_grid(-45.0, 35.0, 0.05)
+        zero = field(x, np.zeros_like(x))
+        for family in (TRAIN, None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                traj = linearized_kdv_evolve(zero, family, 0.0, 0.05, 0.4,
+                                             1e-3, reproject_every=25,
+                                             record_every=10)
+            assert traj.alias_peak == 0.0
+            assert np.all(traj.weighted_norm == 0.0)
+            assert np.all(traj.final.values == 0.0)
 
     def test_flows_build_their_ladder_once(self, monkeypatch):
         builds = []

@@ -50,6 +50,30 @@ def test_band_split_reconstructs_the_weighted_field():
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def test_argument_checks():
+    t = np.linspace(0.0, 20.0, 81)
+    with pytest.raises(ValueError, match="equal-length"):
+        decay_fit(t, np.exp(-t[:-1]))
+    # the window starts at index len // 2: 9 samples of 18, 10 of 19
+    with pytest.raises(ValueError, match="at least 10 samples"):
+        decay_fit(t[:18], np.exp(-t[:18]))
+    decay_fit(t[:19], np.exp(-t[:19]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        decay_fit(t, np.where(t < 19.0, np.exp(-t), 0.0))
+    u = LatticeField(-30, np.zeros(62), np.zeros(62))
+    with pytest.raises(ValueError, match="cannot resolve the low band; need "
+                                         "at least 63"):
+        band_split(u, 0.1)
+    band_split(LatticeField(-30, np.zeros(63), np.zeros(63)), 0.1)
+    for a, k1 in ((0.0, 1.0), (-0.5, 1.0), (1.6, 0.8)):
+        with pytest.raises(ValueError, match="a must lie in"):
+            dispersion_check(0.1, a, k1=k1)
+    with pytest.raises(ValueError, match="two eps values"):
+        symbol_and_tail_check((0.2,), 0.5)
+    with pytest.raises(ValueError, match="two tail eps values"):
+        symbol_and_tail_check((0.2, 0.1), 0.5, tail_eps_values=(0.6,))
+
+
 def test_decay_fit_recovers_a_pure_exponential():
     t = np.linspace(0.0, 20.0, 81)
     fit = decay_fit(t, 3.0 * np.exp(-0.37 * t))
@@ -181,6 +205,16 @@ def test_virial_ledger_is_monotone_under_its_hypotheses():
     slow = virial_series(traj, a, lambda t: -20.0 + 0.9 * t, toda, eps=eps)
     assert len(slow.flags) == 1 and "center speed" in slow.flags[0]
     assert slow.max_step_increase() > 0.0  # measured +3.3e-8
+    # control: at eps = 0.05 the term a eps alone exceeds the budget
+    # eps^2 / 2, while the center still outruns its floor
+    small = virial_series(traj, a, lambda t: -20.0 + (1.0 + eps**2 / 12.0) * t,
+                          toda, eps=0.05)
+    assert len(small.flags) == 1 and "smallness budget" in small.flags[0]
+    # without eps the hypotheses go unchecked and C cannot be fitted
+    bare = virial_series(traj, a, lambda t: -20.0 + t, toda)
+    assert bare.flags == []
+    with pytest.raises(ValueError, match="needs eps"):
+        bare.fitted_constant()
 
 
 def test_stability_metrics_ignore_the_site_labels():

@@ -3,7 +3,10 @@ every private module-level name of the package is read, no package
 module reads a private attribute of another object, and the package has
 one log-sum-exp, one sech^2 and one copy each of the Gram-condition,
 relative-overlap, divergence, weight-exponent and wave-collision checks,
-and takes its Fourier transforms from scipy.fft.  mpmath is a test
+and takes its Fourier transforms from scipy.fft.  The three linear flows
+(the lattice's evolve_linearized and the two KdV flows of backlund) share
+one RK4 step: its stage weights (a division by 6) occur once in the
+package, and no _SpectralFlow stepper class is left.  mpmath is a test
 dependency only: no package module imports it, and the package imports
 where it cannot be found.
 
@@ -186,6 +189,31 @@ def test_one_copy_of_each_check():
     assert found["_overlap"] <= 1
     assert found["np.sqrt(...) or 1"] == 1
     assert {p: found[p] for p in GUARDED_PHRASES} == dict.fromkeys(GUARDED_PHRASES, 1)
+
+
+def _is_rk4_weight(node):
+    """`dt / 6`: the stage weight of an RK4 combination."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and ast.unparse(node.left) == "dt"
+            and isinstance(node.right, ast.Constant) and node.right.value == 6)
+
+
+def _names_spectral_flow(node):
+    return "_SpectralFlow" in (getattr(node, "name", None),
+                               getattr(node, "id", None),
+                               getattr(node, "attr", None))
+
+
+def test_one_rk4_step():
+    # integrators._rk4_stepper is the one RK4 step of evolve_linearized,
+    # linearized_kdv_evolve and ladder_level_evolve
+    found = Counter()
+    for path in sorted(SOURCES[0].glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            found["dt / 6"] += _is_rk4_weight(node)
+            found["_SpectralFlow"] += _names_spectral_flow(node)
+    assert found["dt / 6"] == 1
+    assert found["_SpectralFlow"] == 0
 
 
 def _names_numpy_fft(node):

@@ -62,6 +62,8 @@ def test_config_validation():
         EvolveConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         EvolveConfig(dt=0.1, t_end=1.0, stride=0)
+    with pytest.raises(ValueError, match="t_end must be nonnegative"):
+        EvolveConfig(dt=0.1, t_end=-1.0)
     # NaN would switch the boundary alarm off, a negative value would fire
     # it on the zero field; inf is the off switch
     for tol in (np.nan, -1e-8, -np.inf):
@@ -445,28 +447,39 @@ def test_linearized_matches_nonlinear_difference(toda, soliton):
 
 def test_background_is_evaluated_once_per_stage_time(toda, soliton):
     L, off = 120, -40
-    times = []
+    times, forced = [], []
 
     def background(t):
         times.append(t)
         return soliton.lattice_field(offset=off, length=L, position=soliton.c * t)
 
+    def forcing(t):
+        forced.append(t)
+        return zeros_field(off, L)
+
     w0 = zeros_field(off, L)
     w0.r[35:45] = 1.0
-    # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1) per step
+    # t0, then t + dt/2 (k2 and k3) and t + dt (k4 and the next k1) per
+    # step, for the background and the forcing alike
     dt, n = 2.0**-6, 40
     cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
                        boundary_tol=np.inf)
-    evolve_linearized(w0, background, toda, cfg)
-    assert times == [j * dt / 2.0 for j in range(2 * n + 1)]
+    evolve_linearized(w0, background, toda, cfg, forcing_f1=forcing)
+    assert times == forced == [j * dt / 2.0 for j in range(2 * n + 1)]
     # with dt = 0.01 the k4 time of a step must still be the next step's
     # k1 time, so the 2n + 1 calls come at 2n + 1 distinct times
     dt, n = 0.01, 300
     times.clear()
+    forced.clear()
     cfg = EvolveConfig(dt=dt, t_end=n * dt, stride=10**9,
                        boundary_tol=np.inf)
-    evolve_linearized(w0, background, toda, cfg)
+    evolve_linearized(w0, background, toda, cfg, forcing_f1=forcing)
     assert len(times) == len(set(times)) == 2 * n + 1
+    assert forced == times
+    # without a background the forcing alone is asked at each stage time
+    forced.clear()
+    evolve_linearized(w0, None, toda, cfg, forcing_f1=forcing)
+    assert forced == times
 
 
 def test_sampled_background_interpolation():
@@ -481,6 +494,12 @@ def test_sampled_background_interpolation():
         sb(2.5)
     with pytest.raises(ValueError):
         sb(-0.1)
+    with pytest.raises(ValueError, match="at least two fields"):
+        SampledBackground(times[:2], fields)
+    with pytest.raises(ValueError, match="at least two fields"):
+        SampledBackground(times[:1], fields[:1])
+    with pytest.raises(ValueError, match="times must increase"):
+        SampledBackground(np.array([0.0, 1.0, 1.0]), fields)
 
 
 def test_boundary_alarm(toda, soliton):

@@ -640,6 +640,9 @@ class TestDecompose:
                       table=TABLE)
         with pytest.raises(ValueError, match="equal-length"):
             decompose(u, MODEL, (C_PAIR, np.array([0.0])), table=TABLE)
+        with pytest.raises(ValueError, match="max_iter"):
+            decompose(u, MODEL, (C_PAIR.copy(), X_PAIR.copy()), table=TABLE,
+                      max_iter=-1)
 
     @settings(max_examples=20, deadline=None)
     @given(kappa=st.floats(0.25, 0.5), shift=st.floats(-3.0, 3.0))
@@ -929,6 +932,16 @@ class TestTrack:
         write_json(path, summary)
         assert json.loads(path.read_text()) == summary
 
+    def test_one_frame_track_takes_the_speed_as_crest_velocity(self):
+        # one frame has no difference quotient: xdot is the fitted speed
+        c0 = speed_of_kappa(0.35)
+        u0 = TABLE.wave(c0, -70, 191, position=0.0)
+        trk = track(Trajectory(np.array([0.0]), [u0]), MODEL,
+                    (np.array([c0]), np.array([0.0])), table=TABLE)
+        assert trk.xdot.shape == (1, 1)
+        assert np.array_equal(trk.xdot[0], trk.speeds[0])
+        assert np.array_equal(trk.c_plus, trk.speeds[0])
+
     def test_failure_names_the_sample_time(self):
         rng = np.random.default_rng(3)
         u0 = pair_train()
@@ -947,8 +960,11 @@ class TestTrack:
         zero = LatticeField(0, np.zeros(4), np.zeros(4))
         state = ModulationState(np.array([1.05]), np.array([0.0]), zero,
                                 np.zeros(2), 0, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="increase strictly"):
             ModulationTrack(np.array([0.0, 0.0]), [state, state],
+                            np.array([1.05]), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="one state per sample time"):
+            ModulationTrack(np.array([0.0, 1.0]), [state],
                             np.array([1.05]), np.zeros((2, 1)))
         trk = ModulationTrack(np.arange(10.0), [state] * 10,
                               np.array([1.05]), np.zeros((10, 1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -362,6 +363,9 @@ def test_rho_profile_quadratic_potential_vanishes():
     rho = rho_profile(prof, quad)
     assert np.max(np.abs(rho.r)) == 0.0
     assert np.max(np.abs(rho.p)) == 0.0
+    for c in (1.0, 0.9):
+        with pytest.raises(ValueError, match="supersonic"):
+            rho_profile(dataclasses.replace(prof, c=c), quad)
 
 
 def test_rho_profile_scaling():
