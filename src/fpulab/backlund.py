@@ -40,6 +40,7 @@ from .kdv import (
     TauLadder,
     _check_grid,
     _check_level,
+    _check_limit,
     _checked_gram,
     exp_weighted_norm,
     log_psi,
@@ -187,12 +188,9 @@ def linearized_forward(w_prev: GridField, ladder: LadderPhases, m, t) -> GridFie
 
     for label, rel in zip(("shift", "speed"),
                           _overlaps(out, (shift, speed), dx, out)):
-        if rel > ORTHOGONALITY_TOL:
-            raise RuntimeError(
-                f"{label}-mode orthogonality residual {rel:.3e} exceeds "
-                f"{ORTHOGONALITY_TOL:.0e} after the homogeneous solve; refine "
-                "the grid or enlarge the window"
-            )
+        _check_limit(RuntimeError, f"{label}-mode orthogonality residual", rel,
+                     ORTHOGONALITY_TOL, " after the homogeneous solve; refine "
+                     "the grid or enlarge the window")
     return GridField(w_prev.x0, dx, out)
 
 
@@ -227,13 +225,9 @@ def linearized_inverse(w_field: GridField, ladder: LadderPhases, m, t) -> GridFi
 
     peak = np.max(np.abs(wm))
     if peak > 0.0:
-        mismatch = abs(right[j0] - left[j0]) / peak
-        if mismatch > MISMATCH_TOL:
-            raise ValueError(
-                f"tail representations disagree by {mismatch:.3e} at the "
-                f"crest, above {MISMATCH_TOL:.0e}; the input violates the "
-                f"level-{m} shift orthogonality"
-            )
+        _check_limit(ValueError, "tail representations disagree at the crest "
+                     "by", abs(right[j0] - left[j0]) / peak, MISMATCH_TOL,
+                     f"; the input violates the level-{m} shift orthogonality")
     out = -wm.copy()
     out[j0:] += right[j0:]
     out[:j0] += left[:j0]
@@ -247,8 +241,8 @@ def _secular_coeffs(values, xi, eta, dx):
     eta match those of values."""
     gram = np.array([[simpson_pairing(g, e, dx) for g in xi] for e in eta])
     rhs = np.array([simpson_pairing(values, e, dx) for e in eta])
-    gram = _checked_gram(gram, "secular Gram matrix is ill-conditioned ({}); "
-                         "the parameter modes are numerically degenerate")
+    gram = _checked_gram(gram, "secular Gram matrix is ill-conditioned",
+                         "; the parameter modes are numerically degenerate")
     return np.linalg.solve(gram, rhs) @ xi
 
 
@@ -267,11 +261,8 @@ def secular_projection(v: GridField, family: SolitonFamily, t, a):
     pv = GridField(v.x0, v.dx, ranged)
     qv = GridField(v.x0, v.dx, v.values - ranged)
     for rel in _overlaps(qv.values, eta, v.dx, v.values):
-        if rel > SECULAR_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"secular condition residual {rel:.3e} exceeds "
-                f"{SECULAR_RESIDUAL_TOL:.0e} after projection"
-            )
+        _check_limit(RuntimeError, "secular condition residual", rel,
+                     SECULAR_RESIDUAL_TOL, " after projection")
     return pv, qv
 
 
@@ -419,12 +410,9 @@ def linearized_kdv_evolve(v0: GridField, family, t0, t1, a, dt,
         vals = fft.irfft(vhat, n=n)
         _check_finite(vals, tau)
         frac = _alias_fraction(vhat, xi)
-        if frac > ALIAS_TOL:
-            raise RuntimeError(
-                f"aliasing alarm at t={tau:.6g}: {frac:.2e} of the energy sits "
-                f"above the dealiasing cutoff, more than {ALIAS_TOL:.0e}; "
-                "refine dx or shrink dt"
-            )
+        _check_limit(RuntimeError, f"aliasing alarm at t={tau:.6g}: energy "
+                     "fraction near and above the dealiasing cutoff", frac,
+                     ALIAS_TOL, "; refine dx or shrink dt")
         times.append(tau)
         alias.append(frac)
         norms.append(exp_weighted_norm(vals[sel], x[sel], dx, a))
@@ -544,12 +532,9 @@ def ladder_conjugate(field: GridField, family: SolitonFamily, t, a,
         for m in range(family.n, 0, -1):
             for label, rel in zip(("shift", "speed"),
                                   _overlaps(cur.values, modes[m], dx, cur.values)):
-                if rel > LADDER_ORTHOGONALITY_TOL:
-                    raise ValueError(
-                        f"level-{m} {label}-mode orthogonality violated "
-                        f"({rel:.3e} exceeds {LADDER_ORTHOGONALITY_TOL:.0e}); "
-                        "the field left the admissible class"
-                    )
+                _check_limit(ValueError, f"level-{m} {label}-mode orthogonality "
+                             "residual", rel, LADDER_ORTHOGONALITY_TOL,
+                             "; the field left the admissible class")
             cur = linearized_inverse(cur, ladder, m, t)
             norms[m - 1] = exp_weighted_norm(cur.values, x, dx, -a)
     else:

@@ -100,7 +100,7 @@ def decay_fit(times, values):
     v = values[start:]
     if t.size < 10:
         raise ValueError("need at least 10 samples in the fit window")
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):
         raise ValueError("decay_fit needs strictly positive values")
     rate, intercept, r2 = _log_linear_fit(t, v)
     return DecayFit(rate, intercept, r2, float(t[0]), int(t.size))
@@ -290,6 +290,8 @@ def band_split(w, eps, k1=1.0, t=0.0):
     contents are stationary in the frame of the slowest wave.  The
     cutoffs are BAND_K eps and BAND_DELTA.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     c1eps = speed_of_eps(k1 * eps)
     K, delta = BAND_K, BAND_DELTA
     length = len(w)

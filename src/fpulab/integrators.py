@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kdv import _check_limit
 from .lattice import LatticeField, _shift_backward_diff, _shift_forward_diff
 
 BOUNDARY_WIDTH = 10
@@ -53,10 +54,10 @@ class EvolveConfig:
     def __post_init__(self):
         if not 0 < self.dt <= 0.25:
             raise ValueError("dt must lie in (0, 0.25]")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be nonnegative and finite")
+        if not (self.stride >= 1 and self.stride % 1 == 0):
+            raise ValueError("stride must be an integer >= 1")
         if not self.boundary_tol >= 0:
             raise ValueError("boundary_tol must be >= 0 (inf: no alarm)")
         end = self.n_steps * self.dt
@@ -95,7 +96,7 @@ class SampledBackground:
 
     def __call__(self, t):
         ts = self.times
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
+        if not ts[0] - 1e-9 <= t <= ts[-1] + 1e-9:
             raise ValueError(f"background queried outside [{ts[0]}, {ts[-1]}]")
         j = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2))
         lam = (t - ts[j]) / (ts[j + 1] - ts[j])
@@ -113,12 +114,9 @@ def _check_state(t, snap, cfg, name):
 
 
 def _check_edges(t, snap, cfg, name):
-    lo, hi = snap.boundary_mass(BOUNDARY_WIDTH)
-    if max(lo, hi) > cfg.boundary_tol:
-        raise RuntimeError(
-            f"{name}boundary mass {max(lo, hi):.3e} exceeds "
-            f"{cfg.boundary_tol:.3e} at t={t:.6g}; enlarge the window"
-        )
+    _check_limit(RuntimeError, f"{name}boundary mass",
+                 np.max(snap.boundary_mass(BOUNDARY_WIDTH)), cfg.boundary_tol,
+                 f" at t={t:.6g}; enlarge the window")
 
 
 def _stack(fields):

@@ -37,9 +37,11 @@ The ladder conventions live here and nowhere else: the phase recursion
 (_check_level), the normalized tau quotient (log_psi), the parameter
 gradients of a profile (TauLadder.parameter_gradients), the spectral
 derivative, the Simpson pairing of grid samples (simpson_pairing), the
-exponentially weighted grid norm (exp_weighted_norm) and the condition
+exponentially weighted grid norm (exp_weighted_norm), the condition
 check of a Gram matrix of modes (_checked_gram), which the secular
-projection and the modulation frame share.
+projection and the modulation frame share, and the one threshold alarm
+(_check_limit), through which every value-against-limit alarm of the
+package raises "<what> <value> exceeds <limit>", NaN included.
 
 Fourier transforms here and in the other modules go through scipy.fft,
 not numpy.fft: scipy's pocketfft keeps the plan of each transform length
@@ -156,15 +158,22 @@ def exp_weighted_norm(values, x, dx, b):
 GRAM_COND_LIMIT = 1e12
 
 
-def _checked_gram(gram, alarm):
-    """Return gram, or raise ValueError when its condition number (inf
-    when an entry is not finite) exceeds GRAM_COND_LIMIT; the message is
-    alarm, naming the matrix, with "condition number ... exceeds 1e+12"
-    in its field {}."""
+def _check_limit(error, what, value, limit, where=""):
+    """The one threshold alarm: raise error("<what> <value> exceeds
+    <limit><where>") unless value <= limit, so a NaN value fires too.  The
+    limit is written in its shortest exact scientific form (1e-06, 2.5e-09)."""
+    if not value <= limit:
+        raise error(f"{what} {value:.3e} exceeds "
+                    f"{np.format_float_scientific(limit, trim='-')}{where}")
+
+
+def _checked_gram(gram, what, where=""):
+    """Return gram, or raise ValueError "<what>: condition number ...
+    exceeds 1e+12<where>" when its condition number (inf when an entry is
+    not finite) exceeds GRAM_COND_LIMIT."""
     condition = np.linalg.cond(gram) if np.all(np.isfinite(gram)) else np.inf
-    if condition > GRAM_COND_LIMIT:
-        raise ValueError(alarm.format(f"condition number {condition:.3e} "
-                                      f"exceeds {GRAM_COND_LIMIT:.0e}"))
+    _check_limit(ValueError, f"{what}: condition number", condition,
+                 GRAM_COND_LIMIT, where)
     return gram
 
 
@@ -623,10 +632,8 @@ def secular_basis(family: SolitonFamily, t, x):
     """
     x = _check_grid(family.k, x)
     xi = TauLadder(family, family.n).parameter_gradients(t, x)
-    if np.any(np.abs(xi[:, 0]) > 1e-12):
-        raise ValueError(
-            "left edge not in the flat tail of the parameter gradients"
-        )
+    _check_limit(ValueError, "left edge not in the flat tail of the parameter "
+                 "gradients: edge value", np.max(np.abs(xi[:, 0])), 1e-12)
     eta = cumulative_trapezoid(xi, dx=x[1] - x[0], axis=1, initial=0.0)
     return xi, eta
 

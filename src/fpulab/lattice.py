@@ -154,7 +154,7 @@ class PotentialModel:
             "V''(0)-1": abs(d2 - 1.0),
             "cubic-1/6": abs(d3 / 6.0 - 1.0 / 6.0),
         }
-        bad = {k: v for k, v in checks.items() if v > 1e-8}
+        bad = {k: v for k, v in checks.items() if not v <= 1e-8}
         if bad:
             raise ValueError(f"potential fails normalization checks: {bad}")
         return checks

@@ -45,7 +45,7 @@ from scipy.interpolate import PPoly
 
 from .diagnostics import _w_norm, weighted_norm
 from .integrators import Trajectory, evolve_nonlinear
-from .kdv import _checked_gram
+from .kdv import _check_limit, _checked_gram
 from .lattice import (
     LatticeField,
     WeightKind,
@@ -311,7 +311,7 @@ def _pairing_gram(cond, dirs):
     """The scaled pairing matrix C D^T of the wave directions (see the
     module docstring), checked for singularity (kdv._checked_gram)."""
     return _checked_gram(cond @ dirs.T, "wave-direction pairing matrix is "
-                         "singular to working precision: {}")
+                         "singular to working precision")
 
 
 def _check_train(c, x):
@@ -415,10 +415,8 @@ def decompose(u, model, guess, table=None, tol=1e-10, max_iter=30):
                 )
             return state
         if it == max_iter:
-            raise RuntimeError(
-                "orthogonality residual %.3e not below %.3e after %d "
-                "iterations" % (worst, tol, max_iter)
-            )
+            _check_limit(RuntimeError, "orthogonality residual", worst, tol,
+                         f" after {max_iter} iterations")
         delta = np.linalg.solve(_pairing_gram(hull.cond, hull.dirs), -misfit)
         c = c - eps**3 * delta[0::2]
         x = x + delta[1::2]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import fft
 from scipy.interpolate import CubicSpline
 
-from .kdv import _sech2, _spectral_dx
+from .kdv import _check_limit, _sech2, _spectral_dx
 from .lattice import LatticeField, hamiltonian
 
 _SECH2_SEED_TAIL = 22.0  # resolve profiles down to e^{-22} at the window edge
@@ -65,8 +65,9 @@ def kappa_of_speed(c):
     not, so the public calls one call makes do not depend on what earlier
     calls left in the memo.
     """
-    if c <= 1.0:
-        raise ValueError("wave speed must exceed the sound speed 1")
+    if not 1.0 < c < np.inf:
+        raise ValueError("wave speed must be finite and exceed the sound "
+                         f"speed 1, got {c}")
     return _kappa_newton(float(c), eps_of_speed(c))
 
 
@@ -386,12 +387,10 @@ def _petviashvili(model, c, seed, tol, max_iter):
         history.append(res)
         if res < tol:
             return r, history
-        if it >= 30 and res > 0.5 * history[it - 26]:
-            raise RuntimeError(
-                f"Petviashvili iteration stalled at iteration {it}: residual "
-                f"{res:.3e}, {history[it - 26]:.3e} 25 iterations earlier "
-                f"{where}"
-            )
+        if it >= 30:
+            _check_limit(RuntimeError, "Petviashvili iteration stalled at "
+                         f"iteration {it}: residual", res, 0.5 * history[it - 26],
+                         f", half its value 25 iterations earlier {where}")
     raise RuntimeError(
         f"Petviashvili iteration did not reach residual {tol:g} in "
         f"{max_iter} iterations {where}"
@@ -453,7 +452,8 @@ def solve_profile(model, c, span=None, tol=1e-12, max_iter=500, seed=None):
 def traveling_wave_residual(c, r, p, dr, dp, model):
     """sup |c dx^2 u + J H''(u) dx u| for profile-grid columns u = (r, p)
     and dx u = (dr, dp), where integer shifts are exact grid shifts and
-    dx^2 u is spectral.  Raises RuntimeError above IDENTITY_TOL: dx u is
+    dx^2 u is spectral.  Raises RuntimeError unless the residual is at most
+    IDENTITY_TOL (kdv._check_limit), so a NaN residual raises too: dx u is
     then not the x-direction of a traveling wave of speed c.
     """
     return _identity_residual(c, r, p, dr, dp, _spectral_dx(r, _H, order=2),
@@ -474,12 +474,10 @@ def _identity_residual(c, r, p, dr, dp, d2r, d2p, model):
     np.subtract(flux[:s], flux[-s:], out=behind[:s])
     res_r = c * d2r + ahead
     res_p = c * d2p + behind
-    res = max(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
-    if res > IDENTITY_TOL:
-        raise RuntimeError(
-            f"x-derivative violates the traveling-wave identity: residual "
-            f"{res:.3e} exceeds {IDENTITY_TOL:.0e} (model {model.name}, c={c:g})"
-        )
+    res = np.maximum(np.max(np.abs(res_r)), np.max(np.abs(res_p)))
+    _check_limit(RuntimeError, "x-derivative violates the traveling-wave "
+                 "identity: residual", res, IDENTITY_TOL,
+                 f" (model {model.name}, c={c:g})")
     return res
 
 

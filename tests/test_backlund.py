@@ -337,7 +337,7 @@ class TestInverse:
         with pytest.raises(ValueError, match="tail representations") as alarm:
             linearized_inverse(bad, lad, m, 0.0)
         message = str(alarm.value)
-        assert f"above {backlund.MISMATCH_TOL:.0e}" in message
+        assert f"exceeds {backlund.MISMATCH_TOL:.0e}" in message
         assert f"level-{m} shift orthogonality" in message
 
 
@@ -592,7 +592,7 @@ class TestEvolution:
         # records fall every 10 dt = 0.02; the one at t = 0.1 is the first
         # above the 1e-6 threshold (6.9e-5 measured)
         assert "aliasing alarm at t=0.1:" in str(alarm.value)
-        assert f"more than {backlund.ALIAS_TOL:.0e}" in str(alarm.value)
+        assert f"exceeds {backlund.ALIAS_TOL:.0e}" in str(alarm.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nan_alarm_names_the_time(self):

@@ -60,11 +60,16 @@ def test_argument_checks():
     decay_fit(t[:19], np.exp(-t[:19]))
     with pytest.raises(ValueError, match="strictly positive"):
         decay_fit(t, np.where(t < 19.0, np.exp(-t), 0.0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        decay_fit(t, np.where(t == 15.0, np.nan, np.exp(-t)))
     u = LatticeField(-30, np.zeros(62), np.zeros(62))
     with pytest.raises(ValueError, match="cannot resolve the low band; need "
                                          "at least 63"):
         band_split(u, 0.1)
     band_split(LatticeField(-30, np.zeros(63), np.zeros(63)), 0.1)
+    for eps in (np.nan, 0.0, -0.1, np.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            band_split(LatticeField(-30, np.zeros(63), np.zeros(63)), eps)
     for a, k1 in ((0.0, 1.0), (-0.5, 1.0), (1.6, 0.8)):
         with pytest.raises(ValueError, match="a must lie in"):
             dispersion_check(0.1, a, k1=k1)

@@ -3,12 +3,13 @@ every private module-level name of the package is read, no package
 module reads a private attribute of another object, and the package has
 one log-sum-exp, one sech^2 and one copy each of the Gram-condition,
 relative-overlap, divergence, weight-exponent and wave-collision checks,
-and takes its Fourier transforms from scipy.fft.  The three linear flows
-(the lattice's evolve_linearized and the two KdV flows of backlund) share
-one RK4 step: its stage weights (a division by 6) occur once in the
-package, and no _SpectralFlow stepper class is left.  mpmath is a test
-dependency only: no package module imports it, and the package imports
-where it cannot be found.
+one threshold alarm (kdv._check_limit, the only raise whose message says
+a value "exceeds" its limit), and takes its Fourier transforms from
+scipy.fft.  The three linear flows (the lattice's evolve_linearized and
+the two KdV flows of backlund) share one RK4 step: its stage weights (a
+division by 6) occur once in the package, and no _SpectralFlow stepper
+class is left.  mpmath is a test dependency only: no package module
+imports it, and the package imports where it cannot be found.
 
 The checks read the source with ast: a name bound by an import statement
 must occur as a name somewhere in the same module (`np` in `np.sum`
@@ -189,6 +190,37 @@ def test_one_copy_of_each_check():
     assert found["_overlap"] <= 1
     assert found["np.sqrt(...) or 1"] == 1
     assert {p: found[p] for p in GUARDED_PHRASES} == dict.fromkeys(GUARDED_PHRASES, 1)
+
+
+ALARM_VERBS = ("exceeds", "above", "more than", "not below")
+
+
+def _alarm_messages(tree):
+    """The string pieces of each raise outside kdv._check_limit that name
+    a value against a limit with one of ALARM_VERBS."""
+    helper = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_check_limit"
+              for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and id(node) not in helper:
+            text = "".join(c.value for c in ast.walk(node)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if any(verb in text for verb in ALARM_VERBS):
+                yield text
+
+
+def test_one_alarm_form():
+    # every value-against-limit alarm raises through kdv._check_limit:
+    # one message form, and a NaN value fires it
+    found, calls = [], 0
+    for path in sorted(SOURCES[0].glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, text) for text in _alarm_messages(tree)]
+        calls += sum(_calls(node, "_check_limit") for node in ast.walk(tree))
+    assert found == []
+    # boundary mass, identity, stall, Gram condition, flat tail, decompose,
+    # and backlund's two orthogonality, mismatch, secular and alias alarms
+    assert calls == 11
 
 
 def _is_rk4_weight(node):

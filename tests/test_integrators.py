@@ -17,6 +17,7 @@ from fpulab.integrators import (
     BOUNDARY_WIDTH,
     EvolveConfig,
     SampledBackground,
+    _check_edges,
     evolve_linearized,
     evolve_nonlinear,
 )
@@ -62,8 +63,13 @@ def test_config_validation():
         EvolveConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         EvolveConfig(dt=0.1, t_end=1.0, stride=0)
-    with pytest.raises(ValueError, match="t_end must be nonnegative"):
-        EvolveConfig(dt=0.1, t_end=-1.0)
+    for t_end in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end must be nonnegative"):
+            EvolveConfig(dt=0.1, t_end=t_end)
+    # a fractional stride would record every ceil(stride)-th step
+    for stride in (1.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            EvolveConfig(dt=0.1, t_end=1.0, stride=stride)
     # NaN would switch the boundary alarm off, a negative value would fire
     # it on the zero field; inf is the off switch
     for tol in (np.nan, -1e-8, -np.inf):
@@ -492,8 +498,9 @@ def test_sampled_background_interpolation():
     assert sb(0.5).r[0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         sb(2.5)
-    with pytest.raises(ValueError):
-        sb(-0.1)
+    for t in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            sb(t)
     with pytest.raises(ValueError, match="at least two fields"):
         SampledBackground(times[:2], fields)
     with pytest.raises(ValueError, match="at least two fields"):
@@ -549,6 +556,12 @@ def test_boundary_alarm_reads_boundary_mass(toda, soliton):
     cfg.boundary_tol = mass * (1.0 - 1e-12)
     with pytest.raises(RuntimeError, match="boundary mass %.3e" % mass):
         evolve_nonlinear(u0, toda, cfg)
+    # the edge checks between records read no finiteness check first: a
+    # NaN mass on either edge must fire them, beside a quiet one
+    nan_edge = zeros_field(-8, 16)
+    nan_edge.p[-1] = np.nan
+    with pytest.raises(RuntimeError, match=r"^boundary mass nan exceeds 1e-08 at t=2"):
+        _check_edges(2.0, nan_edge, EvolveConfig(dt=0.1, t_end=1.0), "")
 
 
 def test_nonfinite_abort():

@@ -32,6 +32,7 @@ from fpulab.kdv import (
     simpson_pairing,
     soliton_resolution,
     uniform_grid,
+    _check_limit,
     _spectral_dx,
     _subset_tables,
 )
@@ -168,6 +169,18 @@ def test_log_sum_exp_matches_the_direct_sum_and_takes_all_minus_inf():
         assert list(log_sum_exp(cols)) == [-np.inf, 0.0, np.inf]
         assert log_sum_exp(np.array([0.0, np.inf])) == np.inf
         assert log_sum_exp(np.full(4, -np.inf)) == -np.inf
+
+
+def test_threshold_alarm_fires_above_its_limit_and_on_nan():
+    # silent at the limit and below it; the class raised is the caller's
+    _check_limit(LookupError, "gap", 1e-6, 1e-6)
+    _check_limit(LookupError, "gap", -np.inf, 0.0)
+    with pytest.raises(LookupError, match=r"^gap 2\.000e-06 exceeds 1e-06 at x$"):
+        _check_limit(LookupError, "gap", 2e-6, 1e-6, " at x")
+    # a NaN value fails every comparison, so it must fire; the limit keeps
+    # its exact digits
+    with pytest.raises(ArithmeticError, match=r"^gap nan exceeds 2\.5e-09$"):
+        _check_limit(ArithmeticError, "gap", np.nan, 2.5e-9)
 
 
 def test_tau_level_bounds():

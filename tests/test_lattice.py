@@ -68,6 +68,9 @@ def test_custom_potential_checked():
     # harmonic potential has no cubic term: rejected
     with pytest.raises(ValueError, match="normalization"):
         PotentialModel.custom(lambda r: 0.5 * r**2, lambda r: r)
+    # a NaN potential fails every check rather than none
+    with pytest.raises(ValueError, match="normalization"):
+        PotentialModel.custom(lambda r: np.nan * r, lambda r: r + 0.5 * r**2)
 
 
 def test_custom_d2v_fallback():

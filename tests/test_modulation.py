@@ -611,7 +611,7 @@ class TestDecompose:
     def test_reports_residual_stall(self):
         u = pair_train()
         guess = (C_PAIR * (1.0 + 1e-4), X_PAIR - 0.1)
-        with pytest.raises(RuntimeError, match="not below"):
+        with pytest.raises(RuntimeError, match="exceeds 1e-30 after 3 iterations"):
             decompose(u, MODEL, guess, table=TABLE, tol=1e-30, max_iter=3)
 
     def test_divergence_from_noise_reported(self):

@@ -42,8 +42,9 @@ def test_speed_kappa_inversion():
     assert speed_of_kappa(1.0) == pytest.approx(1.1752011936438014, rel=1e-15)
     for k in (0.05, 0.3, 1.0, 2.5):
         assert kappa_of_speed(speed_of_kappa(k)) == pytest.approx(k, rel=1e-12)
-    with pytest.raises(ValueError):
-        kappa_of_speed(0.99)
+    for c in (0.99, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sound speed"):
+            kappa_of_speed(c)
 
 
 def test_kappa_of_speed_solves_a_speed_once(monkeypatch):
@@ -306,6 +307,17 @@ def test_derivative_x_identity():
     with pytest.raises(RuntimeError, match="identity") as alarm:
         profile_derivative(broken, TODA)
     assert f"(model toda, c={broken.c:g})" in str(alarm.value)
+
+
+def test_identity_alarm_fires_on_nan():
+    # one NaN in dx r makes half the residual NaN; the alarm must not read
+    # the other half alone
+    prof = toda_soliton(0.3)
+    ddx = profile_derivative(prof, TODA)
+    dr = ddx.r.copy()
+    dr[dr.size // 2] = np.nan
+    with pytest.raises(RuntimeError, match=r"identity: residual nan exceeds 1e-06"):
+        waves.traveling_wave_residual(prof.c, prof.r, prof.p, dr, ddx.p, TODA)
 
 
 @pytest.mark.parametrize(
